@@ -24,7 +24,6 @@ from .dynamics import (
     SteadyState,
     load_steady_state,
     path_dependence_demo,
-    relax_along_path,
     relax_stages,
     sample_dynamics_params,
     simulate,
@@ -78,16 +77,13 @@ from .ranker import (
     CpnnModel,
     TrainConfig,
     TrainInputs,
-    assemble_representation,
     init_cpnn,
     load_model,
     loss,
     make_pairs,
-    pair_probability,
     predict_scores,
     prepare_inputs,
     save_model,
-    score,
     train,
 )
 

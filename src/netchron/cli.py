@@ -39,14 +39,8 @@ from .dynamics import (
     simulate,
     write_steady_state,
 )
-from .errors import (
-    DataError,
-    FeatureSchemaMismatch,
-    NumericalError,
-    ParseError,
-    RowMismatch,
-)
-from .evaluation import TRAJECTORY_PROPERTIES, evaluation_report, growth_curve
+from .errors import DataError, NumericalError, ParseError, RowMismatch
+from .evaluation import evaluation_report
 from .features import (
     FeatureMode,
     combine,
@@ -54,16 +48,15 @@ from .features import (
     structural_edge_features,
 )
 from .ordering import (
-    ground_truth_ordering,
     load_ordering,
     monte_carlo_error,
     order_from_scores,
     theoretical_error,
     write_ordering,
 )
-from .coupling import coupled_column_names
 from .ranker import (
     TrainConfig,
+    config_from_dict,
     load_model,
     predict_scores,
     prepare_inputs,
@@ -71,20 +64,6 @@ from .ranker import (
     train,
 )
 from .serialize import dump_json, format_float, load_json, sha256_file
-
-
-def _thread_cap():
-    """Validated NETCHRON_THREADS value, recorded in every manifest."""
-    raw = os.environ.get("NETCHRON_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError("NETCHRON_THREADS must be an integer, got %r" % raw)
-    if value < 1:
-        raise ParseError("NETCHRON_THREADS must be >= 1, got %d" % value)
-    return value
 
 
 def _resolve(args, defaults):
@@ -146,7 +125,6 @@ def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0):
             for name, path in outputs.items()
         },
         "timings": {"total_seconds": round(time.time() - t0, 3)},
-        "environment": {"netchron_threads": _thread_cap()},
         "versions": {
             "netchron": __version__,
             "numpy": np.__version__,
@@ -219,23 +197,9 @@ def cmd_simulate(args):
     return 0
 
 
-TRAIN_DEFAULTS = {
-    "mode": "both",
-    "label_fraction": 0.3,
-    "learning_rate": 1e-3,
-    "l2_coeff": 1e-4,
-    "epochs": 200,
-    "batch_size": 256,
-    "pair_budget": 100_000,
-    "hidden": 64,
-    "embedding_dims": "4,32,32",
-    "activation": "tanh",
-    "neighbor_norm": "mean",
-    "scorer_activation": "tanh",
-    "val_fraction": 0.1,
-    "seed": 0,
-    "out": None,
-}
+TRAIN_DEFAULTS = dict(
+    {f.name: f.default for f in dataclasses.fields(TrainConfig)}, out=None
+)
 
 
 def _load_state_for(net, path):
@@ -252,26 +216,10 @@ def cmd_train(args):
     t0 = time.time()
     cfg = _resolve(args, TRAIN_DEFAULTS)
     _require(cfg, "out")
+    train_cfg = config_from_dict(cfg)
+    mode = train_cfg.mode
     net = load_edge_list(args.graph)
     values = _load_state_for(net, args.steady_state)
-    mode = FeatureMode(cfg["mode"])
-    label_fraction = cfg["label_fraction"]
-    train_cfg = TrainConfig(
-        learning_rate=float(cfg["learning_rate"]),
-        l2_coeff=float(cfg["l2_coeff"]),
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        pair_budget=int(cfg["pair_budget"]),
-        label_fraction=None if label_fraction is None else float(label_fraction),
-        seed=int(cfg["seed"]),
-        mode=mode,
-        hidden=int(cfg["hidden"]),
-        embedding_dims=tuple(_int_list(cfg["embedding_dims"], "embedding_dims")),
-        activation=cfg["activation"],
-        neighbor_norm=cfg["neighbor_norm"],
-        scorer_activation=cfg["scorer_activation"],
-        val_fraction=float(cfg["val_fraction"]),
-    ).validated()
     inputs = prepare_inputs(net, values, mode)
     result = train(net, inputs, train_cfg)
     save_model(result.model, cfg["out"])
@@ -289,7 +237,8 @@ def cmd_train(args):
         log_path,
     )
     _write_manifest(
-        cfg["out"], "train", cfg, cfg["seed"],
+        cfg["out"], "train", dict(dataclasses.asdict(train_cfg), out=cfg["out"]),
+        train_cfg.seed,
         {"graph": args.graph, "steady_state": args.steady_state},
         {"model": cfg["out"], "training_log": log_path},
         t0,
@@ -316,15 +265,6 @@ def cmd_infer(args):
     values = _load_state_for(net, args.steady_state)
     model = load_model(args.model)
     inputs = prepare_inputs(net, values, model.mode)
-    expected = inputs.static.columns
-    if model.propagation is not None:
-        expected = expected + coupled_column_names(model.propagation.output_dim)
-    if model.feature_columns and tuple(model.feature_columns) != expected:
-        raise FeatureSchemaMismatch(
-            "model was trained on a different feature schema "
-            "(%d columns vs %d computed)"
-            % (len(model.feature_columns), len(expected))
-        )
     scores = predict_scores(model, net, inputs)
     ordering = order_from_scores(scores)
     write_ordering(ordering, net, cfg["out"])
@@ -392,12 +332,8 @@ def cmd_evaluate(args):
                 % (rec["bin_index"], rec["count"], format_float(rec["median"]),
                    format_float(rec["std"]), format_float(rec["reference"]))
             )
-    truth = ground_truth_ordering(net.alpha)
     samples = int(cfg["samples"])
-    curves = {}
-    for prop in TRAJECTORY_PROPERTIES:
-        curves[prop + "_predicted"] = growth_curve(net, ordering, prop, samples)
-        curves[prop + "_true"] = growth_curve(net, truth, prop, samples)
+    curves = report["growth_curves"]
     traj_path = base + ".trajectories.csv"
     with open(traj_path, "w") as fh:
         names = sorted(curves)

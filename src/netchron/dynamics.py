@@ -199,12 +199,6 @@ def relax_stages(path, targets, initial):
     return out
 
 
-def relax_along_path(path, targets, initial):
-    """Final state after relaxing through every stage of a path."""
-    stages = relax_stages(path, targets, initial)
-    return stages[-1] if stages else np.asarray(initial, dtype=np.float64).copy()
-
-
 PATH_DEPENDENCE_THRESHOLD = 1e-6
 
 
@@ -286,7 +280,10 @@ def write_steady_state(state, path, kind=None, seed=None):
 
 
 def load_steady_state(path):
-    """Read a steady-state CSV back; returns (values, metadata or None)."""
+    """Read a steady-state CSV back; returns (values, metadata or None).
+
+    Every value must be finite: NaN or infinity raises ParseError.
+    """
     from .errors import ParseError
 
     values = []
@@ -306,6 +303,10 @@ def load_steady_state(path):
                 val = float(parts[1])
             except ValueError as exc:
                 raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
+            if not math.isfinite(val):
+                raise ParseError(
+                    "%s:%d: value %s is not finite" % (path, lineno, parts[1])
+                )
             if idx != len(values):
                 raise ParseError("%s:%d: node ids must be consecutive" % (path, lineno))
             values.append(val)

@@ -53,6 +53,31 @@ def pairwise_accuracy(ordering, pairs):
     return float(np.mean(predicted_before == (y == 1)))
 
 
+def _distinct_time_pairs(edges, alpha, rng, budget=None):
+    """Randomly oriented pairs of the given edges with distinct times.
+
+    Enumerates every pair of `edges` in upper-triangle order, keeps
+    those whose formation times differ, swaps each pair with
+    probability 1/2, and caps the count at `budget` by a uniform
+    subsample kept in enumeration order. Draws from rng in that order:
+    the swaps, then the subsample. Returns an (n, 3) int array of
+    (a, b, y), y = 1 when edge a formed first; n may be 0.
+    """
+    ii, jj = np.triu_indices(edges.size, k=1)
+    a = edges[ii]
+    b = edges[jj]
+    distinct = alpha[a] != alpha[b]
+    a = a[distinct]
+    b = b[distinct]
+    flip = rng.random(a.size) < 0.5
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    pairs = np.column_stack([a, b, (alpha[a] < alpha[b]).astype(np.int64)])
+    if budget is not None and pairs.shape[0] > budget:
+        keep = rng.choice(pairs.shape[0], size=budget, replace=False)
+        pairs = pairs[np.sort(keep)]
+    return pairs
+
+
 def make_eval_pairs(net, budget=None, seed=0):
     """All distinct-time edge pairs of a network, randomly oriented.
 
@@ -63,25 +88,10 @@ def make_eval_pairs(net, budget=None, seed=0):
     known = np.flatnonzero(~np.isnan(net.alpha))
     if known.size < 2:
         raise EmptyPairs("need at least two edges with known times")
-    alpha = net.alpha
-    ii, jj = np.triu_indices(known.size, k=1)
-    a = known[ii]
-    b = known[jj]
-    distinct = alpha[a] != alpha[b]
-    a = a[distinct]
-    b = b[distinct]
-    if a.size == 0:
+    pairs = _distinct_time_pairs(known, net.alpha, np.random.default_rng(seed), budget)
+    if pairs.shape[0] == 0:
         raise EmptyPairs("all known formation times coincide")
-    rng = np.random.default_rng(seed)
-    flip = rng.random(a.size) < 0.5
-    a2 = np.where(flip, b, a)
-    b2 = np.where(flip, a, b)
-    y = (alpha[a2] < alpha[b2]).astype(np.int64)
-    out = np.column_stack([a2, b2, y])
-    if budget is not None and out.shape[0] > budget:
-        keep = rng.choice(out.shape[0], size=budget, replace=False)
-        out = out[np.sort(keep)]
-    return out
+    return pairs
 
 
 def midranks(values):
@@ -203,6 +213,13 @@ def growth_curve(net, ordering, prop, samples=TRAJECTORY_SAMPLES):
     return out
 
 
+def _curve_nrmse(pred, truth, prop):
+    span = float(truth.max() - truth.min())
+    if span == 0.0:
+        raise FlatTruthCurve("true %s curve has zero range" % prop)
+    return float(np.sqrt(np.mean((pred - truth) ** 2)) / span)
+
+
 def trajectory_nrmse(net, pred_ordering, true_ordering, prop, samples=TRAJECTORY_SAMPLES):
     """Range-normalized RMSE between replayed growth curves.
 
@@ -212,10 +229,7 @@ def trajectory_nrmse(net, pred_ordering, true_ordering, prop, samples=TRAJECTORY
     """
     truth = growth_curve(net, true_ordering, prop, samples)
     pred = growth_curve(net, pred_ordering, prop, samples)
-    span = float(truth.max() - truth.min())
-    if span == 0.0:
-        raise FlatTruthCurve("true %s curve has zero range" % prop)
-    return float(np.sqrt(np.mean((pred - truth) ** 2)) / span)
+    return _curve_nrmse(pred, truth, prop)
 
 
 @dataclass(frozen=True)
@@ -317,9 +331,13 @@ def evaluation_report(net, ordering, eval_pairs=None, pair_budget=None, seed=0,
     Needs fully timed edges for the ground-truth comparison. Trajectory
     metrics that are undefined on this network (flat true curve) are
     reported as null with a note instead of failing the whole report.
+    The growth curves behind them are returned under growth_curves,
+    keyed <property>_predicted and <property>_true.
     """
     from .ordering import ground_truth_ordering
 
+    if bins < 1 or samples < 1:
+        raise EmptyInput("bins and samples must be >= 1")
     truth = ground_truth_ordering(net.alpha)
     if eval_pairs is None:
         eval_pairs = make_eval_pairs(net, budget=pair_budget, seed=seed)
@@ -336,11 +354,16 @@ def evaluation_report(net, ordering, eval_pairs=None, pair_budget=None, seed=0,
             "rmse": trend_rmse,
         },
         "trajectory_nrmse": {},
+        "growth_curves": {},
     }
     for prop in _TRAJECTORY_PROPS:
+        true_curve = growth_curve(net, truth, prop, samples)
+        pred_curve = growth_curve(net, ordering, prop, samples)
+        report["growth_curves"][prop + "_true"] = true_curve.tolist()
+        report["growth_curves"][prop + "_predicted"] = pred_curve.tolist()
         try:
-            report["trajectory_nrmse"][prop] = trajectory_nrmse(
-                net, ordering, truth, prop, samples=samples
+            report["trajectory_nrmse"][prop] = _curve_nrmse(
+                pred_curve, true_curve, prop
             )
         except FlatTruthCurve as exc:
             report["trajectory_nrmse"][prop] = None

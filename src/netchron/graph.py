@@ -72,10 +72,6 @@ class TemporalNetwork:
         """Map (min id, max id) -> index into self.edges."""
         return {e: k for k, e in enumerate(self.edges)}
 
-    def has_edge(self, u, v):
-        a, b = (u, v) if u < v else (v, u)
-        return (a, b) in self.edge_positions
-
 
 def _assemble(node_count, edges, alpha, labeled_mask):
     """Build derived adjacency structures and freeze the network."""

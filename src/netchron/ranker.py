@@ -12,6 +12,7 @@ verified against finite differences in the tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -33,8 +34,10 @@ from .errors import (
     EmptyPairs,
     FeatureSchemaMismatch,
     InsufficientLabels,
+    ParseError,
     RowMismatch,
 )
+from .evaluation import _distinct_time_pairs
 from .features import (
     FeatureMatrix,
     FeatureMode,
@@ -45,6 +48,7 @@ from .features import (
     steady_state_edge_features,
     structural_edge_features,
 )
+from .ordering import _stable_sigmoid
 from .serialize import dump_json, load_json
 
 
@@ -94,6 +98,42 @@ class TrainConfig:
             raise ValueError("scorer_activation must be tanh or relu")
         FeatureMode(self.mode)
         return self
+
+
+def _int_tuple(value):
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    out = tuple(int(float(v)) for v in value)
+    if not out:
+        raise ValueError("a tuple field must be non-empty")
+    return out
+
+
+# Coercion of plain (flag or JSON) values by declared field type.
+_COERCE = {
+    "float": float,
+    "float | None": lambda v: None if v is None else float(v),
+    "int": int,
+    "str": str,
+    "tuple": _int_tuple,
+    "FeatureMode": FeatureMode,
+}
+
+
+def config_from_dict(raw):
+    """Validated TrainConfig from plain values, e.g. CLI flags or JSON.
+
+    Each field is coerced by its declared type (tuples also accept a
+    comma-separated string); absent fields keep their defaults and other
+    keys are ignored. Any malformed or invalid value raises ParseError.
+    """
+    try:
+        return TrainConfig(**{
+            f.name: _COERCE[f.type](raw.get(f.name, f.default))
+            for f in dataclasses.fields(TrainConfig)
+        }).validated()
+    except (TypeError, ValueError) as exc:
+        raise ParseError("invalid training config: %s" % exc) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,60 +227,31 @@ class TrainInputs:
     node_inputs: np.ndarray | None = None
 
 
-def assemble_representation(struct_fm=None, state_fm=None, coupled=None,
-                            mode=FeatureMode.BOTH):
-    """Concatenate [structural, state, coupled] blocks honoring a mode.
-
-    coupled may be a FeatureMatrix or a raw (M, 4 d) array (named
-    automatically). STATE_ONLY uses the state block alone.
-    """
-    mode = FeatureMode(mode)
-    blocks = []
-    if mode in (FeatureMode.BOTH, FeatureMode.STRUCT_ONLY):
-        if struct_fm is None:
-            raise RowMismatch("mode %s needs structural features" % mode.value)
-        blocks.append(struct_fm)
-    if mode is FeatureMode.BOTH:
-        if state_fm is None:
-            raise RowMismatch("mode both needs state features")
-    if mode in (FeatureMode.BOTH, FeatureMode.STATE_ONLY):
-        if state_fm is None:
-            raise RowMismatch("mode %s needs state features" % mode.value)
-        blocks.append(state_fm)
-    if coupled is not None and mode is not FeatureMode.STATE_ONLY:
-        if not isinstance(coupled, FeatureMatrix):
-            arr = np.asarray(coupled, dtype=np.float64)
-            if arr.shape[1] % 4 != 0:
-                raise DimensionMismatch("coupled block width must be 4 x d")
-            coupled = FeatureMatrix(
-                edges=blocks[0].edges,
-                columns=coupled_column_names(arr.shape[1] // 4),
-                values=arr,
-            )
-        blocks.append(coupled)
-    return combine(*blocks)
-
-
 def prepare_inputs(net, state_values, mode=FeatureMode.BOTH, stats=None,
                    pagerank_values=None, betweenness=None):
     """Build the TrainInputs bundle for a network and steady state.
 
-    Handcrafted blocks are normalized then filtered to the mode; node
-    inputs are standardized column-wise, with the state column zeroed
-    for the structure-only ablation and the whole branch dropped for
-    the state-only one.
+    Only the handcrafted blocks the mode uses are built; they are
+    normalized then filtered to the mode. Node inputs are standardized
+    column-wise, with the state column zeroed for the structure-only
+    ablation and the whole branch dropped for the state-only one.
     """
     from .coupling import node_input_matrix
     from .graph import node_struct_stats
 
     mode = FeatureMode(mode)
-    if stats is None:
-        stats = node_struct_stats(net)
-    struct = structural_edge_features(
-        net, stats=stats, pagerank_values=pagerank_values, betweenness=betweenness
-    )
-    state = steady_state_edge_features(net, state_values)
-    static = feature_subset(normalize(combine(struct, state)), mode)
+    blocks = []
+    if mode is not FeatureMode.STATE_ONLY:
+        if stats is None:
+            stats = node_struct_stats(net)
+        blocks.append(structural_edge_features(
+            net, stats=stats, pagerank_values=pagerank_values,
+            betweenness=betweenness,
+        ))
+    if mode is not FeatureMode.STRUCT_ONLY:
+        blocks.append(steady_state_edge_features(net, state_values))
+    # Normalization is column-wise, so unused blocks need not be built.
+    static = feature_subset(normalize(combine(*blocks)), mode)
     if mode is FeatureMode.STATE_ONLY:
         node_inputs = None
     else:
@@ -310,35 +321,6 @@ def _scorer_backward(scorer, feats, pre, act, dz):
     return d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats
 
 
-def score(model, features):
-    """Per-edge scores; input is a FeatureMatrix or raw (k, d) array."""
-    if isinstance(features, FeatureMatrix):
-        if model.feature_columns and features.columns != model.feature_columns:
-            raise FeatureSchemaMismatch(
-                "feature columns do not match the model's training schema"
-            )
-        values = features.values
-    else:
-        values = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if values.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            "features have width %d, model expects %d"
-            % (values.shape[1], model.input_dim)
-        )
-    z, _, _ = _scorer_forward(model.scorer, values)
-    return z
-
-
-def pair_probability(z_a, z_b):
-    """Softmax precedence probability with max-subtraction stability."""
-    z_a = np.asarray(z_a, dtype=np.float64)
-    z_b = np.asarray(z_b, dtype=np.float64)
-    m = np.maximum(z_a, z_b)
-    ea = np.exp(z_a - m)
-    eb = np.exp(z_b - m)
-    return ea / (ea + eb)
-
-
 def _softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
@@ -375,23 +357,9 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
         lab = rng.choice(known, size=need, replace=False)
     if lab.size < 2:
         raise InsufficientLabels("need at least two supervised edges")
-    alpha = net.alpha
-    ii, jj = np.triu_indices(lab.size, k=1)
-    a = lab[ii]
-    b = lab[jj]
-    distinct = alpha[a] != alpha[b]
-    a = a[distinct]
-    b = b[distinct]
-    if a.size == 0:
+    pairs = _distinct_time_pairs(lab, net.alpha, rng, pair_budget)
+    if pairs.shape[0] == 0:
         raise InsufficientLabels("supervised edges share a single formation time")
-    flip = rng.random(a.size) < 0.5
-    a2 = np.where(flip, b, a)
-    b2 = np.where(flip, a, b)
-    y = (alpha[a2] < alpha[b2]).astype(np.int64)
-    pairs = np.column_stack([a2, b2, y])
-    if pairs.shape[0] > pair_budget:
-        keep = rng.choice(pairs.shape[0], size=pair_budget, replace=False)
-        pairs = pairs[np.sort(keep)]
     perm = rng.permutation(pairs.shape[0])
     val_count = int(round(val_fraction * pairs.shape[0]))
     if val_count >= pairs.shape[0]:
@@ -401,8 +369,8 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
     return train, val
 
 
-def _forward_scores(model, inputs, edge_rows, net=None, with_cache=False):
-    """Scores for the given edge rows; optionally keep backprop caches."""
+def _forward_scores(model, inputs, edge_rows, net=None):
+    """Scores for the given edge rows, plus the caches backprop needs."""
     static_rows = inputs.static.values[edge_rows]
     cache = {"edge_rows": edge_rows, "static_rows": static_rows}
     if model.propagation is not None and inputs.node_inputs is not None:
@@ -416,10 +384,23 @@ def _forward_scores(model, inputs, edge_rows, net=None, with_cache=False):
     else:
         feats = static_rows
     z, pre, act = _scorer_forward(model.scorer, feats)
-    if with_cache:
-        cache.update(feats=feats, pre=pre, act=act)
-        return z, cache
-    return z
+    cache.update(feats=feats, pre=pre, act=act)
+    return z, cache
+
+
+def _pair_logits(model, inputs, pairs, net=None):
+    """Logits d = z_a - z_b and labels y of a pair set, plus the caches.
+
+    The cache also holds each pair's positions a_pos, b_pos in the
+    scored edge rows.
+    """
+    arr = _pairs_array(pairs)
+    edge_rows, inverse = np.unique(arr[:, :2].ravel(), return_inverse=True)
+    z, cache = _forward_scores(model, inputs, edge_rows, net=net)
+    a_pos = inverse[0::2]
+    b_pos = inverse[1::2]
+    cache.update(a_pos=a_pos, b_pos=b_pos)
+    return z[a_pos] - z[b_pos], arr[:, 2].astype(np.float64), cache
 
 
 def loss(model, inputs, pairs, net=None):
@@ -429,14 +410,7 @@ def loss(model, inputs, pairs, net=None):
     accumulated by reverse mode through the scorer and, when present,
     the propagation stack.
     """
-    arr = _pairs_array(pairs)
-    edge_rows, inverse = np.unique(arr[:, :2].ravel(), return_inverse=True)
-    a_pos = inverse[0::2]
-    b_pos = inverse[1::2]
-    y = arr[:, 2].astype(np.float64)
-
-    z, cache = _forward_scores(model, inputs, edge_rows, net=net, with_cache=True)
-    d = z[a_pos] - z[b_pos]
+    d, y, cache = _pair_logits(model, inputs, pairs, net=net)
     ce = float(np.sum(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
 
     eta = model.config.l2_coeff
@@ -450,15 +424,10 @@ def loss(model, inputs, pairs, net=None):
     value = ce + reg
 
     # d(ce)/dd = sigmoid(d) - y, then scatter onto the two score slots.
-    sig = np.empty_like(d)
-    pos = d >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    sig[~pos] = ex / (1.0 + ex)
-    dd = sig - y
-    dz = np.zeros_like(z)
-    np.add.at(dz, a_pos, dd)
-    np.add.at(dz, b_pos, -dd)
+    dd = _stable_sigmoid(d) - y
+    dz = np.zeros(cache["edge_rows"].size)
+    np.add.at(dz, cache["a_pos"], dd)
+    np.add.at(dz, cache["b_pos"], -dd)
 
     d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats = _scorer_backward(
         sc, cache["feats"], cache["pre"], cache["act"], dz
@@ -484,11 +453,7 @@ def loss(model, inputs, pairs, net=None):
 
 def _pair_metrics(model, inputs, pairs, net=None):
     """Mean cross-entropy and accuracy over a pair set (no gradients)."""
-    arr = _pairs_array(pairs)
-    edge_rows, inverse = np.unique(arr[:, :2].ravel(), return_inverse=True)
-    z = _forward_scores(model, inputs, edge_rows, net=net)
-    d = z[inverse[0::2]] - z[inverse[1::2]]
-    y = arr[:, 2].astype(np.float64)
+    d, y, _ = _pair_logits(model, inputs, pairs, net=net)
     ce = float(np.mean(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
     acc = float(np.mean((d > 0) == (y == 1)))
     return ce, acc
@@ -586,8 +551,26 @@ def train(net, inputs, config):
 
 
 def predict_scores(model, net, inputs):
-    """Scores for every edge of the network under a trained model."""
-    return _forward_scores(model, inputs, np.arange(net.edge_count), net=net)
+    """Scores for every edge of the network under a trained model.
+
+    The inputs must give the model its recorded column schema (when it
+    has one) and its input width.
+    """
+    columns = inputs.static.columns
+    if model.propagation is not None and inputs.node_inputs is not None:
+        columns = columns + coupled_column_names(model.propagation.output_dim)
+    if model.feature_columns and columns != tuple(model.feature_columns):
+        raise FeatureSchemaMismatch(
+            "model was trained on a different feature schema "
+            "(%d columns vs %d computed)"
+            % (len(model.feature_columns), len(columns))
+        )
+    if len(columns) != model.input_dim:
+        raise DimensionMismatch(
+            "features have width %d, model expects %d"
+            % (len(columns), model.input_dim)
+        )
+    return _forward_scores(model, inputs, np.arange(net.edge_count), net=net)[0]
 
 
 def save_model(model, path):
@@ -607,22 +590,7 @@ def save_model(model, path):
             "b_out": float(model.scorer.b_out),
         },
         "propagation": None,
-        "config": {
-            "learning_rate": model.config.learning_rate,
-            "l2_coeff": model.config.l2_coeff,
-            "epochs": model.config.epochs,
-            "batch_size": model.config.batch_size,
-            "pair_budget": model.config.pair_budget,
-            "label_fraction": model.config.label_fraction,
-            "seed": model.config.seed,
-            "mode": FeatureMode(model.config.mode).value,
-            "hidden": model.config.hidden,
-            "embedding_dims": list(model.config.embedding_dims),
-            "activation": model.config.activation,
-            "neighbor_norm": model.config.neighbor_norm,
-            "scorer_activation": model.config.scorer_activation,
-            "val_fraction": model.config.val_fraction,
-        },
+        "config": dataclasses.asdict(model.config),
     }
     if model.propagation is not None:
         payload["propagation"] = {
@@ -639,23 +607,6 @@ def load_model(path):
     payload = load_json(path)
     if payload.get("format") != "netchron-cpnn":
         raise FeatureSchemaMismatch("not a model checkpoint: %s" % path)
-    cfg = payload["config"]
-    config = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        l2_coeff=cfg["l2_coeff"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        pair_budget=cfg["pair_budget"],
-        label_fraction=cfg["label_fraction"],
-        seed=cfg["seed"],
-        mode=FeatureMode(cfg["mode"]),
-        hidden=cfg["hidden"],
-        embedding_dims=tuple(cfg["embedding_dims"]),
-        activation=cfg["activation"],
-        neighbor_norm=cfg["neighbor_norm"],
-        scorer_activation=cfg["scorer_activation"],
-        val_fraction=cfg["val_fraction"],
-    )
     sc = payload["scorer"]
     scorer = ScorerWeights(
         w_hidden=np.asarray(sc["w_hidden"], dtype=np.float64),
@@ -679,5 +630,5 @@ def load_model(path):
         propagation=propagation,
         feature_columns=tuple(payload["feature_columns"]),
         mode=FeatureMode(payload["mode"]),
-        config=config,
+        config=config_from_dict(payload["config"]),
     )

@@ -2,14 +2,16 @@
 
 Every file the package writes goes through these so that reruns with
 identical inputs produce byte-identical outputs: floats via repr
-(shortest round-trip form), JSON with sorted keys and a trailing
-newline.
+(shortest round-trip form), strict JSON (no NaN or infinity) with
+sorted keys and a trailing newline.
 """
 
 import hashlib
 import json
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 def format_float(x):
@@ -36,7 +38,11 @@ def _jsonable(obj):
 
 
 def dump_json(obj, path):
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+    """Write strict JSON; a NaN or infinite value raises NumericalError."""
+    try:
+        text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError("cannot write %s: %s" % (path, exc)) from None
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")

@@ -3,17 +3,20 @@
 Commands run in-process through main(argv); files land in tmp_path.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from netchron.cli import main
+from netchron.cli import TRAIN_DEFAULTS, main
 from netchron.datasets import load_edge_list, write_edge_list
 from netchron.dynamics import load_steady_state
+from netchron.errors import NumericalError
 from netchron.features import STATE_COLUMNS, FeatureMode
 from netchron.graph import build_network
 from netchron.ordering import ground_truth_ordering, load_ordering, write_ordering
 from netchron.ranker import CpnnModel, ScorerWeights, TrainConfig, save_model
-from netchron.serialize import load_json, sha256_file
+from netchron.serialize import dump_json, load_json, sha256_file
 
 
 def run(*argv):
@@ -178,6 +181,29 @@ class TestTrain:
         assert run("train", graph, state) == 3
         assert "--out" in capsys.readouterr().err
 
+    def test_defaults_are_the_train_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert set(TRAIN_DEFAULTS) == fields | {"out"}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--label-fraction", 1.5),
+        ("--epochs", 0),
+    ])
+    def test_invalid_flag_value_exits_3(self, workspace, capsys, flag, value):
+        tmp_path, graph, state = workspace
+        assert run("train", graph, state, flag, value,
+                   "--out", tmp_path / "m.json") == 3
+        assert "invalid training config" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_invalid_config_file_mode_exits_3(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mode": "bogus"}\n')
+        assert run("train", graph, state, "--config", cfg,
+                   "--out", tmp_path / "m.json") == 3
+        assert "bogus" in capsys.readouterr().err
+
 
 def separable_toy(tmp_path):
     """Path graph whose state encodes the formation order exactly."""
@@ -236,12 +262,20 @@ class TestInfer:
         net, graph, state, model_path = separable_toy(tmp_path)
         payload = load_json(model_path)
         payload["feature_columns"] = ["bogus_%d" % k for k in range(7)]
-        from netchron.serialize import dump_json
-
         dump_json(payload, model_path)
         assert run("infer", graph, state, model_path,
                    "--out", tmp_path / "o.csv") == 3
         assert "schema" in capsys.readouterr().err
+
+    def test_non_finite_state_exits_3(self, tmp_path, capsys):
+        net, graph, state, model_path = separable_toy(tmp_path)
+        lines = state.read_text().splitlines()
+        lines[4] = "3,nan"
+        state.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ordering.csv"
+        assert run("infer", graph, state, model_path, "--out", out) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_chains_model_digest(self, tmp_path):
         net, graph, state, model_path = separable_toy(tmp_path)
@@ -286,6 +320,35 @@ class TestEvaluate:
         report = load_json(report_path)
         assert report["spearman_rho"] == pytest.approx(-1.0, abs=1e-12)
         assert report["pairwise_accuracy"] == 0.0
+
+    def test_trajectories_csv_holds_the_report_curves(self, workspace):
+        tmp_path, graph, state = workspace
+        net = load_edge_list(graph)
+        ordering_path = tmp_path / "truth.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, ordering_path)
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", ordering_path, graph, "--samples", 7,
+                   "--out", report_path) == 0
+        curves = load_json(report_path)["growth_curves"]
+        rows = (tmp_path / "report.trajectories.csv").read_text().splitlines()
+        names = rows[0].split(",")[1:]
+        assert names == sorted(curves)
+        assert len(rows) == 1 + 7
+        for k, row in enumerate(rows[1:]):
+            values = [float(v) for v in row.split(",")[1:]]
+            assert values == [curves[name][k] for name in names]
+
+    @pytest.mark.parametrize("flag", ["--bins", "--samples"])
+    def test_zero_bins_or_samples_exits_3(self, workspace, capsys, flag):
+        tmp_path, graph, state = workspace
+        net = load_edge_list(graph)
+        ordering_path = tmp_path / "truth.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, ordering_path)
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", ordering_path, graph, flag, 0,
+                   "--out", report_path) == 3
+        assert ">= 1" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_foreign_ordering_exits_3(self, workspace, capsys):
         tmp_path, graph, state = workspace
@@ -355,3 +418,12 @@ class TestPathdep:
         for out in (a, b):
             assert run("pathdep", "--n", 6, "--seed", 2, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_a_numerical_error(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(NumericalError):
+            dump_json({"rmse": np.float64(value)}, path)
+        assert not path.exists()

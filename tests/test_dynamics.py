@@ -12,7 +12,6 @@ from netchron.dynamics import (
     SteadyState,
     load_steady_state,
     path_dependence_demo,
-    relax_along_path,
     relax_stages,
     sample_dynamics_params,
     simulate,
@@ -171,13 +170,13 @@ class TestRelax:
     def test_already_at_target(self):
         net = complete_graph(3)
         target = np.array([0.1, 0.2, 0.3])
-        out = relax_along_path([(net, 1.0)], [target], target)
+        out = relax_stages([(net, 1.0)], [target], target)[-1]
         assert np.allclose(out, target)
 
     def test_long_duration_reaches_target(self):
         net = complete_graph(3)
         target = np.array([0.5, 0.5, 0.5])
-        out = relax_along_path([(net, 50.0)], [target], np.zeros(3))
+        out = relax_stages([(net, 50.0)], [target], np.zeros(3))[-1]
         assert np.abs(out - target).max() < 1e-20
 
     def test_two_stage_closed_form(self):
@@ -198,18 +197,18 @@ class TestRelax:
         st = SteadyState(
             values=np.array([0.4, 0.6]), converged=True, steps=3, residual=0.0
         )
-        out = relax_along_path([(net, 2.0)], [st], np.zeros(2))
+        out = relax_stages([(net, 2.0)], [st], np.zeros(2))[-1]
         assert np.allclose(out, st.values + math.exp(-2.0) * (0.0 - st.values))
 
     def test_stage_target_mismatch(self):
         net = complete_graph(2)
         with pytest.raises(StageMismatch):
-            relax_along_path([(net, 1.0)], [], np.zeros(2))
+            relax_stages([(net, 1.0)], [], np.zeros(2))
 
     def test_nonpositive_duration(self):
         net = complete_graph(2)
         with pytest.raises(ValueError):
-            relax_along_path([(net, 0.0)], [np.zeros(2)], np.zeros(2))
+            relax_stages([(net, 0.0)], [np.zeros(2)], np.zeros(2))
 
 
 class TestPathDependenceDemo:
@@ -287,3 +286,10 @@ class TestSteadyStateIO:
         nohdr.write_text("0,0.5\n")
         with pytest.raises(ParseError):
             load_steady_state(nohdr)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "state.csv"
+        path.write_text("node_id,value\n0,0.5\n1,%s\n" % text)
+        with pytest.raises(ParseError, match="not finite"):
+            load_steady_state(path)

@@ -290,6 +290,19 @@ class TestReport:
         ) < 1e-9
         assert "feature_time_correlation" in report
 
+    def test_growth_curves_are_returned_and_feed_the_nrmse(self):
+        net = timed_network(41)
+        truth = ground_truth_ordering(net.alpha)
+        rev = reversed_ordering(truth)
+        report = evaluation_report(net, rev, samples=8)
+        curves = report["growth_curves"]
+        for prop in ("clustering", "degree_gini"):
+            assert curves[prop + "_predicted"] == growth_curve(net, rev, prop, 8).tolist()
+            assert curves[prop + "_true"] == growth_curve(net, truth, prop, 8).tolist()
+            assert report["trajectory_nrmse"][prop] == trajectory_nrmse(
+                net, rev, truth, prop, samples=8
+            )
+
     def test_deterministic(self):
         net = timed_network(59)
         truth = ground_truth_ordering(net.alpha)

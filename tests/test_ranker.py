@@ -5,6 +5,7 @@ central finite differences; training behavior is pinned on small
 deterministic instances.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,25 +17,25 @@ from netchron.errors import (
     DimensionMismatch,
     FeatureSchemaMismatch,
     InsufficientLabels,
+    ParseError,
     RowMismatch,
 )
 from netchron.features import FeatureMatrix, FeatureMode
 from netchron.graph import build_network
+from netchron.ordering import _stable_sigmoid
 from netchron.ranker import (
     CpnnModel,
     ScorerWeights,
     TrainConfig,
     TrainInputs,
-    assemble_representation,
+    config_from_dict,
     init_cpnn,
     load_model,
     loss,
     make_pairs,
-    pair_probability,
     predict_scores,
     prepare_inputs,
     save_model,
-    score,
     train,
 )
 
@@ -57,6 +58,22 @@ def tiny_model(w_hidden, b_hidden, w_out, b_out, l2=0.0, activation="tanh"):
         mode=FeatureMode.STATE_ONLY,
         config=config,
     )
+
+
+def score_rows(model, values, columns=None):
+    """predict_scores on a path graph whose k-th edge carries row k."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    k = values.shape[0]
+    net = build_network(k + 1, [(i, i + 1) for i in range(k)])
+    if columns is None:
+        columns = tuple("f%d" % j for j in range(values.shape[1]))
+    static = FeatureMatrix(edges=net.edges, columns=columns, values=values)
+    return predict_scores(model, net, TrainInputs(static=static))
+
+
+def precedence(z_a, z_b):
+    """Probability that the edge scored z_a precedes the one scored z_b."""
+    return _stable_sigmoid(np.asarray(z_a, dtype=np.float64) - np.asarray(z_b))
 
 
 def pa_instance(node_count=40, seed=0, mode=FeatureMode.BOTH):
@@ -93,7 +110,7 @@ class TestScore:
             w_out=[2.0, -1.0],
             b_out=0.3,
         )
-        z = score(model, np.array([[1.0, 2.0]]))
+        z = score_rows(model, [[1.0, 2.0]])
         # pre = (1.1, -0.2); z = 2 tanh(1.1) - tanh(-0.2) + 0.3
         expected = 2.0 * math.tanh(1.1) - math.tanh(-0.2) + 0.3
         assert abs(z[0] - expected) < 1e-12
@@ -106,14 +123,14 @@ class TestScore:
             b_out=0.0,
             activation="relu",
         )
-        z = score(model, np.array([[2.0], [-3.0]]))
+        z = score_rows(model, [[2.0], [-3.0]])
         assert z[0] == pytest.approx(2.0)
         assert z[1] == pytest.approx(3.0)
 
     def test_width_mismatch_raises(self):
         model = tiny_model([[1.0], [1.0]], [0.0], [1.0], 0.0)
         with pytest.raises(DimensionMismatch):
-            score(model, np.ones((3, 5)))
+            score_rows(model, np.ones((3, 5)))
 
     def test_column_schema_mismatch_raises(self):
         model = tiny_model([[1.0], [1.0]], [0.0], [1.0], 0.0)
@@ -124,11 +141,8 @@ class TestScore:
             mode=FeatureMode.STATE_ONLY,
             config=model.config,
         )
-        fm = FeatureMatrix(
-            edges=((0, 1),), columns=("a", "c"), values=np.ones((1, 2))
-        )
         with pytest.raises(FeatureSchemaMismatch):
-            score(model, fm)
+            score_rows(model, np.ones((1, 2)), columns=("a", "c"))
 
     def test_each_edge_scored_independently(self):
         rng = np.random.default_rng(0)
@@ -136,30 +150,30 @@ class TestScore:
             rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=4), 0.5
         )
         feats = rng.normal(size=(6, 3))
-        whole = score(model, feats)
-        single = np.array([score(model, feats[k:k + 1])[0] for k in range(6)])
+        whole = score_rows(model, feats)
+        single = np.array([score_rows(model, feats[k:k + 1])[0] for k in range(6)])
         assert np.array_equal(whole, single)
 
 
 class TestPairProbability:
     def test_equal_scores_give_half(self):
-        assert pair_probability(1.7, 1.7) == 0.5
+        assert precedence(1.7, 1.7) == 0.5
 
     def test_unit_gap_matches_logistic(self):
-        p = pair_probability(1.0, 0.0)
+        p = precedence(1.0, 0.0)
         assert p == pytest.approx(math.e / (1.0 + math.e), abs=1e-12)
 
     def test_complement(self):
         rng = np.random.default_rng(3)
         za = rng.normal(size=50)
         zb = rng.normal(size=50)
-        total = pair_probability(za, zb) + pair_probability(zb, za)
+        total = precedence(za, zb) + precedence(zb, za)
         assert np.allclose(total, 1.0, atol=1e-15)
 
     def test_extreme_scores_stay_finite(self):
         with np.errstate(over="raise"):
-            hi = pair_probability(1000.0, 0.0)
-            lo = pair_probability(0.0, 1000.0)
+            hi = precedence(1000.0, 0.0)
+            lo = precedence(0.0, 1000.0)
         assert hi == pytest.approx(1.0)
         assert lo == pytest.approx(0.0)
         assert np.isfinite(hi) and np.isfinite(lo)
@@ -396,7 +410,7 @@ class TestTrain:
         z = predict_scores(result.model, net, inputs)
         assert float(np.std(z)) < 1e-6
         pairs, _ = make_pairs(net, None, 2500, seed=9, val_fraction=0.0)
-        probs = pair_probability(z[pairs[:, 0]], z[pairs[:, 1]])
+        probs = precedence(z[pairs[:, 0]], z[pairs[:, 1]])
         # with the scorer collapsed every comparison is a coin flip
         assert float(np.max(np.abs(probs - 0.5))) < 1e-6
 
@@ -477,6 +491,29 @@ class TestCheckpoint:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_every_config_field_round_trips(self, tmp_path):
+        cfg = TrainConfig(
+            learning_rate=0.02,
+            l2_coeff=0.5,
+            epochs=7,
+            batch_size=9,
+            pair_budget=11,
+            label_fraction=None,
+            seed=5,
+            mode=FeatureMode.STRUCT_ONLY,
+            hidden=3,
+            embedding_dims=(4, 6),
+            activation="relu",
+            neighbor_norm="symmetric",
+            scorer_activation="relu",
+            val_fraction=0.25,
+        )
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
+        path = tmp_path / "model.json"
+        save_model(init_cpnn(5, cfg, feature_columns=tuple("abcde")), path)
+        assert load_model(path).config == cfg
+
     def test_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "other"}\n')
@@ -484,59 +521,28 @@ class TestCheckpoint:
             load_model(path)
 
 
-class TestAssembleRepresentation:
-    def setup_method(self):
-        self.net, _ = pa_instance(node_count=20)
-        state = simulate(
-            self.net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=0
-        ).values
-        from netchron.features import (
-            steady_state_edge_features,
-            structural_edge_features,
+class TestConfigFromDict:
+    def test_coerces_plain_values(self):
+        cfg = config_from_dict(
+            {"epochs": "3", "mode": "state", "embedding_dims": "4,8",
+             "label_fraction": None, "out": "ignored.json"}
         )
-
-        self.struct = structural_edge_features(self.net)
-        self.state = steady_state_edge_features(self.net, state)
-        rng = np.random.default_rng(0)
-        self.coupled = rng.normal(size=(self.net.edge_count, 8))
-
-    def test_both_mode_width(self):
-        fm = assemble_representation(
-            self.struct, self.state, self.coupled, FeatureMode.BOTH
+        assert cfg == TrainConfig(
+            epochs=3, mode=FeatureMode.STATE_ONLY, embedding_dims=(4, 8),
+            label_fraction=None,
         )
-        assert fm.values.shape[1] == 18 + 7 + 8
-        assert fm.columns[:18] == self.struct.columns
-        assert fm.columns[18:25] == self.state.columns
-        assert fm.columns[25] == "embed_u_0"
+        assert config_from_dict({}) == TrainConfig()
 
-    def test_struct_mode_drops_state_block(self):
-        fm = assemble_representation(
-            self.struct, None, self.coupled, FeatureMode.STRUCT_ONLY
-        )
-        assert fm.values.shape[1] == 18 + 8
-
-    def test_state_mode_uses_state_alone(self):
-        fm = assemble_representation(
-            None, self.state, self.coupled, FeatureMode.STATE_ONLY
-        )
-        assert fm.values.shape[1] == 7
-
-    def test_missing_required_block_raises(self):
-        with pytest.raises(RowMismatch):
-            assemble_representation(None, self.state, None, FeatureMode.BOTH)
-        with pytest.raises(RowMismatch):
-            assemble_representation(
-                self.struct, None, None, FeatureMode.BOTH
-            )
-
-    def test_bad_coupled_width_raises(self):
-        with pytest.raises(DimensionMismatch):
-            assemble_representation(
-                self.struct,
-                self.state,
-                np.ones((self.net.edge_count, 7)),
-                FeatureMode.BOTH,
-            )
+    @pytest.mark.parametrize("raw", [
+        {"mode": "bogus"},
+        {"label_fraction": 1.5},
+        {"epochs": 0},
+        {"epochs": [1]},
+        {"embedding_dims": ""},
+    ])
+    def test_invalid_values_raise_parse_error(self, raw):
+        with pytest.raises(ParseError):
+            config_from_dict(raw)
 
 
 class TestPrepareInputs:
@@ -557,6 +563,24 @@ class TestPrepareInputs:
         inputs = prepare_inputs(self.net, self.state, FeatureMode.STRUCT_ONLY)
         assert inputs.static.values.shape[1] == 18
         assert np.all(inputs.node_inputs[:, 3] == 0.0)
+
+    @pytest.mark.parametrize("mode", [FeatureMode.STRUCT_ONLY, FeatureMode.STATE_ONLY])
+    def test_mode_columns_equal_the_both_mode_columns(self, mode):
+        both = prepare_inputs(self.net, self.state, FeatureMode.BOTH).static
+        part = prepare_inputs(self.net, self.state, mode).static
+        assert np.array_equal(part.values, both.select(part.columns).values)
+
+    def test_state_mode_builds_no_structural_block(self, monkeypatch):
+        import netchron.graph
+        import netchron.ranker
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("state mode built a structural feature")
+
+        monkeypatch.setattr(netchron.ranker, "structural_edge_features", forbidden)
+        monkeypatch.setattr(netchron.graph, "node_struct_stats", forbidden)
+        inputs = prepare_inputs(self.net, self.state, FeatureMode.STATE_ONLY)
+        assert inputs.static.values.shape == (self.net.edge_count, 7)
 
     def test_state_mode_disables_coupling(self):
         inputs = prepare_inputs(self.net, self.state, FeatureMode.STATE_ONLY)
