@@ -31,6 +31,7 @@ from .dynamics import (
     write_steady_state,
 )
 from .evaluation import (
+    all_pairs_accuracy,
     binned_trend,
     degree_gini,
     evaluation_report,

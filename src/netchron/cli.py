@@ -95,6 +95,24 @@ def _require(resolved, *keys):
             )
 
 
+def _typed(cfg, **kinds):
+    """A copy of cfg with each named value coerced by its type.
+
+    None stays None; a malformed value raises ParseError.
+    """
+    out = dict(cfg)
+    for key, kind in kinds.items():
+        if out[key] is None:
+            continue
+        try:
+            out[key] = kind(out[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(
+                "invalid value for %s: %r" % (key, out[key])
+            ) from None
+    return out
+
+
 def _float_list(value, name):
     if isinstance(value, str):
         value = [tok for tok in value.split(",") if tok.strip()]
@@ -108,7 +126,10 @@ def _float_list(value, name):
 
 
 def _int_list(value, name):
-    return [int(v) for v in _float_list(value, name)]
+    try:
+        return [int(v) for v in _float_list(value, name)]
+    except (ValueError, OverflowError):
+        raise ParseError("%s must hold finite integers" % name) from None
 
 
 def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0):
@@ -143,11 +164,12 @@ def cmd_synth(args):
     t0 = time.time()
     cfg = _resolve(args, SYNTH_DEFAULTS)
     _require(cfg, "n", "m", "out")
+    cfg = _typed(cfg, kind=SynthKind, n=int, m=int, seed=int)
     spec = SynthSpec(
-        kind=SynthKind(cfg["kind"]),
-        node_count=int(cfg["n"]),
-        edges_per_node=int(cfg["m"]),
-        seed=int(cfg["seed"]),
+        kind=cfg["kind"],
+        node_count=cfg["n"],
+        edges_per_node=cfg["m"],
+        seed=cfg["seed"],
     )
     net = generate_synthetic(spec)
     write_edge_list(net, cfg["out"])
@@ -176,14 +198,13 @@ def cmd_simulate(args):
     t0 = time.time()
     cfg = _resolve(args, SIMULATE_DEFAULTS)
     _require(cfg, "out")
+    cfg = _typed(cfg, dynamics=DynamicsKind, seed=int, tol=float, max_steps=int)
     net = load_edge_list(args.graph)
-    kind = DynamicsKind(cfg["dynamics"])
-    spec = sample_dynamics_params(kind, net.node_count, int(cfg["seed"]))
-    spec = dataclasses.replace(
-        spec, tol=float(cfg["tol"]), max_steps=int(cfg["max_steps"])
-    )
-    steady = simulate(net, spec, seed=int(cfg["seed"]))
-    write_steady_state(steady, cfg["out"], kind=kind, seed=int(cfg["seed"]))
+    kind = cfg["dynamics"]
+    spec = sample_dynamics_params(kind, net.node_count, cfg["seed"])
+    spec = dataclasses.replace(spec, tol=cfg["tol"], max_steps=cfg["max_steps"])
+    steady = simulate(net, spec, seed=cfg["seed"])
+    write_steady_state(steady, cfg["out"], kind=kind, seed=cfg["seed"])
     _write_manifest(
         cfg["out"], "simulate", cfg, cfg["seed"],
         {"graph": args.graph},
@@ -300,6 +321,7 @@ def cmd_evaluate(args):
     t0 = time.time()
     cfg = _resolve(args, EVALUATE_DEFAULTS)
     _require(cfg, "out")
+    cfg = _typed(cfg, pair_budget=int, seed=int, bins=int, samples=int, top_k=int)
     net = load_edge_list(args.graph)
     ordering = load_ordering(args.ordering, net)
     fm = structural_edge_features(net)
@@ -308,16 +330,15 @@ def cmd_evaluate(args):
         values = _load_state_for(net, cfg["steady_state"])
         fm = combine(fm, steady_state_edge_features(net, values))
         inputs["steady_state"] = cfg["steady_state"]
-    budget = cfg["pair_budget"]
     report = evaluation_report(
         net,
         ordering,
-        pair_budget=None if budget is None else int(budget),
-        seed=int(cfg["seed"]),
+        pair_budget=cfg["pair_budget"],
+        seed=cfg["seed"],
         feature_matrix=fm,
-        samples=int(cfg["samples"]),
-        top_k=int(cfg["top_k"]),
-        bins=int(cfg["bins"]),
+        samples=cfg["samples"],
+        top_k=cfg["top_k"],
+        bins=cfg["bins"],
     )
     report["labeled_fraction"] = float(net.labeled_mask.mean())
     dump_json(report, cfg["out"])
@@ -332,7 +353,7 @@ def cmd_evaluate(args):
                 % (rec["bin_index"], rec["count"], format_float(rec["median"]),
                    format_float(rec["std"]), format_float(rec["reference"]))
             )
-    samples = int(cfg["samples"])
+    samples = cfg["samples"]
     curves = report["growth_curves"]
     traj_path = base + ".trajectories.csv"
     with open(traj_path, "w") as fh:
@@ -383,10 +404,11 @@ def cmd_theory_check(args):
     t0 = time.time()
     cfg = _resolve(args, THEORY_DEFAULTS)
     _require(cfg, "out")
+    cfg = _typed(cfg, trials=int, seed=int)
     ps = _float_list(cfg["p_grid"], "p_grid")
     ms = _int_list(cfg["m_grid"], "m_grid")
-    trials = int(cfg["trials"])
-    seed = int(cfg["seed"])
+    trials = cfg["trials"]
+    seed = cfg["seed"]
     rows = []
     for i, p in enumerate(ps):
         for j, m in enumerate(ms):
@@ -427,11 +449,12 @@ def cmd_pathdep(args):
     t0 = time.time()
     cfg = _resolve(args, PATHDEP_DEFAULTS)
     _require(cfg, "out")
+    cfg = _typed(cfg, dynamics=DynamicsKind, seed=int, duration=float, n=int)
     report = path_dependence_demo(
-        kind=DynamicsKind(cfg["dynamics"]),
-        seed=int(cfg["seed"]),
-        duration=float(cfg["duration"]),
-        node_count=int(cfg["n"]),
+        kind=cfg["dynamics"],
+        seed=cfg["seed"],
+        duration=cfg["duration"],
+        node_count=cfg["n"],
     )
     dump_json(report, cfg["out"])
     _write_manifest(

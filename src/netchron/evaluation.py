@@ -21,6 +21,7 @@ from .errors import (
     EmptyInput,
     EmptyPairs,
     FlatTruthCurve,
+    InvalidPermutation,
 )
 from .graph import average_clustering, prefix_graph
 
@@ -53,29 +54,69 @@ def pairwise_accuracy(ordering, pairs):
     return float(np.mean(predicted_before == (y == 1)))
 
 
+def _tie_groups(t):
+    """Stable sort of t, and for each entry its group's slice in it.
+
+    Returns (order, pos, start, end): order sorts t stably, pos[i] is
+    entry i's index in that order, and entry i's group of equal values
+    occupies order[start[i]:end[i]]. NaN != NaN, so each NaN is a
+    group of its own.
+    """
+    order = np.argsort(t, kind="stable")
+    pos = np.empty(t.size, dtype=np.int64)
+    pos[order] = np.arange(t.size)
+    sorted_t = t[order]
+    new_group = np.ones(t.size, dtype=bool)
+    new_group[1:] = sorted_t[1:] != sorted_t[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], t.size)
+    group = np.cumsum(new_group) - 1
+    return order, pos, starts[group][pos], ends[group][pos]
+
+
 def _distinct_time_pairs(edges, alpha, rng, budget=None):
     """Randomly oriented pairs of the given edges with distinct times.
 
-    Enumerates every pair of `edges` in upper-triangle order, keeps
-    those whose formation times differ, swaps each pair with
-    probability 1/2, and caps the count at `budget` by a uniform
-    subsample kept in enumeration order. Draws from rng in that order:
-    the swaps, then the subsample. Returns an (n, 3) int array of
-    (a, b, y), y = 1 when edge a formed first; n may be 0.
+    Pairs are indexed in upper-triangle order over positions in
+    `edges` (row i, then column j > i), skipping pairs with equal
+    formation times. When their number exceeds `budget`, a uniform
+    subsample of that many indices is drawn from rng; otherwise all are
+    kept. Each index is then unranked to its (row, column) pair without
+    enumerating the others, and each pair is swapped with probability
+    1/2, drawn from rng after the subsample. Time and memory are
+    O(L log L + n) for L edges and n pairs returned. Returns an (n, 3)
+    int array of (a, b, y), y = 1 when edge a formed first; n may be 0.
     """
-    ii, jj = np.triu_indices(edges.size, k=1)
-    a = edges[ii]
-    b = edges[jj]
-    distinct = alpha[a] != alpha[b]
-    a = a[distinct]
-    b = b[distinct]
+    if budget is not None and budget < 1:
+        raise EmptyInput("pair budget must be >= 1, got %r" % (budget,))
+    size = edges.size
+    order, pos, start, end = _tie_groups(alpha[edges])
+    rows = np.arange(size)
+    # Partners j > i minus the equal-time ones after i in its group.
+    partners = (size - 1 - rows) - (end - pos - 1)
+    row_end = np.cumsum(partners)
+    total = int(row_end[-1]) if size else 0
+    if budget is None or total <= budget:
+        k = np.arange(total)
+    else:
+        k = np.sort(rng.choice(total, size=budget, replace=False))
+    i = np.searchsorted(row_end, k, side="right")
+    k -= (row_end - partners)[i]
+    # Row i's k-th partner is column i + 1 + k + c, where c counts the
+    # members e > i of its tie group before that column: those with
+    # e - pos[e] <= i - pos[i] + k. e - pos[e] never falls within a
+    # group, and adding width * start orders it across groups, so one
+    # searchsorted finds start[i] + (pos[i] - start[i] + 1) + c.
+    width = 2 * size + 1
+    base = start * width + (rows - pos + size)
+    j = np.searchsorted(base[order], base[i] + k, side="right")
+    j += k
+    j += i - pos[i]
+    a, b = edges[i], edges[j]
+    del i, j, k  # free the index arrays before the orientation draws
     flip = rng.random(a.size) < 0.5
     a, b = np.where(flip, b, a), np.where(flip, a, b)
-    pairs = np.column_stack([a, b, (alpha[a] < alpha[b]).astype(np.int64)])
-    if budget is not None and pairs.shape[0] > budget:
-        keep = rng.choice(pairs.shape[0], size=budget, replace=False)
-        pairs = pairs[np.sort(keep)]
-    return pairs
+    return np.column_stack([a, b, (alpha[a] < alpha[b]).astype(np.int64)])
 
 
 def make_eval_pairs(net, budget=None, seed=0):
@@ -94,20 +135,68 @@ def make_eval_pairs(net, budget=None, seed=0):
     return pairs
 
 
+def _inversions(perm):
+    """Pairs i < j with perm[i] > perm[j], for a permutation of 0..n-1.
+
+    A merge count run from the top bit down, as an MSD radix sort:
+    before level k the values are grouped by their bits above k, each
+    group in sequence order, and the group of values from g is the run
+    starting at index g. Each pair split at bit k (a 1 before a 0 in
+    its group) is an inversion; a stable partition of every group by
+    bit k then sets up the next level. O(n log n) time, O(n) memory.
+    """
+    seq = np.asarray(perm, dtype=np.int64)
+    idx = np.arange(seq.size)
+    total = 0
+    for k in range((seq.size - 1).bit_length() - 1, -1, -1):
+        group = (seq >> (k + 1)) << (k + 1)
+        bit = (seq >> k) & 1
+        ones = np.cumsum(bit) - bit
+        ones_before = ones - ones[group]
+        zeros_before = idx - group - ones_before
+        total += int(ones_before[bit == 0].sum())
+        moved = np.empty_like(seq)
+        moved[((seq >> k) << k) + np.where(bit == 1, ones_before, zeros_before)] = seq
+        seq = moved
+    return total
+
+
+def all_pairs_accuracy(ordering, alpha):
+    """Pairwise accuracy over every distinct-time pair, and their count.
+
+    Equals pairwise_accuracy(ordering, make_eval_pairs(net)) without
+    building the pairs: with edges sorted by (time, rank), the pairs
+    the ordering gets wrong are exactly the inversions of the rank
+    sequence (Knight 1966). Edges with unknown time are skipped; the
+    ranks of the rest must be distinct. O(M log M) time, O(M) memory.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    ranks = _ranks_of(ordering)
+    if ranks.shape != alpha.shape or ranks.ndim != 1:
+        raise DimensionMismatch("ranks and times must be equal-length vectors")
+    known = ~np.isnan(alpha)
+    t = alpha[known]
+    r = ranks[known]
+    m = t.size
+    if m < 2:
+        raise EmptyPairs("need at least two edges with known times")
+    _, pos, _, end = _tie_groups(t)
+    pair_count = m * (m - 1) // 2 - int(np.sum(end - pos - 1))
+    if pair_count == 0:
+        raise EmptyPairs("all known formation times coincide")
+    by_rank = np.argsort(r, kind="stable")
+    if np.any(r[by_rank][1:] == r[by_rank][:-1]):
+        raise InvalidPermutation("predicted ranks must be distinct")
+    dense = np.empty(m, dtype=np.int64)
+    dense[by_rank] = np.arange(m)
+    wrong = _inversions(dense[np.lexsort((r, t))])
+    return (pair_count - wrong) / pair_count, pair_count
+
+
 def midranks(values):
     """Ranks 1..n with ties sharing their average position."""
-    x = np.asarray(values, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, _, start, end = _tie_groups(np.asarray(values, dtype=np.float64))
+    return 0.5 * (start + end - 1) + 1.0
 
 
 def spearman_rho(x, y):
@@ -339,14 +428,19 @@ def evaluation_report(net, ordering, eval_pairs=None, pair_budget=None, seed=0,
     if bins < 1 or samples < 1:
         raise EmptyInput("bins and samples must be >= 1")
     truth = ground_truth_ordering(net.alpha)
-    if eval_pairs is None:
-        eval_pairs = make_eval_pairs(net, budget=pair_budget, seed=seed)
+    if eval_pairs is None and pair_budget is None:
+        accuracy, pair_count = all_pairs_accuracy(ordering, net.alpha)
+    else:
+        if eval_pairs is None:
+            eval_pairs = make_eval_pairs(net, budget=pair_budget, seed=seed)
+        accuracy = pairwise_accuracy(ordering, eval_pairs)
+        pair_count = np.asarray(eval_pairs).shape[0]
     pred_ranks = _ranks_of(ordering)
     records, trend_rmse = binned_trend(pred_ranks, truth.ranks, bins=bins)
     report = {
         "edge_count": int(net.edge_count),
-        "pair_count": int(np.asarray(eval_pairs).shape[0]),
-        "pairwise_accuracy": pairwise_accuracy(ordering, eval_pairs),
+        "pair_count": int(pair_count),
+        "pairwise_accuracy": accuracy,
         "spearman_rho": spearman_rho(pred_ranks, net.alpha),
         "binned_trend": {
             "definition": "median_vs_in_bin_diagonal",

@@ -2,9 +2,11 @@
 
 A pairwise probability matrix is collapsed into one score per edge by
 summing its rows (a Borda count); the global order sorts scores
-descending with ascending edge index breaking ties. A memory-lean
-variant computes the same scores directly from per-edge scalar scores
-without materializing the matrix.
+descending with ascending edge index breaking ties. Per-edge scalar
+scores are ordered by sorting them directly: the Borda row sum of
+sigma(z_i - z_j) is strictly increasing in z_i, so the sort gives the
+same order as aggregating the softmax pairwise matrix, in O(M log M)
+time and O(M) memory.
 
 Also here: the closed-form expected error of recovering a total order
 from independently flipped pairwise comparisons, and its Monte Carlo
@@ -24,6 +26,7 @@ from .errors import (
     DegenerateTruth,
     EmptyInput,
     InconsistentMatrix,
+    NumericalError,
     OutOfDomain,
     ParseError,
 )
@@ -42,7 +45,9 @@ class OrderingSource(str, Enum):
 class GlobalOrdering:
     """A total order over edges.
 
-    borda_scores holds one aggregate score per edge; ranks is the
+    borda_scores holds one score per edge: the Borda row sums of a
+    pairwise matrix, or the edge scores themselves when ordering by
+    score (the ordering file's borda_score column); ranks is the
     1-based rank position of each edge (1 = earliest); order lists
     edge indices earliest first. Descending score with ascending index
     tie-break, ranks, and order are mutually consistent by
@@ -97,33 +102,17 @@ def borda_aggregate(pair_probs):
     return _ordering_from_scores(scores, OrderingSource.FROM_MATRIX)
 
 
-def _stable_sigmoid(d):
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def order_from_scores(scores):
+    """Global order from per-edge scalar scores, by sorting them.
 
-
-def order_from_scores(scores, chunk=1024):
-    """Global order from per-edge scalar scores, O(M) memory.
-
-    Computes the same Borda sums as borda_aggregate applied to the
-    softmax pairwise matrix of the scores, in row chunks, without
-    building the M x M matrix.
+    The order equals borda_aggregate applied to the softmax pairwise
+    matrix of the scores; borda_scores holds the scores themselves.
+    A NaN or infinite score raises NumericalError.
     """
-    z = np.asarray(scores, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise EmptyInput("need a non-empty score vector")
-    m = z.size
-    borda = np.empty(m)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        block = _stable_sigmoid(z[lo:hi, None] - z[None, :])
-        # Drop the self term, sigma(0) = 0.5.
-        borda[lo:hi] = block.sum(axis=1) - 0.5
-    return _ordering_from_scores(borda, OrderingSource.FROM_SCORES)
+    z = np.array(scores, dtype=np.float64)
+    if not np.isfinite(z).all():
+        raise NumericalError("cannot order edges: a score is NaN or infinite")
+    return _ordering_from_scores(z, OrderingSource.FROM_SCORES)
 
 
 def ground_truth_ordering(alphas):
@@ -227,7 +216,8 @@ def load_ordering(path, net):
 
     Every edge of the graph must appear exactly once with matching
     endpoints (CoverageError otherwise), ranks must form a permutation
-    of 1..M consistent with the stored scores, and fields must parse.
+    of 1..M consistent with the stored scores, and fields must parse
+    (scores as finite floats).
     Provenance is not persisted; loaded orderings are tagged as
     score-derived.
     """
@@ -255,6 +245,10 @@ def load_ordering(path, net):
                 rank = int(parts[4])
             except ValueError as exc:
                 raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
+            if not math.isfinite(score):
+                raise ParseError(
+                    "%s:%d: score %s is not finite" % (path, lineno, parts[3])
+                )
             if not 0 <= k < net.edge_count:
                 raise CoverageError(
                     "%s:%d: edge index %d outside 0..%d"

@@ -48,7 +48,6 @@ from .features import (
     steady_state_edge_features,
     structural_edge_features,
 )
-from .ordering import _stable_sigmoid
 from .serialize import dump_json, load_json
 
 
@@ -321,6 +320,15 @@ def _scorer_backward(scorer, feats, pre, act, dz):
     return d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats
 
 
+def _stable_sigmoid(d):
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def _softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
@@ -339,9 +347,10 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
 
     The supervised edge set is a uniform ceil(label_fraction * M)
     subset of the network's labeled edges (label_fraction=None keeps
-    the whole labeled set). All distinct-time pairs among supervised
-    edges are enumerated with random orientation, capped at
-    pair_budget, then split at the pair level.
+    the whole labeled set). Distinct-time pairs among supervised edges
+    are drawn with random orientation, all of them or a uniform
+    pair_budget of them without enumerating the rest, then split at
+    the pair level.
     """
     rng = np.random.default_rng(seed)
     known = np.flatnonzero(net.labeled_mask & ~np.isnan(net.alpha))

@@ -296,3 +296,41 @@ def max_relative_error(a, b, guard=1e-8):
     b = np.asarray(b, dtype=float).ravel()
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), guard)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def distinct_time_pairs_by_enumeration(edges, alpha, rng, budget=None):
+    """Every distinct-time pair in upper-triangle order, then swaps, then a cap.
+
+    Builds all L^2 / 2 index pairs, keeps those with different times,
+    swaps each with probability 1/2, and keeps a uniform subsample of
+    `budget` rows in enumeration order when there are more.
+    """
+    ii, jj = np.triu_indices(edges.size, k=1)
+    a = edges[ii]
+    b = edges[jj]
+    distinct = alpha[a] != alpha[b]
+    a = a[distinct]
+    b = b[distinct]
+    flip = rng.random(a.size) < 0.5
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    pairs = np.column_stack([a, b, (alpha[a] < alpha[b]).astype(np.int64)])
+    if budget is not None and pairs.shape[0] > budget:
+        keep = rng.choice(pairs.shape[0], size=budget, replace=False)
+        pairs = pairs[np.sort(keep)]
+    return pairs
+
+
+def midranks_by_loop(values):
+    """Ranks 1..n, each run of equal sorted values sharing its mean position."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -72,6 +72,14 @@ class TestSynth:
                    "--out", tmp_path / "g.tsv") == 3
         assert "--m" in capsys.readouterr().err
 
+    def test_malformed_config_value_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n": "abc", "m": 2}\n')
+        out = tmp_path / "g.tsv"
+        assert run("synth", "--config", cfg, "--out", out) == 3
+        assert "invalid value for n: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_k5_reaches_homogeneous_state(self, tmp_path):
@@ -277,6 +285,20 @@ class TestInfer:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_score_exits_4(self, tmp_path, capsys, monkeypatch):
+        net, graph, state, model_path = separable_toy(tmp_path)
+
+        def nan_scores(model, net, inputs):
+            scores = np.arange(net.edge_count, dtype=float)
+            scores[3] = np.nan
+            return scores
+
+        monkeypatch.setattr("netchron.cli.predict_scores", nan_scores)
+        out = tmp_path / "ordering.csv"
+        assert run("infer", graph, state, model_path, "--out", out) == 4
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_chains_model_digest(self, tmp_path):
         net, graph, state, model_path = separable_toy(tmp_path)
         out = tmp_path / "ordering.csv"
@@ -348,6 +370,43 @@ class TestEvaluate:
         assert run("evaluate", ordering_path, graph, flag, 0,
                    "--out", report_path) == 3
         assert ">= 1" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_pair_budget_below_one_exits_3(self, workspace, capsys, budget):
+        tmp_path, graph, state = workspace
+        net = load_edge_list(graph)
+        ordering_path = tmp_path / "truth.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, ordering_path)
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", ordering_path, graph, "--pair-budget", budget,
+                   "--out", report_path) == 3
+        assert "pair budget must be >= 1" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_pair_budget_samples_that_many_pairs(self, workspace):
+        tmp_path, graph, state = workspace
+        net = load_edge_list(graph)
+        ordering_path = tmp_path / "truth.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, ordering_path)
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", ordering_path, graph, "--pair-budget", 50,
+                   "--out", report_path) == 0
+        report = load_json(report_path)
+        assert report["pair_count"] == 50
+        assert report["pairwise_accuracy"] == 1.0
+
+    def test_malformed_config_value_exits_3(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        net = load_edge_list(graph)
+        ordering_path = tmp_path / "truth.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, ordering_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"samples": "x"}\n')
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", ordering_path, graph, "--config", cfg,
+                   "--out", report_path) == 3
+        assert "invalid value for samples: 'x'" in capsys.readouterr().err
         assert not report_path.exists()
 
     def test_foreign_ordering_exits_3(self, workspace, capsys):
@@ -427,3 +486,28 @@ class TestStrictJson:
         with pytest.raises(NumericalError):
             dump_json({"rmse": np.float64(value)}, path)
         assert not path.exists()
+
+
+class TestConfigCoercion:
+    @pytest.mark.parametrize("command, config", [
+        ("pathdep", '{"duration": "long"}'),
+        ("pathdep", '{"dynamics": "bogus"}'),
+        ("theory-check", '{"trials": "many"}'),
+        ("theory-check", '{"m_grid": "1e999"}'),
+    ])
+    def test_malformed_config_value_exits_3(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "out.json"
+        assert run(command, "--config", cfg, "--out", out) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_simulate_value_exits_3(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"max_steps": [10]}\n')
+        out = tmp_path / "s.csv"
+        assert run("simulate", graph, "--config", cfg, "--out", out) == 3
+        assert "invalid value for max_steps" in capsys.readouterr().err
+        assert not out.exists()

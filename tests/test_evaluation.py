@@ -1,6 +1,7 @@
 """Ordering metrics vs scipy and hand-computed references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from netchron.errors import (
     EmptyInput,
     EmptyPairs,
     FlatTruthCurve,
+    InvalidPermutation,
 )
 from netchron.evaluation import (
+    _distinct_time_pairs,
+    all_pairs_accuracy,
     binned_trend,
     degree_gini,
     evaluation_report,
@@ -28,7 +32,7 @@ from netchron.evaluation import (
 )
 from netchron.features import structural_edge_features
 from netchron.graph import build_network
-from netchron.ordering import GlobalOrdering, ground_truth_ordering
+from netchron.ordering import GlobalOrdering, ground_truth_ordering, order_from_scores
 
 import oracles
 
@@ -84,9 +88,166 @@ class TestPairwiseAccuracy:
         assert pairs.shape[0] == 2  # the tied pair is dropped
 
 
+def tied_network(rng, levels):
+    """Random graph whose formation times take at most `levels` values."""
+    net = oracles.random_network(rng, max_nodes=16, min_nodes=3, edge_prob=0.4)
+    times = rng.integers(0, levels, size=net.edge_count).astype(float)
+    return build_network(net.node_count, net.edges, times)
+
+
+def peak_traced_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestPairSampler:
+    def random_case(self, rng):
+        pool = int(rng.integers(2, 45))
+        alpha = rng.integers(0, int(rng.integers(1, 8)), size=pool).astype(float)
+        edges = rng.choice(pool, size=int(rng.integers(0, pool + 1)), replace=False)
+        return edges, alpha
+
+    def test_matches_enumeration_within_budget(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            edges, alpha = self.random_case(rng)
+            seed = int(rng.integers(2**31))
+            want_rng = np.random.default_rng(seed)
+            want = oracles.distinct_time_pairs_by_enumeration(edges, alpha, want_rng)
+            budget = None
+            if rng.random() < 0.5:
+                budget = max(want.shape[0], 1) + int(rng.integers(0, 3))
+            got_rng = np.random.default_rng(seed)
+            got = _distinct_time_pairs(edges, alpha, got_rng, budget)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got_rng.random() == want_rng.random()
+
+    def test_over_budget_draws_distinct_new_pairs(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        for _ in range(300):
+            edges, alpha = self.random_case(rng)
+            every = oracles.distinct_time_pairs_by_enumeration(
+                edges, alpha, np.random.default_rng(0)
+            )
+            total = every.shape[0]
+            if total < 2:
+                continue
+            budget = int(rng.integers(1, total))
+            got = _distinct_time_pairs(
+                edges, alpha, np.random.default_rng(checked), budget
+            )
+            assert got.shape == (min(budget, total), 3)
+            assert np.all(alpha[got[:, 0]] != alpha[got[:, 1]])
+            assert np.array_equal(got[:, 2], alpha[got[:, 0]] < alpha[got[:, 1]])
+            drawn = {tuple(p) for p in np.sort(got[:, :2], axis=1).tolist()}
+            assert len(drawn) == budget
+            assert drawn <= {tuple(p) for p in np.sort(every[:, :2], axis=1).tolist()}
+            checked += 1
+        assert checked > 150
+
+    def test_over_budget_draws_are_uniform(self):
+        # Six edges in three tie groups: 15 pairs, 4 of them tied.
+        alpha = np.array([0.0, 1.0, 0.0, 1.0, 2.0, 1.0])
+        edges = np.arange(6)
+        every = {tuple(p) for p in np.sort(
+            oracles.distinct_time_pairs_by_enumeration(
+                edges, alpha, np.random.default_rng(0))[:, :2], axis=1).tolist()}
+        assert len(every) == 11
+        cells = {pair: k for k, pair in enumerate(sorted(every))}
+        counts = np.zeros(len(cells))
+        draws, budget = 3000, 3
+        rng = np.random.default_rng(5)
+        for _ in range(draws):
+            got = _distinct_time_pairs(edges, alpha, rng, budget)
+            for pair in np.sort(got[:, :2], axis=1).tolist():
+                counts[cells[tuple(pair)]] += 1
+        assert counts.sum() == draws * budget
+        assert scipy.stats.chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        net = timed_network(6)
+        with pytest.raises(EmptyInput):
+            make_eval_pairs(net, budget=budget)
+
+    def test_memory_stays_within_edges_and_budget(self):
+        size, budget = 30_000, 100_000
+        alpha = np.random.default_rng(8).integers(0, 500, size=size).astype(float)
+        edges = np.arange(size)
+        pairs = []
+        peak = peak_traced_mb(lambda: pairs.append(
+            _distinct_time_pairs(edges, alpha, np.random.default_rng(0), budget)))
+        assert pairs[0].shape == (budget, 3)
+        assert peak < 100.0
+
+
+class TestAllPairsAccuracy:
+    def test_equals_accuracy_over_every_pair(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            net = tied_network(rng, int(rng.integers(2, 6)))
+            if len(set(net.alpha.tolist())) < 2:
+                continue
+            scores = rng.normal(size=net.edge_count)
+            if rng.random() < 0.3:
+                scores = np.round(scores)  # tied scores, index tie-break
+            ordering = order_from_scores(scores)
+            pairs = make_eval_pairs(net)
+            assert all_pairs_accuracy(ordering, net.alpha) == (
+                pairwise_accuracy(ordering, pairs), pairs.shape[0]
+            )
+
+    def test_report_counts_every_pair_unless_sampling(self):
+        net = tied_network(np.random.default_rng(32), 3)
+        scores = np.random.default_rng(33).normal(size=net.edge_count)
+        ordering = order_from_scores(scores)
+        report = evaluation_report(net, ordering, samples=5, top_k=3, bins=2)
+        pairs = make_eval_pairs(net)
+        assert report["pair_count"] == pairs.shape[0]
+        assert report["pairwise_accuracy"] == pairwise_accuracy(ordering, pairs)
+        sampled = evaluation_report(net, ordering, pair_budget=5, seed=2,
+                                    samples=5, top_k=3, bins=2)
+        few = make_eval_pairs(net, budget=5, seed=2)
+        assert sampled["pair_count"] == 5
+        assert sampled["pairwise_accuracy"] == pairwise_accuracy(ordering, few)
+
+    def test_rejects_tied_ranks_and_tied_times(self):
+        with pytest.raises(InvalidPermutation):
+            all_pairs_accuracy(np.array([1, 2, 2]), np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(EmptyPairs):
+            all_pairs_accuracy(np.array([1, 2, 3]), np.array([4.0, 4.0, 4.0]))
+
+    def test_memory_stays_linear(self):
+        m = 40_000
+        rng = np.random.default_rng(34)
+        alpha = rng.integers(0, 300, size=m).astype(float)
+        ranks = rng.permutation(m) + 1
+        result = []
+        peak = peak_traced_mb(lambda: result.append(all_pairs_accuracy(ranks, alpha)))
+        assert 0.45 < result[0][0] < 0.55
+        assert peak < 100.0
+
+
 class TestSpearman:
     def test_midranks_with_ties(self):
         assert list(midranks([10.0, 20.0, 20.0, 30.0])) == [1.0, 2.5, 2.5, 4.0]
+
+    def test_midranks_match_the_loop(self):
+        rng = np.random.default_rng(9)
+        for size in list(range(0, 6)) + [40, 200]:
+            for _ in range(20):
+                x = rng.integers(0, 6, size=size).astype(float)
+                if size and rng.random() < 0.3:
+                    x[rng.integers(size)] = np.nan
+                assert np.array_equal(
+                    midranks(x), oracles.midranks_by_loop(x), equal_nan=True
+                )
 
     def test_matches_scipy_without_ties(self):
         rng = np.random.default_rng(7)

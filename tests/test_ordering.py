@@ -8,6 +8,7 @@ from netchron.errors import (
     DegenerateTruth,
     EmptyInput,
     InconsistentMatrix,
+    NumericalError,
     OutOfDomain,
     ParseError,
 )
@@ -96,9 +97,9 @@ class TestOrderFromScores:
         for _ in range(20):
             m = int(rng.integers(2, 120))
             z = rng.normal(size=m) * 3.0
-            lean = order_from_scores(z, chunk=7)
+            lean = order_from_scores(z)
             dense = borda_aggregate(pairwise_matrix_from_scores(z))
-            assert np.allclose(lean.borda_scores, dense.borda_scores, atol=1e-9)
+            assert np.array_equal(lean.borda_scores, z)
             assert np.array_equal(lean.order, dense.order)
             assert lean.source is OrderingSource.FROM_SCORES
 
@@ -106,6 +107,17 @@ class TestOrderFromScores:
         out = order_from_scores(np.array([1e4, -1e4, 0.0]))
         assert np.isfinite(out.borda_scores).all()
         assert list(out.order) == [0, 2, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NumericalError):
+            order_from_scores([1.0, bad, 0.5])
+
+    def test_keeps_no_reference_to_the_input(self):
+        z = np.array([0.5, 2.0, -1.0])
+        out = order_from_scores(z)
+        z[0] = 9.0
+        assert list(out.borda_scores) == [0.5, 2.0, -1.0]
 
 
 class TestGroundTruth:
@@ -223,6 +235,20 @@ class TestOrderingIO:
         text = path.read_text().replace("-0.5", "junk")
         path.write_text(text)
         with pytest.raises(ParseError):
+            load_ordering(path, net)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_load_rejects_non_finite_score(self, tmp_path, bad):
+        # The last-ranked edge: a NaN there would still match the ranks.
+        net = chain_net(3)
+        path = tmp_path / "o.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, path)
+        rows = path.read_text().splitlines()
+        last = rows[-1].split(",")
+        last[3] = bad
+        rows[-1] = ",".join(last)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="not finite"):
             load_ordering(path, net)
 
     def test_load_rejects_inconsistent_rank_column(self, tmp_path):

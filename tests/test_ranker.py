@@ -22,12 +22,12 @@ from netchron.errors import (
 )
 from netchron.features import FeatureMatrix, FeatureMode
 from netchron.graph import build_network
-from netchron.ordering import _stable_sigmoid
 from netchron.ranker import (
     CpnnModel,
     ScorerWeights,
     TrainConfig,
     TrainInputs,
+    _stable_sigmoid,
     config_from_dict,
     init_cpnn,
     load_model,
