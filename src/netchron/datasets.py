@@ -51,7 +51,8 @@ def load_edge_list(path):
     """Parse a TSV edge list into a TemporalNetwork.
 
     Duplicate (u, v) lines keep their first occurrence. Node count is
-    one past the largest id seen. Unknown times (`?`) stay unlabeled.
+    one past the largest id seen. Unknown times (`?` or `nan`) stay
+    unlabeled; an infinite time is a ParseError.
     """
     entries = []
     with open(path) as fh:
@@ -83,6 +84,10 @@ def load_edge_list(path):
                     raise ParseError(
                         "%s:%d: time must be a number or '?'" % (path, lineno)
                     ) from None
+                if math.isinf(t):
+                    raise ParseError(
+                        "%s:%d: time must be finite, got %r" % (path, lineno, t)
+                    )
                 if math.isnan(t):
                     t = None
             entries.append((u, v, t))

@@ -3,8 +3,9 @@
 The snapshot is the single structural input every later stage consumes.
 Edges are stored as (min id, max id) pairs in construction order, times
 are normalized to [0, 1] over the edges whose time is known, and the
-adjacency is prebuilt both as per-node frozensets and in CSR form so
-sweeps over neighborhoods vectorize.
+adjacency is prebuilt once, in CSR form. Every structural kernel here
+(neighbourhood sums, betweenness, triangles, 4-cycles, coreness) is a
+pass over those CSR rows.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,19 +40,19 @@ class TemporalNetwork:
         Normalized formation time per edge, NaN where unknown.
     labeled_mask : ndarray of bool
         True where the formation time is visible to supervision.
-    neighbors : tuple of frozenset
-        Neighbor ids per node.
     adj_indptr, adj_indices : ndarray of int
         CSR layout of the adjacency, rows sorted ascending.
+    adj_edges : ndarray of int
+        Index into `edges` of each CSR entry, aligned with adj_indices.
     """
 
     node_count: int
     edges: tuple
     alpha: np.ndarray
     labeled_mask: np.ndarray
-    neighbors: tuple
     adj_indptr: np.ndarray
     adj_indices: np.ndarray
+    adj_edges: np.ndarray
 
     @property
     def edge_count(self):
@@ -63,39 +65,30 @@ class TemporalNetwork:
     @cached_property
     def endpoints(self):
         """Edges as an (M, 2) int array, column 0 < column 1."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
-
-    @cached_property
-    def edge_positions(self):
-        """Map (min id, max id) -> index into self.edges."""
-        return {e: k for k, e in enumerate(self.edges)}
+        return np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
 
 
 def _assemble(node_count, edges, alpha, labeled_mask):
-    """Build derived adjacency structures and freeze the network."""
-    n = node_count
-    nbr_lists = [[] for _ in range(n)]
-    for u, v in edges:
-        nbr_lists[u].append(v)
-        nbr_lists[v].append(u)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        nbr_lists[i].sort()
-        indptr[i + 1] = indptr[i] + len(nbr_lists[i])
-    indices = np.fromiter(
-        (j for lst in nbr_lists for j in lst), dtype=np.int64, count=int(indptr[-1])
-    )
-    neighbors = tuple(frozenset(lst) for lst in nbr_lists)
+    """Build the CSR adjacency and freeze the network.
+
+    Each edge gives two entries, one per endpoint row; sorting the
+    entries by (row, column) sorts every row ascending.
+    """
+    edges = tuple(edges)
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.argsort(rows * node_count + cols)
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
     return TemporalNetwork(
-        node_count=n,
-        edges=tuple(edges),
+        node_count=node_count,
+        edges=edges,
         alpha=np.asarray(alpha, dtype=np.float64),
         labeled_mask=np.asarray(labeled_mask, dtype=bool),
-        neighbors=neighbors,
         adj_indptr=indptr,
-        adj_indices=indices,
+        adj_indices=cols[order],
+        adj_edges=order % max(len(edges), 1),
     )
 
 
@@ -110,9 +103,10 @@ def build_network(node_count, edges, times=None):
         Node pairs in construction order. Endpoints are reordered to
         (min, max); duplicates and self loops are rejected.
     times : sequence of float or None, optional
-        Raw formation time per edge; None or NaN marks an unknown time.
-        Known times are min-max normalized to [0, 1]. When all known
-        times coincide they normalize to 0.0.
+        Raw formation time per edge; None or NaN marks an unknown time,
+        and an infinite time raises InvalidEdge. Known times are
+        min-max normalized to [0, 1]. When all known times coincide
+        they normalize to 0.0.
     """
     if node_count <= 0:
         raise EmptyInput("node_count must be >= 1, got %r" % (node_count,))
@@ -145,6 +139,10 @@ def build_network(node_count, edges, times=None):
         if t is None:
             continue
         t = float(t)
+        if math.isinf(t):
+            raise InvalidEdge(
+                "edge (%d, %d) has non-finite time %r" % (norm_edges[k] + (t,))
+            )
         if not math.isnan(t):
             raw[k] = t
     known = ~np.isnan(raw)
@@ -178,19 +176,24 @@ def prefix_graph(net, ordering, fraction):
     return _assemble(net.node_count, edges, net.alpha[keep], net.labeled_mask[keep])
 
 
+def _csr_sum(net, x):
+    """Sum the rows of x over each CSR row; rows without entries get zeros."""
+    nonempty = np.flatnonzero(net.degrees)
+    if nonempty.size == net.node_count:
+        return np.add.reduceat(x[net.adj_indices], net.adj_indptr[:-1], axis=0)
+    out = np.zeros((net.node_count,) + x.shape[1:])
+    if nonempty.size:
+        starts = net.adj_indptr[nonempty]
+        out[nonempty] = np.add.reduceat(x[net.adj_indices], starts, axis=0)
+    return out
+
+
 def neighbor_sum(net, x):
     """Sum the rows of x over each node's neighborhood.
 
     x has shape (N,) or (N, d); isolated nodes get a zero row.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros((net.node_count,) + x.shape[1:])
-    if net.adj_indices.size == 0:
-        return out
-    nonempty = np.flatnonzero(np.diff(net.adj_indptr) > 0)
-    starts = net.adj_indptr[nonempty]
-    out[nonempty] = np.add.reduceat(x[net.adj_indices], starts, axis=0)
-    return out
+    return _csr_sum(net, np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -202,14 +205,94 @@ class NodeStructStats:
     coreness: np.ndarray
 
 
+def _degree_rank(net):
+    """Position of each node when nodes are sorted by (degree, id)."""
+    rank = np.empty(net.node_count, dtype=np.int64)
+    rank[np.argsort(net.degrees, kind="stable")] = np.arange(net.node_count)
+    return rank
+
+
+def _top_wedges(net, rank):
+    """Every wedge far - middle - top whose middle and far end rank below its top.
+
+    Returns (middle, top, far, edge_top, edge_far): node ids, and the
+    indices of the edges (middle, top) and (middle, far). Each wedge is
+    listed from the lower-ranked end of its edge to the top, which
+    bounds the work by the sum over edges of the smaller endpoint
+    degree (Chiba & Nishizeki 1985, SIAM J. Comput. 14:210).
+    """
+    rows = np.repeat(np.arange(net.node_count), net.degrees)
+    up = np.flatnonzero(rank[rows] < rank[net.adj_indices])
+    middle = rows[up]
+    size = net.degrees[middle]
+    first = net.adj_indptr[middle] - (np.cumsum(size) - size)
+    side = np.repeat(first, size) + np.arange(int(size.sum()))
+    up = np.repeat(up, size)
+    keep = rank[net.adj_indices[side]] < rank[net.adj_indices[up]]
+    up = up[keep]
+    side = side[keep]
+    return (
+        rows[up],
+        net.adj_indices[up],
+        net.adj_indices[side],
+        net.adj_edges[up],
+        net.adj_edges[side],
+    )
+
+
+class Triangles(NamedTuple):
+    """Every triangle once: nodes (T, 3), and edges (T, 3) where
+    edges[:, k] indexes the triangle's edge opposite nodes[:, k]."""
+
+    nodes: np.ndarray
+    edges: np.ndarray
+
+
+def triangles(net):
+    """List every triangle once, from the wedges of its lowest-ranked node.
+
+    A top wedge whose middle ranks below its far end is closed when the
+    key of (far, top) is among the sorted edge keys.
+    """
+    n = net.node_count
+    rank = _degree_rank(net)
+    wedges = _top_wedges(net, rank)
+    lowest = rank[wedges[0]] < rank[wedges[2]]
+    middle, top, far, edge_top, edge_far = (a[lowest] for a in wedges)
+    wanted = np.minimum(far, top) * n + np.maximum(far, top)
+    keys = net.endpoints[:, 0] * n + net.endpoints[:, 1]
+    by_key = np.argsort(keys)
+    slot = np.minimum(np.searchsorted(keys[by_key], wanted), keys.size - 1)
+    closing = by_key[slot]
+    hit = keys[closing] == wanted
+    return Triangles(
+        nodes=np.column_stack([middle[hit], far[hit], top[hit]]),
+        edges=np.column_stack([closing[hit], edge_top[hit], edge_far[hit]]),
+    )
+
+
 def triangle_counts(net):
     """Number of triangles through each node."""
-    cnt = np.zeros(net.node_count, dtype=np.int64)
-    for u, v in net.edges:
-        c = len(net.neighbors[u] & net.neighbors[v])
-        cnt[u] += c
-        cnt[v] += c
-    return cnt // 2
+    return np.bincount(triangles(net).nodes.ravel(), minlength=net.node_count)
+
+
+def four_cycle_counts(net):
+    """Number of 4-cycles through each edge, aligned with net.edges.
+
+    A 4-cycle is two top wedges with the same top, its highest-ranked
+    node, and the same far end, the node opposite; each of its edges
+    lies on exactly one of the two. So crediting both edges of a top
+    wedge with the number of other top wedges on the same (top, far)
+    counts each 4-cycle once per edge.
+    """
+    n = net.node_count
+    _, top, far, edge_top, edge_far = _top_wedges(net, _degree_rank(net))
+    _, which, count = np.unique(top * n + far, return_inverse=True, return_counts=True)
+    others = (count - 1)[which]
+    m = net.edge_count
+    per_edge = np.bincount(edge_top, others, minlength=m)
+    per_edge += np.bincount(edge_far, others, minlength=m)
+    return per_edge.astype(np.int64)
 
 
 def local_clustering(net):
@@ -231,31 +314,37 @@ def average_clustering(net):
 
 
 def coreness(net):
-    """Core number per node via iterative peeling."""
-    n = net.node_count
-    deg = net.degrees.astype(np.int64).copy()
-    core = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    remaining = n
-    k = 0
-    while remaining > 0:
-        stack = [i for i in range(n) if alive[i] and deg[i] <= k]
-        if not stack:
-            k += 1
-            continue
-        while stack:
-            i = stack.pop()
-            if not alive[i]:
-                continue
-            alive[i] = False
-            core[i] = k
-            remaining -= 1
-            for j in net.neighbors[i]:
-                if alive[j]:
-                    deg[j] -= 1
-                    if deg[j] <= k:
-                        stack.append(j)
-    return core
+    """Core number per node, by Batagelj-Zaversnik peeling in O(N + M).
+
+    Nodes sit in one array sorted by current degree, with the start of
+    each degree's bin. Taking nodes in that order, each later neighbour
+    of higher degree moves to the front of its bin and the bin shrinks
+    (Batagelj & Zaversnik 2003, arXiv cs/0310049).
+    """
+    deg = net.degrees.tolist()
+    vert = np.argsort(net.degrees, kind="stable").tolist()
+    pos = [0] * net.node_count
+    for i, node in enumerate(vert):
+        pos[node] = i
+    sizes = np.bincount(net.degrees)
+    start = (np.cumsum(sizes) - sizes).tolist()
+    indptr = net.adj_indptr.tolist()
+    indices = net.adj_indices.tolist()
+    for i in range(net.node_count):
+        node = vert[i]
+        d = deg[node]
+        for other in indices[indptr[node]:indptr[node + 1]]:
+            k = deg[other]
+            if k > d:
+                swap_pos = start[k]
+                swap = vert[swap_pos]
+                if swap != other:
+                    other_pos = pos[other]
+                    vert[other_pos], vert[swap_pos] = swap, other
+                    pos[other], pos[swap] = swap_pos, other_pos
+                start[k] += 1
+                deg[other] = k - 1
+    return np.asarray(deg, dtype=np.int64)
 
 
 def node_struct_stats(net):
@@ -303,52 +392,89 @@ def pagerank(net, damping=0.85, tol=1e-10, max_iter=200):
     return PageRankResult(values=r, iterations=iterations, converged=converged)
 
 
+# Bytes one block of betweenness sources may hold in its working arrays.
+_BETWEENNESS_BLOCK_BYTES = 1 << 20
+
+
+def _shortest_path_counts(net, sources):
+    """Breadth-first search from each source at once, one level per CSR sum.
+
+    Returns (dist, sigma, depth): (N, B) hop distances (-1 where
+    unreachable) and shortest-path counts, column j for sources[j],
+    and the largest distance reached.
+    """
+    cols = np.arange(sources.size)
+    dist = np.full((net.node_count, sources.size), -1, dtype=np.int32)
+    dist[sources, cols] = 0
+    sigma = np.zeros(dist.shape)
+    sigma[sources, cols] = 1.0
+    frontier = sigma.copy()
+    depth = 0
+    while (dist < 0).any():
+        reach = _csr_sum(net, frontier)
+        fresh = (dist < 0) & (reach > 0)
+        if not fresh.any():
+            break
+        depth += 1
+        dist[fresh] = depth
+        frontier = np.where(fresh, reach, 0.0)
+        sigma += frontier
+    return dist, sigma, depth
+
+
+def _source_block_flow(net, sources):
+    """Betweenness flow per edge from shortest paths that start in sources.
+
+    One block per call, so that a block's arrays are freed before the
+    next block allocates its own.
+    """
+    dist, sigma, depth = _shortest_path_counts(net, sources)
+    # coeff[w] = (1 + delta[w]) / sigma[w], written deepest level first.
+    # A node at level d - 1 has no neighbour deeper than d, so the CSR
+    # sum at level d sees only level-d coefficients. The sources' own
+    # dependencies are never used, so level 1 feeds no sum.
+    coeff = np.zeros(dist.shape)
+    delta = np.zeros(dist.shape)
+    for d in range(depth, 0, -1):
+        np.divide(1.0 + delta, sigma, out=coeff, where=dist == d)
+        if d > 1:
+            pull = _csr_sum(net, coeff)
+            np.add(delta, sigma * pull, out=delta, where=dist == d - 1)
+    # An edge carries sigma * coeff from its nearer endpoint to its
+    # farther one; endpoints at equal depth carry nothing.
+    u = net.endpoints[:, 0]
+    v = net.endpoints[:, 1]
+    step = dist[v] - dist[u]
+    flow = sigma[u]
+    flow *= coeff[v]
+    flow[step != 1] = 0.0
+    back = sigma[v]
+    back *= coeff[u]
+    back[step != -1] = 0.0
+    flow += back
+    return flow.sum(axis=1)
+
+
 def edge_betweenness(net):
     """Shortest-path betweenness per edge, aligned with net.edges.
 
     Each unordered source-target pair contributes once (the two-sided
     accumulation is halved). Disconnected pairs contribute nothing.
+
+    Level-synchronous Brandes (Brandes 2001, J. Math. Sociol. 25:163):
+    a block of B sources runs its breadth-first searches together as
+    the columns of (N, B) distance, path-count and dependency arrays,
+    with one CSR sum per level. B is as large as the byte budget of one
+    block allows.
     """
     n = net.node_count
-    m = net.edge_count
-    pos = net.edge_positions
-    bc = np.zeros(m)
-    for s in range(n):
-        # BFS from s recording shortest-path counts and predecessors.
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n)
-        preds = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in sorted(net.neighbors[v]):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    order.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = np.zeros(n)
-        for w in reversed(order):
-            if w == s:
-                continue
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                c = sigma[v] * coeff
-                key = (v, w) if v < w else (w, v)
-                bc[pos[key]] += c
-                delta[v] += c
+    bc = np.zeros(net.edge_count)
+    if net.edge_count == 0:
+        return bc
+    # A block's peak holds about four (N,) and four (M,) float columns
+    # per source.
+    width = _BETWEENNESS_BLOCK_BYTES // (32 * (n + net.edge_count))
+    width = int(min(n, max(1, width)))
+    for lo in range(0, n, width):
+        bc += _source_block_flow(net, np.arange(lo, min(lo + width, n)))
     return bc / 2.0
-
-
-def walk_counts(net, u, v):
-    """Counts of length-2 and length-3 walks between nodes u and v."""
-    two = len(net.neighbors[u] & net.neighbors[v])
-    three = 0
-    for w in net.neighbors[u]:
-        three += len(net.neighbors[w] & net.neighbors[v])
-    return two, three

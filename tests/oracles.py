@@ -10,6 +10,20 @@ import itertools
 import numpy as np
 
 
+def adjacency_sets(net):
+    """Neighbour set per node, built from the edge list alone."""
+    nbrs = [set() for _ in range(net.node_count)]
+    for u, v in net.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def edge_index(net):
+    """Map (min id, max id) -> index into net.edges."""
+    return {e: k for k, e in enumerate(net.edges)}
+
+
 def adjacency_matrix(net):
     a = np.zeros((net.node_count, net.node_count))
     for u, v in net.edges:
@@ -20,16 +34,17 @@ def adjacency_matrix(net):
 
 def clustering_by_definition(net):
     """C(i) = closed neighbor pairs / all neighbor pairs."""
+    adj = adjacency_sets(net)
     out = np.zeros(net.node_count)
     for i in range(net.node_count):
-        nbrs = sorted(net.neighbors[i])
+        nbrs = sorted(adj[i])
         k = len(nbrs)
         if k < 2:
             continue
         closed = sum(
             1
             for a, b in itertools.combinations(nbrs, 2)
-            if b in net.neighbors[a]
+            if b in adj[a]
         )
         out[i] = closed / (k * (k - 1) / 2)
     return out
@@ -37,6 +52,7 @@ def clustering_by_definition(net):
 
 def coreness_by_definition(net):
     """core(i) = max k such that i survives repeated deletion of degree < k nodes."""
+    adj = adjacency_sets(net)
     out = np.zeros(net.node_count, dtype=np.int64)
     max_deg = int(net.degrees.max()) if net.node_count else 0
     for k in range(max_deg + 1):
@@ -45,7 +61,7 @@ def coreness_by_definition(net):
         while changed:
             changed = False
             for i in sorted(alive):
-                deg = sum(1 for j in net.neighbors[i] if j in alive)
+                deg = sum(1 for j in adj[i] if j in alive)
                 if deg < k:
                     alive.remove(i)
                     changed = True
@@ -81,7 +97,8 @@ def edge_betweenness_by_paths(net):
     Exponential; only usable on tiny graphs (N <= 8 or so).
     """
     counts = np.zeros(net.edge_count)
-    pos = net.edge_positions
+    pos = edge_index(net)
+    adj = adjacency_sets(net)
     n = net.node_count
 
     def all_shortest_paths(s, t):
@@ -91,7 +108,7 @@ def edge_betweenness_by_paths(net):
         while frontier:
             nxt = []
             for v in frontier:
-                for w in net.neighbors[v]:
+                for w in adj[v]:
                     if w not in dist:
                         dist[w] = dist[v] + 1
                         nxt.append(w)
@@ -105,7 +122,7 @@ def edge_betweenness_by_paths(net):
             if v == t:
                 paths.append(list(path))
                 return
-            for w in net.neighbors[v]:
+            for w in adj[v]:
                 if dist.get(w, -1) == dist[v] + 1 and dist[w] <= dist[t]:
                     path.append(w)
                     extend(path)
@@ -255,10 +272,11 @@ def sis_fixed_point_scalar(degree, infection=0.4, recovery=0.3):
 def dynamics_step_by_definition(net, spec, x):
     """One synchronous update, plain per-node loops."""
     n = net.node_count
+    adj = adjacency_sets(net)
     out = np.zeros(n)
     kind = spec.kind.value
     for i in range(n):
-        nbrs = sorted(net.neighbors[i])
+        nbrs = sorted(adj[i])
         if kind == "sis":
             prod = 1.0
             for j in nbrs:

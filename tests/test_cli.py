@@ -130,6 +130,20 @@ class TestTrain:
         assert manifest["config"]["label_fraction"] == 0.5
         assert manifest["outputs"]["model"]["sha256"] == sha256_file(model)
 
+    @pytest.mark.parametrize("time", ["inf", "-inf"])
+    def test_non_finite_time_exits_3(self, workspace, capsys, time):
+        tmp_path, graph, state = workspace
+        lines = graph.read_text().splitlines()
+        u, v, _ = lines[-1].split("\t")
+        lines[-1] = "\t".join([u, v, time])
+        graph.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.json"
+        assert run("train", graph, state, "--epochs", 1, "--out", model) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and ":%d:" % len(lines) in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_deterministic_checkpoint(self, workspace):
         tmp_path, graph, state = workspace
         digests = []

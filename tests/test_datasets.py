@@ -41,6 +41,13 @@ class TestLoadEdgeList:
         assert np.isnan(net.alpha[2])
         assert list(net.labeled_mask) == [True, True, False]
 
+    def test_nan_time_is_unknown(self, tmp_path):
+        f = tmp_path / "g.tsv"
+        f.write_text("0\t1\t1990\n1\t2\tnan\n0\t2\t1995\n")
+        net = load_edge_list(f)
+        assert list(net.labeled_mask) == [True, False, True]
+        assert np.isnan(net.alpha[1])
+
     def test_duplicate_keeps_first_occurrence(self, tmp_path):
         f = tmp_path / "g.tsv"
         f.write_text("0\t1\t1990\n1\t2\t1992\n1\t0\t1999\n")
@@ -56,6 +63,8 @@ class TestLoadEdgeList:
             ("a\t1\t1990\n", "integers"),
             ("0\t1\tsoon\n", "number"),
             ("-1\t1\t1990\n", ">= 0"),
+            ("0\t1\tinf\n", "finite"),
+            ("0\t1\t-inf\n", "finite"),
         ]
         for body, fragment in cases:
             f = tmp_path / "bad.tsv"

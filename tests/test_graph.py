@@ -1,5 +1,8 @@
 """Graph construction and native graph algorithms vs brute-force oracles."""
 
+import tracemalloc
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from netchron.errors import (
     InvalidPermutation,
     SelfLoop,
 )
+from netchron import graph
+from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
+from netchron.features import structural_edge_features
 from netchron.graph import (
     average_clustering,
     build_network,
@@ -21,7 +27,6 @@ from netchron.graph import (
     pagerank,
     prefix_graph,
     triangle_counts,
-    walk_counts,
 )
 
 import oracles
@@ -75,21 +80,27 @@ class TestBuildNetwork:
         with pytest.raises(EmptyInput):
             build_network(0, [])
 
+    @pytest.mark.parametrize("time", [float("inf"), -float("inf")])
+    def test_rejects_non_finite_time(self, time):
+        with pytest.raises(InvalidEdge, match="non-finite"):
+            build_network(3, [(0, 1), (1, 2), (0, 2)], [0.0, 1.0, time])
+
+    def test_nan_time_is_unknown(self):
+        net = build_network(3, [(0, 1), (1, 2)], [0.0, float("nan")])
+        assert list(net.labeled_mask) == [True, False]
+
     def test_adjacency_consistent_with_edges(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             net = oracles.random_network(rng)
-            rebuilt = {
-                (min(i, j), max(i, j))
-                for i in range(net.node_count)
-                for j in net.neighbors[i]
-            }
-            assert rebuilt == set(net.edges)
-            # CSR mirrors the frozensets.
+            adj = oracles.adjacency_sets(net)
             for i in range(net.node_count):
-                row = net.adj_indices[net.adj_indptr[i]:net.adj_indptr[i + 1]]
-                assert set(row.tolist()) == net.neighbors[i]
-                assert list(row) == sorted(row)
+                lo, hi = net.adj_indptr[i], net.adj_indptr[i + 1]
+                row = net.adj_indices[lo:hi]
+                assert list(row) == sorted(adj[i])
+                # Each entry names the edge it came from.
+                for j, k in zip(row, net.adj_edges[lo:hi]):
+                    assert net.edges[k] == (min(i, j), max(i, j))
 
 
 class TestPrefixGraph:
@@ -210,30 +221,60 @@ class TestEdgeBetweenness:
             ref = oracles.edge_betweenness_by_paths(net)
             assert np.allclose(got, ref, atol=1e-9)
 
+    def test_peak_memory_stays_within_the_block_budget(self):
+        net = generate_synthetic(
+            SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 400, 2, seed=1)
+        )
+        net.endpoints, net.degrees  # cached properties, built once per network
+        tracemalloc.start()
+        try:
+            edge_betweenness(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
-class TestWalkCounts:
-    def test_triangle_adjacent_pair(self):
-        net = triangle()
-        # One common neighbor; three length-3 walks (closed via either
+
+def local_path_by_power(net):
+    """two + 0.01 * three per edge, from the walk counts of matrix powers."""
+    out = []
+    for u, v in net.edges:
+        two, three = oracles.walk_counts_by_power(net, u, v)
+        out.append(two + 0.01 * three)
+    return np.asarray(out)
+
+
+class TestLocalPathWalkCounts:
+    def local_path(self, net):
+        return structural_edge_features(net).column("local_path")
+
+    def test_triangle_edges(self):
+        # One common neighbour; three length-3 walks (closed via either
         # endpoint's other edge and the direct back-and-forth).
-        assert walk_counts(net, 0, 1) == (1, 3)
+        assert np.allclose(self.local_path(triangle()), 1.03)
+        assert np.array_equal(self.local_path(triangle()), local_path_by_power(triangle()))
 
-    def test_path_endpoints(self):
+    def test_path_edges(self):
         net = path4()
-        assert walk_counts(net, 0, 2) == (1, 0)
-        assert walk_counts(net, 0, 3) == (0, 1)
+        # No common neighbours; the 3-walks are back-and-forth only.
+        assert np.allclose(self.local_path(net), [0.02, 0.03, 0.02])
+        assert np.array_equal(self.local_path(net), local_path_by_power(net))
 
     def test_matches_matrix_powers(self):
         rng = np.random.default_rng(19)
         for _ in range(25):
             net = oracles.random_network(rng, max_nodes=12)
-            n = net.node_count
-            for _ in range(5):
-                u = int(rng.integers(n))
-                v = int(rng.integers(n))
-                assert walk_counts(net, u, v) == oracles.walk_counts_by_power(
-                    net, u, v
-                )
+            assert np.array_equal(self.local_path(net), local_path_by_power(net))
+
+    def test_matches_matrix_powers_on_larger_graphs(self):
+        for net in networkx_cases():
+            if net.edge_count == 0:
+                continue
+            a = oracles.adjacency_matrix(net)
+            a2 = a @ a
+            u, v = net.endpoints[:, 0], net.endpoints[:, 1]
+            expected = a2[u, v] + 0.01 * (a2 @ a)[u, v]
+            assert np.array_equal(self.local_path(net), expected)
 
 
 class TestNeighborSum:
@@ -251,3 +292,73 @@ class TestNeighborSum:
         net = build_network(3, [(0, 1)])
         out = neighbor_sum(net, np.array([1.0, 2.0, 3.0]))
         assert np.allclose(out, [2.0, 1.0, 0.0])
+
+
+def random_graph(rng, n, mean_degree):
+    """G(n, p) with the given mean degree; low degrees leave isolated nodes."""
+    ii, jj = np.triu_indices(n, k=1)
+    keep = rng.random(ii.size) < mean_degree / max(n - 1, 1)
+    return build_network(n, list(zip(ii[keep].tolist(), jj[keep].tolist())))
+
+
+def networkx_cases():
+    rng = np.random.default_rng(29)
+    cases = [
+        build_network(5, []),
+        # Two components and two isolated nodes.
+        build_network(9, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6), (6, 7)]),
+    ]
+    for n, mean_degree in [(2, 1.0), (13, 2.0), (40, 3.0), (150, 1.2), (257, 4.0), (500, 3.0)]:
+        cases.append(random_graph(rng, n, mean_degree))
+    # Hubs: preferential attachment.
+    cases.append(generate_synthetic(
+        SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 300, 3, seed=2)
+    ))
+    return cases
+
+
+def to_networkx(net):
+    g = nx.Graph()
+    g.add_nodes_from(range(net.node_count))
+    g.add_edges_from(net.edges)
+    return g
+
+
+def networkx_betweenness(net):
+    ref = nx.edge_betweenness_centrality(to_networkx(net), normalized=False)
+    return np.array([ref.get((u, v), ref.get((v, u))) for u, v in net.edges])
+
+
+class TestNetworkxOracle:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return networkx_cases()
+
+    def test_cases_cover_isolated_nodes_and_several_components(self, cases):
+        assert any((net.degrees == 0).any() for net in cases)
+        assert any(
+            nx.number_connected_components(to_networkx(net)) > 1 for net in cases
+        )
+
+    def test_edge_betweenness(self, cases):
+        for net in cases:
+            assert np.allclose(edge_betweenness(net), networkx_betweenness(net))
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_edge_betweenness_does_not_depend_on_the_block_width(self, monkeypatch, width):
+        net = random_graph(np.random.default_rng(31), 40, 3.0)
+        bytes_for_width = width * 32 * (net.node_count + net.edge_count)
+        monkeypatch.setattr(graph, "_BETWEENNESS_BLOCK_BYTES", bytes_for_width)
+        assert net.node_count % width != 0 or width == 1
+        assert np.allclose(edge_betweenness(net), networkx_betweenness(net))
+
+    def test_triangles_clustering_and_coreness(self, cases):
+        for net in cases:
+            g = to_networkx(net)
+            nodes = range(net.node_count)
+            tri = nx.triangles(g)
+            clust = nx.clustering(g)
+            core = nx.core_number(g)
+            assert list(triangle_counts(net)) == [tri[i] for i in nodes]
+            assert np.allclose(local_clustering(net), [clust[i] for i in nodes])
+            assert list(coreness(net)) == [core[i] for i in nodes]
