@@ -2,9 +2,12 @@
 
 Rank-level agreement (pairwise accuracy, rank correlation with
 midranks for ties), a binned trend of predicted against true
-normalized ranks, growth-trajectory comparisons replayed through
-prefix graphs, a hub-centric radar score, and per-feature rank
-correlations with formation time.
+normalized ranks, growth-trajectory comparisons, a hub-centric radar
+score, and per-feature rank correlations with formation time.
+
+Growth and hub trajectories are replayed over arrays from one ordering:
+prefix degrees grow edge by edge, and a triangle joins the prefix with
+its latest edge, so no prefix graph is built.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     FlatTruthCurve,
     InvalidPermutation,
 )
-from .graph import average_clustering, prefix_graph
+from .graph import _clustering, triangles
 
 TREND_BINS = 10
 TRAJECTORY_SAMPLES = 50
@@ -270,9 +273,8 @@ def binned_trend(pred_ranks, true_ranks, bins=TREND_BINS):
     return records, rmse
 
 
-def degree_gini(net):
-    """Gini coefficient of the degree sequence (0 when all equal)."""
-    deg = np.sort(net.degrees.astype(np.float64))
+def _gini(degrees):
+    deg = np.sort(degrees.astype(np.float64))
     n = deg.size
     total = deg.sum()
     if n == 0 or total == 0.0:
@@ -281,25 +283,102 @@ def degree_gini(net):
     return float((2.0 * np.sum(idx * deg) / (n * total)) - (n + 1.0) / n)
 
 
+def degree_gini(net):
+    """Gini coefficient of the degree sequence (0 when all equal)."""
+    return _gini(net.degrees)
+
+
+# Property of a prefix from its degrees and per-node triangle counts,
+# and whether it needs the triangle counts.
 _TRAJECTORY_PROPS = {
-    "clustering": average_clustering,
-    "degree_gini": degree_gini,
+    "clustering": (lambda deg, tri: float(_clustering(deg, tri).mean()), True),
+    "degree_gini": (lambda deg, tri: _gini(deg), False),
 }
 
 TRAJECTORY_PROPERTIES = tuple(sorted(_TRAJECTORY_PROPS))
 
 
+def _cutoffs(m, samples):
+    """Edges in the prefix at each of `samples` evenly spaced fractions.
+
+    The same ceil(fraction * M) as graph.prefix_graph, so growth
+    curves and hub curves cut at the same edges as prefix graphs.
+    """
+    return [math.ceil((k + 1) / samples * m) for k in range(samples)]
+
+
+def _edge_ranks(net, ordering, bare_ranks):
+    """0-based rank of every edge under an ordering.
+
+    An object with ranks (a GlobalOrdering) gives its 1-based ranks. A
+    bare array holds 1-based ranks when bare_ranks, and edge indices
+    earliest first otherwise. Raises InvalidPermutation unless it is a
+    permutation of the net's M edges.
+    """
+    m = net.edge_count
+    if hasattr(ordering, "ranks"):
+        ordering, bare_ranks = ordering.ranks, True
+    values = np.asarray(ordering)
+    first = 1 if bare_ranks else 0
+    if values.shape != (m,) or not np.array_equal(
+        np.sort(values), np.arange(first, m + first)
+    ):
+        raise InvalidPermutation("ordering is not a permutation of %d edges" % m)
+    values = values.astype(np.int64)
+    if bare_ranks:
+        return values - first
+    rank = np.empty(m, dtype=np.int64)
+    rank[values] = np.arange(m)
+    return rank
+
+
+def _replay(net, rank, samples, with_triangles):
+    """Degrees and triangle counts of each prefix, cutoff by cutoff.
+
+    Yields (degrees, triangle counts or None) of the prefix holding the
+    edges of rank < c, for each c in _cutoffs; the arrays are updated
+    in place, so each pair is valid until the next. A triangle is in a
+    prefix exactly when its latest edge is, so it is born at the
+    largest rank of its three edges. O(M + T) over the whole replay
+    plus O(N) per cutoff, for T triangles.
+    """
+    n = net.node_count
+    order = np.empty_like(rank)
+    order[rank] = np.arange(rank.size)
+    deg = np.zeros(n, dtype=np.int64)
+    tri = None
+    if with_triangles:
+        found = triangles(net)
+        birth = rank[found.edges].max(axis=1)
+        by_birth = np.argsort(birth, kind="stable")
+        corners = found.nodes[by_birth]
+        birth = birth[by_birth]
+        tri = np.zeros(n, dtype=np.int64)
+    done = born = 0
+    for c in _cutoffs(rank.size, samples):
+        deg += np.bincount(net.endpoints[order[done:c]].ravel(), minlength=n)
+        done = c
+        if with_triangles:
+            upto = int(np.searchsorted(birth, c))
+            tri += np.bincount(corners[born:upto].ravel(), minlength=n)
+            born = upto
+        yield deg, tri
+
+
 def growth_curve(net, ordering, prop, samples=TRAJECTORY_SAMPLES):
-    """Property of the prefix graph at `samples` evenly spaced fractions."""
+    """Property of the prefix graph at `samples` evenly spaced fractions.
+
+    ordering is a GlobalOrdering or a permutation of edge indices,
+    earliest first. The k-th value is the property of
+    graph.prefix_graph(net, order, (k + 1) / samples), replayed from
+    prefix degrees and triangle birth ranks without building it.
+    """
     if prop not in _TRAJECTORY_PROPS:
         raise KeyError("unknown property %r" % (prop,))
-    fn = _TRAJECTORY_PROPS[prop]
-    order = ordering.order if hasattr(ordering, "order") else np.asarray(ordering)
-    out = np.empty(samples)
-    for k in range(samples):
-        fraction = (k + 1) / samples
-        out[k] = fn(prefix_graph(net, order, fraction))
-    return out
+    value, with_triangles = _TRAJECTORY_PROPS[prop]
+    rank = _edge_ranks(net, ordering, bare_ranks=False)
+    replay = _replay(net, rank, samples, with_triangles)
+    return np.array([value(deg, tri) for deg, tri in replay], dtype=np.float64)
 
 
 def _curve_nrmse(pred, truth, prop):
@@ -312,13 +391,20 @@ def _curve_nrmse(pred, truth, prop):
 def trajectory_nrmse(net, pred_ordering, true_ordering, prop, samples=TRAJECTORY_SAMPLES):
     """Range-normalized RMSE between replayed growth curves.
 
-    Both orderings are replayed through prefix graphs and the chosen
+    Both orderings are replayed as growth_curve does and the chosen
     property is traced; the RMSE is divided by the range of the true
     curve. A flat true curve leaves the metric undefined.
     """
     truth = growth_curve(net, true_ordering, prop, samples)
     pred = growth_curve(net, pred_ordering, prop, samples)
     return _curve_nrmse(pred, truth, prop)
+
+
+def _hub_curve(net, rank, hub, cutoffs):
+    """Degree of a node in each prefix: its incident edges of rank < c."""
+    incident = net.adj_edges[net.adj_indptr[hub]:net.adj_indptr[hub + 1]]
+    positions = np.sort(rank[incident])
+    return np.searchsorted(positions, cutoffs).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -343,27 +429,21 @@ def hub_radar(net, pred_ordering, true_ordering, top_k=RADAR_TOP_K,
     gives s = 1 on every spoke and area (K/2) sin(2 pi / K).
 
     A hub whose true curve is flat falls back to a unit range (degrees
-    are integers, so 1 is the smallest nonzero swing).
+    are integers, so 1 is the smallest nonzero swing). A bare array is
+    read as 1-based ranks; InvalidPermutation is raised unless each
+    ordering is a permutation of the edges.
     """
     if not 3 <= top_k <= net.node_count:
         raise EmptyInput("top_k must lie in [3, node_count]")
     deg = net.degrees
     hubs = np.lexsort((np.arange(net.node_count), -deg))[:top_k]
-    m = net.edge_count
-    cutoffs = np.array([math.ceil((k + 1) / samples * m) for k in range(samples)])
-
-    def hub_curve(ordering, hub):
-        ranks = _ranks_of(ordering)
-        incident = [
-            k for k, (a, b) in enumerate(net.edges) if a == hub or b == hub
-        ]
-        positions = np.sort(ranks[incident])
-        return np.searchsorted(positions, cutoffs, side="right").astype(np.float64)
-
+    cutoffs = _cutoffs(net.edge_count, samples)
+    true_rank = _edge_ranks(net, true_ordering, bare_ranks=True)
+    pred_rank = _edge_ranks(net, pred_ordering, bare_ranks=True)
     nrmse = np.empty(top_k)
     for idx, hub in enumerate(hubs):
-        truth = hub_curve(true_ordering, hub)
-        pred = hub_curve(pred_ordering, hub)
+        truth = _hub_curve(net, true_rank, hub, cutoffs)
+        pred = _hub_curve(net, pred_rank, hub, cutoffs)
         span = float(truth.max() - truth.min())
         if span == 0.0:
             span = 1.0

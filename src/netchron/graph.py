@@ -162,7 +162,9 @@ def prefix_graph(net, ordering, fraction):
 
     ordering is a permutation of edge indices, earliest first. The
     result keeps the parent node set and the parent alphas of the kept
-    edges; times are not renormalized.
+    edges; times are not renormalized. Growth curves do not build
+    these: evaluation replays prefix degrees and triangle counts over
+    arrays, and the tests check that replay against this function.
     """
     m = net.edge_count
     order = np.asarray(ordering, dtype=np.int64)
@@ -295,15 +297,20 @@ def four_cycle_counts(net):
     return per_edge.astype(np.int64)
 
 
-def local_clustering(net):
-    """Local clustering coefficient per node; 0 for degree < 2."""
-    deg = net.degrees.astype(np.float64)
-    tri = triangle_counts(net).astype(np.float64)
+def _clustering(degrees, triangle_count):
+    """Local clustering from per-node degrees and triangle counts."""
+    deg = degrees.astype(np.float64)
+    tri = triangle_count.astype(np.float64)
     possible = deg * (deg - 1.0) / 2.0
-    out = np.zeros(net.node_count)
+    out = np.zeros(deg.size)
     mask = possible > 0
     out[mask] = tri[mask] / possible[mask]
     return out
+
+
+def local_clustering(net):
+    """Local clustering coefficient per node; 0 for degree < 2."""
+    return _clustering(net.degrees, triangle_counts(net))
 
 
 def average_clustering(net):

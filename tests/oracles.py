@@ -6,6 +6,7 @@ compare the package's production code against these on small inputs.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -352,3 +353,29 @@ def midranks_by_loop(values):
         ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def growth_curve_by_prefix_graphs(net, ordering, prop, samples):
+    """A property of a freshly built prefix graph at each (k + 1) / samples."""
+    from netchron.evaluation import degree_gini
+    from netchron.graph import average_clustering, prefix_graph
+
+    fn = {"clustering": average_clustering, "degree_gini": degree_gini}[prop]
+    order = ordering.order if hasattr(ordering, "order") else np.asarray(ordering)
+    out = np.empty(samples)
+    for k in range(samples):
+        out[k] = fn(prefix_graph(net, order, (k + 1) / samples))
+    return out
+
+
+def hub_curve_by_scan(net, ranks, hub, samples):
+    """Degree of hub after each of `samples` cutoffs, scanning every edge.
+
+    ranks are 1-based; the prefix at fraction f holds the ceil(f * M)
+    lowest-ranked edges.
+    """
+    m = net.edge_count
+    cutoffs = [math.ceil((k + 1) / samples * m) for k in range(samples)]
+    incident = [k for k, (a, b) in enumerate(net.edges) if hub in (a, b)]
+    positions = np.sort(np.asarray(ranks, dtype=np.float64)[incident])
+    return np.searchsorted(positions, cutoffs, side="right").astype(np.float64)

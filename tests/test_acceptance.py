@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from netchron.cli import main as cli_main
@@ -318,6 +319,7 @@ def end_to_end_metrics(mode):
     return float(np.mean(accs)), float(np.mean(rhos))
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_comparative():
     start = time.perf_counter()
     both_acc, both_rho = end_to_end_metrics(FeatureMode.BOTH)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.stats
@@ -15,8 +16,12 @@ from netchron.errors import (
     FlatTruthCurve,
     InvalidPermutation,
 )
+from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
 from netchron.evaluation import (
+    _cutoffs,
     _distinct_time_pairs,
+    _edge_ranks,
+    _hub_curve,
     all_pairs_accuracy,
     binned_trend,
     degree_gini,
@@ -31,7 +36,7 @@ from netchron.evaluation import (
     trajectory_nrmse,
 )
 from netchron.features import structural_edge_features
-from netchron.graph import build_network
+from netchron.graph import build_network, triangle_counts, triangles
 from netchron.ordering import GlobalOrdering, ground_truth_ordering, order_from_scores
 
 import oracles
@@ -406,6 +411,216 @@ class TestHubRadar:
         truth = ground_truth_ordering(net.alpha)
         with pytest.raises(EmptyInput):
             hub_radar(net, truth, truth, top_k=2)
+
+
+def pa_network(n, m=2, seed=1):
+    return generate_synthetic(
+        SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, n, m, seed=seed)
+    )
+
+
+def sparse_random_network(rng, n, mean_degree):
+    """G(n, p) with distinct times; a low mean degree leaves isolated
+    nodes and several components."""
+    ii, jj = np.triu_indices(n, k=1)
+    keep = rng.random(ii.size) < mean_degree / (n - 1)
+    edges = list(zip(ii[keep].tolist(), jj[keep].tolist()))
+    return build_network(n, edges, rng.permutation(len(edges)).astype(float))
+
+
+def random_tree(rng, n):
+    """Each node after the first attaches to a uniform earlier node."""
+    edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+    return build_network(n, edges, rng.permutation(n - 1).astype(float))
+
+
+def replay_cases():
+    rng = np.random.default_rng(71)
+    cases = [
+        sparse_random_network(rng, n, mean_degree)
+        for n, mean_degree in [(12, 1.5), (40, 1.2), (90, 3.0), (150, 1.0)]
+    ]
+    cases.append(random_tree(rng, 30))
+    cases += [pa_network(60, 2, seed=1), pa_network(120, 3, seed=2)]
+    return cases
+
+
+def random_rank_orderings(net, rng, count=2):
+    """The true ordering, then `count` uniform random ones."""
+    truth = ground_truth_ordering(net.alpha)
+    return [truth] + [
+        GlobalOrdering(
+            borda_scores=np.zeros(net.edge_count),
+            ranks=rng.permutation(net.edge_count) + 1,
+            source=truth.source,
+        )
+        for _ in range(count)
+    ]
+
+
+def to_networkx(net, edge_ids):
+    g = nx.Graph()
+    g.add_nodes_from(range(net.node_count))
+    g.add_edges_from(net.edges[k] for k in edge_ids)
+    return g
+
+
+class TestReplayMatchesPrefixGraphs:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return replay_cases()
+
+    def test_cases_cover_isolated_nodes_components_and_a_tree(self, cases):
+        assert any((net.degrees == 0).any() for net in cases)
+        assert any(
+            nx.number_connected_components(to_networkx(net, range(net.edge_count))) > 1
+            for net in cases
+        )
+        assert any(triangle_counts(net).sum() == 0 for net in cases)
+        assert all(triangle_counts(net).sum() > 0 for net in cases[-2:])
+
+    @pytest.mark.parametrize("prop", ["clustering", "degree_gini"])
+    def test_growth_curves_equal_the_prefix_graph_loop(self, cases, prop):
+        rng = np.random.default_rng(73)
+        for net in cases:
+            for ordering in random_rank_orderings(net, rng):
+                for samples in (1, 3, 50, net.edge_count + 5):
+                    want = oracles.growth_curve_by_prefix_graphs(
+                        net, ordering, prop, samples
+                    )
+                    assert np.array_equal(growth_curve(net, ordering, prop, samples), want)
+                    # A bare array is an order, earliest edge first.
+                    order = ordering.order
+                    assert np.array_equal(growth_curve(net, order, prop, samples), want)
+
+    def test_hub_curves_equal_the_edge_scan(self, cases):
+        rng = np.random.default_rng(79)
+        for net in cases:
+            by_degree = np.argsort(-net.degrees, kind="stable")
+            nodes = np.union1d(
+                by_degree[:6], rng.choice(net.node_count, size=6, replace=False)
+            )
+            for ordering in random_rank_orderings(net, rng):
+                rank = _edge_ranks(net, ordering, bare_ranks=True)
+                for samples in (1, 3, 50, net.edge_count + 5):
+                    cutoffs = _cutoffs(net.edge_count, samples)
+                    for node in nodes:
+                        want = oracles.hub_curve_by_scan(net, ordering.ranks, node, samples)
+                        assert np.array_equal(_hub_curve(net, rank, node, cutoffs), want)
+
+    def test_hub_radar_nrmse_equals_the_edge_scan(self, cases):
+        rng = np.random.default_rng(83)
+        for net in cases:
+            truth, pred = random_rank_orderings(net, rng, count=1)
+            radar = hub_radar(net, pred, truth, top_k=5, samples=20)
+            for idx, hub in enumerate(radar.hubs):
+                t = oracles.hub_curve_by_scan(net, truth.ranks, hub, 20)
+                p = oracles.hub_curve_by_scan(net, pred.ranks, hub, 20)
+                span = float(t.max() - t.min()) or 1.0
+                assert radar.nrmse[idx] == float(np.sqrt(np.mean((p - t) ** 2)) / span)
+
+    def test_clustering_curve_matches_networkx_prefixes(self, cases):
+        rng = np.random.default_rng(89)
+        samples = 7
+        for net in cases:
+            order = rng.permutation(net.edge_count)
+            curve = growth_curve(net, order, "clustering", samples)
+            for k in range(samples):
+                count = math.ceil((k + 1) / samples * net.edge_count)
+                g = to_networkx(net, order[:count])
+                # Averaged over all N nodes, isolated ones included.
+                assert math.isclose(
+                    curve[k], nx.average_clustering(g), rel_tol=1e-12, abs_tol=1e-15
+                )
+
+
+class TestMalformedOrderings:
+    @pytest.fixture(scope="class")
+    def net(self):
+        return pa_network(50)
+
+    def bad_arrays(self, m, first):
+        """Length M - 1, all equal, and one value duplicated."""
+        dup = np.arange(first, m + first)
+        dup[1] = dup[0]
+        return [np.arange(first, m - 1 + first), np.full(m, first), dup]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_hub_radar_rejects_bad_ranks(self, net, case):
+        truth = ground_truth_ordering(net.alpha)
+        bad = self.bad_arrays(net.edge_count, first=1)[case]
+        with pytest.raises(InvalidPermutation):
+            hub_radar(net, bad, truth)
+        with pytest.raises(InvalidPermutation):
+            hub_radar(net, truth, bad)
+        broken = GlobalOrdering(borda_scores=truth.borda_scores, ranks=bad, source=truth.source)
+        with pytest.raises(InvalidPermutation):
+            hub_radar(net, broken, truth)
+
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("prop", ["clustering", "degree_gini"])
+    def test_growth_curve_and_trajectory_nrmse_reject_bad_orders(self, net, case, prop):
+        truth = ground_truth_ordering(net.alpha)
+        bad = self.bad_arrays(net.edge_count, first=0)[case]
+        with pytest.raises(InvalidPermutation):
+            growth_curve(net, bad, prop, samples=10)
+        with pytest.raises(InvalidPermutation):
+            trajectory_nrmse(net, bad, truth, prop, samples=10)
+        with pytest.raises(InvalidPermutation):
+            trajectory_nrmse(net, truth, bad, prop, samples=10)
+
+    def test_bare_arrays_keep_their_meaning(self, net):
+        truth = ground_truth_ordering(net.alpha)
+        rev = reversed_ordering(truth)
+        # hub_radar reads 1-based ranks, so a 0-based order is rejected.
+        a = hub_radar(net, rev.ranks, truth.ranks)
+        b = hub_radar(net, rev, truth)
+        assert np.array_equal(a.nrmse, b.nrmse)
+        with pytest.raises(InvalidPermutation):
+            hub_radar(net, rev.order, truth)
+        # growth_curve reads an order, earliest edge first.
+        assert np.array_equal(
+            growth_curve(net, rev.order, "clustering", 10),
+            growth_curve(net, rev, "clustering", 10),
+        )
+        with pytest.raises(InvalidPermutation):
+            growth_curve(net, rev.ranks, "clustering", 10)
+
+
+class TestReplayDesign:
+    def test_report_builds_no_prefix_graph(self, monkeypatch):
+        import netchron.evaluation
+        import netchron.graph
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the report rebuilt a prefix graph")
+
+        for module in (netchron.graph, netchron.evaluation):
+            for name in ("prefix_graph", "local_clustering"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        net = timed_network(61)
+        rev = reversed_ordering(ground_truth_ordering(net.alpha))
+        report = evaluation_report(net, rev, samples=12)
+        assert len(report["growth_curves"]["clustering_predicted"]) == 12
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        net = pa_network(20000)
+        rng = np.random.default_rng(97)
+        return (net,) + tuple(random_rank_orderings(net, rng, count=1))
+
+    def test_curves_stay_linear_in_memory(self, big):
+        # At N = 20 000 a (samples, N) float matrix alone is 8 MB.
+        net, truth, pred = big
+        gini = peak_traced_mb(lambda: growth_curve(net, pred, "degree_gini"))
+        assert gini < 4.0
+        radar = peak_traced_mb(lambda: hub_radar(net, pred, truth))
+        assert radar < 2.0
+        # The clustering curve adds little to listing the triangles.
+        listing = peak_traced_mb(lambda: triangles(net))
+        clustering = peak_traced_mb(lambda: growth_curve(net, pred, "clustering"))
+        assert clustering < listing + 2.0
+        assert peak_traced_mb(lambda: evaluation_report(net, pred)) < 12.0
 
 
 class TestFeatureTimeCorrelation:
