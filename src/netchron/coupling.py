@@ -132,30 +132,26 @@ def _activation_grad(name, pre, post):
 def _neighbor_mix(net, h, norm):
     """Normalized neighbor aggregate; isolated nodes get zero rows."""
     if norm == "mean":
-        deg = net.degrees.astype(np.float64)
-        safe = np.where(deg > 0, deg, 1.0)
-        return neighbor_sum(net, h) / safe[:, None]
-    scale = np.zeros(net.node_count)
-    deg = net.degrees.astype(np.float64)
-    nz = deg > 0
-    scale[nz] = 1.0 / np.sqrt(deg[nz])
-    return scale[:, None] * neighbor_sum(net, scale[:, None] * h)
+        return neighbor_sum(net, h) / net.safe_degrees[:, None]
+    scale = net.inv_sqrt_degrees[:, None]
+    return scale * neighbor_sum(net, scale * h)
 
 
 def _neighbor_mix_transpose(net, g, norm):
     """Transpose of the aggregate operator, for backpropagation."""
     if norm == "mean":
-        deg = net.degrees.astype(np.float64)
-        safe = np.where(deg > 0, deg, 1.0)
-        return neighbor_sum(net, g / safe[:, None])
+        return neighbor_sum(net, g / net.safe_degrees[:, None])
     return _neighbor_mix(net, g, norm)
 
 
-def propagate(net, node_inputs, weights, return_cache=False):
+def propagate(net, node_inputs, weights, return_cache=False, first_mix=None):
     """Forward pass; returns (N, d_L) embeddings.
 
     With return_cache=True also returns the intermediates needed by
-    propagate_backward.
+    propagate_backward. first_mix, when given, is layer 0's neighbor
+    aggregate of node_inputs (it depends on neither weights nor the
+    layer), so a caller that propagates the same inputs many times
+    computes it once.
     """
     h = np.asarray(node_inputs, dtype=np.float64)
     if h.shape != (net.node_count, weights.dims[0]):
@@ -165,7 +161,10 @@ def propagate(net, node_inputs, weights, return_cache=False):
         )
     stages = []
     for ws, wn in zip(weights.w_self, weights.w_neigh):
-        mixed = _neighbor_mix(net, h, weights.neighbor_norm)
+        if first_mix is not None and not stages:
+            mixed = first_mix
+        else:
+            mixed = _neighbor_mix(net, h, weights.neighbor_norm)
         pre = h @ ws + mixed @ wn
         post = _activate(weights.activation, pre)
         stages.append((h, mixed, pre, post))
@@ -175,11 +174,13 @@ def propagate(net, node_inputs, weights, return_cache=False):
     return h
 
 
-def propagate_backward(net, weights, stages, grad_out):
+def propagate_backward(net, weights, stages, grad_out, input_grad=True):
     """Gradients of a scalar loss through the propagation stack.
 
     grad_out is dLoss/dEmbedding, shape (N, d_L). Returns
-    (grads for w_self, grads for w_neigh, dLoss/dInputs).
+    (grads for w_self, grads for w_neigh, dLoss/dInputs); with
+    input_grad=False the last item is None and layer 0's transposed
+    aggregate is never computed.
     """
     dh = np.asarray(grad_out, dtype=np.float64)
     g_self = [None] * weights.layer_count
@@ -189,6 +190,8 @@ def propagate_backward(net, weights, stages, grad_out):
         dpre = dh * _activation_grad(weights.activation, pre, post)
         g_self[l] = h_prev.T @ dpre
         g_neigh[l] = mixed.T @ dpre
+        if l == 0 and not input_grad:
+            return g_self, g_neigh, None
         dh = dpre @ weights.w_self[l].T + _neighbor_mix_transpose(
             net, dpre @ weights.w_neigh[l].T, weights.neighbor_norm
         )
@@ -216,9 +219,11 @@ def coupled_backward(embeddings, endpoints, grad_feats):
     """Scatter edge-feature gradients back to node embeddings.
 
     The absolute difference uses the sign subgradient (zero at ties).
+    Each embedding entry sums its u-row terms, then its v-row terms,
+    in edge order: one bincount over flat node * d + column indices.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    d = emb.shape[1]
+    n, d = emb.shape
     u = endpoints[:, 0]
     v = endpoints[:, 1]
     g = np.asarray(grad_feats, dtype=np.float64)
@@ -231,7 +236,8 @@ def coupled_backward(embeddings, endpoints, grad_feats):
         g[:, 3 * d:],
     )
     sign = np.sign(emb[u] - emb[v])
-    out = np.zeros_like(emb)
-    np.add.at(out, u, g_u + g_sum + sign * g_abs)
-    np.add.at(out, v, g_v + g_sum - sign * g_abs)
-    return out
+    flat = (np.concatenate([u, v]) * d)[:, None] + np.arange(d)
+    terms = np.concatenate([g_u + g_sum + sign * g_abs, g_v + g_sum - sign * g_abs])
+    return np.bincount(
+        flat.ravel(), weights=terms.ravel(), minlength=n * d
+    ).reshape(n, d)

@@ -103,7 +103,7 @@ def sample_dynamics_params(kind, node_count, seed):
 def _neighbor_prod(net, x):
     out = np.ones(net.node_count)
     if net.adj_indices.size:
-        nonempty = np.flatnonzero(np.diff(net.adj_indptr) > 0)
+        nonempty = np.flatnonzero(net.degrees)
         starts = net.adj_indptr[nonempty]
         out[nonempty] = np.multiply.reduceat(x[net.adj_indices], starts)
     return out
@@ -122,8 +122,7 @@ def _update_gene(net, spec, x):
 
 
 def _update_opinion(net, spec, x):
-    deg = net.degrees.astype(np.float64)
-    mean = np.where(deg > 0, neighbor_sum(net, x) / np.where(deg > 0, deg, 1.0), x)
+    mean = np.where(net.degrees > 0, neighbor_sum(net, x) / net.safe_degrees, x)
     return x + np.asarray(spec.pull) * (mean - x)
 
 

@@ -63,6 +63,21 @@ class TemporalNetwork:
         return np.diff(self.adj_indptr)
 
     @cached_property
+    def safe_degrees(self):
+        """Degrees as floats with isolated nodes at 1, for dividing by."""
+        deg = self.degrees.astype(np.float64)
+        return np.where(deg > 0, deg, 1.0)
+
+    @cached_property
+    def inv_sqrt_degrees(self):
+        """1 / sqrt(degree), 0 for isolated nodes: the symmetric-norm scale."""
+        deg = self.degrees.astype(np.float64)
+        scale = np.zeros(self.node_count)
+        nz = deg > 0
+        scale[nz] = 1.0 / np.sqrt(deg[nz])
+        return scale
+
+    @cached_property
     def endpoints(self):
         """Edges as an (M, 2) int array, column 0 < column 1."""
         return np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -381,13 +396,12 @@ def pagerank(net, damping=0.85, tol=1e-10, max_iter=200):
     n = net.node_count
     if n == 0:
         raise EmptyInput("pagerank needs at least one node")
-    deg = net.degrees.astype(np.float64)
-    dangling = deg == 0
+    dangling = net.degrees == 0
     r = np.full(n, 1.0 / n)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        share = np.where(dangling, 0.0, r / np.where(dangling, 1.0, deg))
+        share = np.where(dangling, 0.0, r / net.safe_degrees)
         spread = neighbor_sum(net, share)
         dangling_mass = r[dangling].sum()
         nxt = (1.0 - damping) / n + damping * (spread + dangling_mass / n)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import (
+    _neighbor_mix,
     coupled_backward,
     coupled_column_names,
     coupled_edge_features,
@@ -306,7 +307,8 @@ def _scorer_forward(scorer, feats):
     return z, pre, act
 
 
-def _scorer_backward(scorer, feats, pre, act, dz):
+def _scorer_backward(scorer, feats, pre, act, dz, feats_grad=True):
+    """Scorer weight gradients, plus dLoss/dfeats unless feats_grad is False."""
     d_w_out = act.T @ dz
     d_b_out = np.asarray(dz.sum(), dtype=np.float64)
     d_act = np.outer(dz, scorer.w_out)
@@ -316,7 +318,7 @@ def _scorer_backward(scorer, feats, pre, act, dz):
         d_pre = d_act * (pre > 0.0)
     d_w_hidden = feats.T @ d_pre
     d_b_hidden = d_pre.sum(axis=0)
-    d_feats = d_pre @ scorer.w_hidden.T
+    d_feats = d_pre @ scorer.w_hidden.T if feats_grad else None
     return d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats
 
 
@@ -378,13 +380,18 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
     return train, val
 
 
-def _forward_scores(model, inputs, edge_rows, net=None):
-    """Scores for the given edge rows, plus the caches backprop needs."""
+def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
+    """Scores for the given edge rows, plus the caches backprop needs.
+
+    first_mix is layer 0's neighbor aggregate of inputs.node_inputs, if
+    the caller has it (see coupling.propagate).
+    """
     static_rows = inputs.static.values[edge_rows]
     cache = {"edge_rows": edge_rows, "static_rows": static_rows}
     if model.propagation is not None and inputs.node_inputs is not None:
         emb, stages = propagate(
-            net, inputs.node_inputs, model.propagation, return_cache=True
+            net, inputs.node_inputs, model.propagation, return_cache=True,
+            first_mix=first_mix,
         )
         endpoints = net.endpoints[edge_rows]
         cpl = coupled_edge_features(emb, endpoints)
@@ -397,29 +404,46 @@ def _forward_scores(model, inputs, edge_rows, net=None):
     return z, cache
 
 
-def _pair_logits(model, inputs, pairs, net=None):
+def _edge_slots(flat, edge_count):
+    """Sorted distinct edge ids of flat and each entry's slot among them.
+
+    Equal to np.unique(flat, return_inverse=True), by a bitmap over the
+    edge ids in O(edge_count + flat.size) instead of a sort.
+    """
+    seen = np.zeros(edge_count, dtype=bool)
+    seen[flat] = True
+    rows = np.flatnonzero(seen)
+    return rows, (np.cumsum(seen) - 1)[flat]
+
+
+def _pair_logits(model, inputs, pairs, net=None, first_mix=None):
     """Logits d = z_a - z_b and labels y of a pair set, plus the caches.
 
     The cache also holds each pair's positions a_pos, b_pos in the
     scored edge rows.
     """
     arr = _pairs_array(pairs)
-    edge_rows, inverse = np.unique(arr[:, :2].ravel(), return_inverse=True)
-    z, cache = _forward_scores(model, inputs, edge_rows, net=net)
+    edge_rows, inverse = _edge_slots(
+        arr[:, :2].ravel(), inputs.static.values.shape[0]
+    )
+    z, cache = _forward_scores(model, inputs, edge_rows, net=net,
+                               first_mix=first_mix)
     a_pos = inverse[0::2]
     b_pos = inverse[1::2]
     cache.update(a_pos=a_pos, b_pos=b_pos)
     return z[a_pos] - z[b_pos], arr[:, 2].astype(np.float64), cache
 
 
-def loss(model, inputs, pairs, net=None):
+def loss(model, inputs, pairs, net=None, first_mix=None):
     """Total pairwise cross-entropy plus scorer L2, with all gradients.
 
     Returns (value, grads) where grads has one entry per params() key,
     accumulated by reverse mode through the scorer and, when present,
-    the propagation stack.
+    the propagation stack. first_mix is as for _forward_scores.
     """
-    d, y, cache = _pair_logits(model, inputs, pairs, net=net)
+    d, y, cache = _pair_logits(model, inputs, pairs, net=net,
+                               first_mix=first_mix)
+    coupled = model.propagation is not None and inputs.node_inputs is not None
     ce = float(np.sum(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
 
     eta = model.config.l2_coeff
@@ -432,14 +456,17 @@ def loss(model, inputs, pairs, net=None):
     )
     value = ce + reg
 
-    # d(ce)/dd = sigmoid(d) - y, then scatter onto the two score slots.
+    # d(ce)/dd = sigmoid(d) - y, then scatter onto the two score slots:
+    # every a-slot term, then every b-slot term, in pair order.
     dd = _stable_sigmoid(d) - y
-    dz = np.zeros(cache["edge_rows"].size)
-    np.add.at(dz, cache["a_pos"], dd)
-    np.add.at(dz, cache["b_pos"], -dd)
+    dz = np.bincount(
+        np.concatenate([cache["a_pos"], cache["b_pos"]]),
+        weights=np.concatenate([dd, -dd]),
+        minlength=cache["edge_rows"].size,
+    )
 
     d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats = _scorer_backward(
-        sc, cache["feats"], cache["pre"], cache["act"], dz
+        sc, cache["feats"], cache["pre"], cache["act"], dz, feats_grad=coupled
     )
     grads = {
         "scorer.w_hidden": d_w_hidden + 2.0 * eta * sc.w_hidden,
@@ -447,12 +474,12 @@ def loss(model, inputs, pairs, net=None):
         "scorer.w_out": d_w_out + 2.0 * eta * sc.w_out,
         "scorer.b_out": d_b_out + 2.0 * eta * np.asarray(sc.b_out),
     }
-    if model.propagation is not None and inputs.node_inputs is not None:
+    if coupled:
         width = inputs.static.values.shape[1]
         d_cpl = d_feats[:, width:]
         d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl)
         g_self, g_neigh, _ = propagate_backward(
-            net, model.propagation, cache["stages"], d_emb
+            net, model.propagation, cache["stages"], d_emb, input_grad=False
         )
         for l in range(model.propagation.layer_count):
             grads["prop.self.%d" % l] = g_self[l]
@@ -460,9 +487,9 @@ def loss(model, inputs, pairs, net=None):
     return value, grads
 
 
-def _pair_metrics(model, inputs, pairs, net=None):
+def _pair_metrics(model, inputs, pairs, net=None, first_mix=None):
     """Mean cross-entropy and accuracy over a pair set (no gradients)."""
-    d, y, _ = _pair_logits(model, inputs, pairs, net=net)
+    d, y, _ = _pair_logits(model, inputs, pairs, net=net, first_mix=first_mix)
     ce = float(np.mean(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
     acc = float(np.mean((d > 0) == (y == 1)))
     return ce, acc
@@ -503,55 +530,90 @@ def train(net, inputs, config):
         input_dim += 4 * config.embedding_dims[-1]
         columns = columns + coupled_column_names(config.embedding_dims[-1])
     model = init_cpnn(input_dim, config, feature_columns=columns, coupling=coupling)
+    first_mix = None
+    if coupling:
+        first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)
 
-    params = {k: v.copy() for k, v in model.params().items()}
-    moment1 = {k: np.zeros_like(v) for k, v in params.items()}
-    moment2 = {k: np.zeros_like(v) for k, v in params.items()}
+    # Every parameter lives in one flat vector; the model's arrays are
+    # views into it, and Adam updates it in place.
+    start = model.params()
+    flat = np.concatenate([p.ravel() for p in start.values()])
+    moment1 = np.zeros_like(flat)
+    moment2 = np.zeros_like(flat)
+    grad = np.empty_like(flat)
+    m_hat = np.empty_like(flat)
+    v_hat = np.empty_like(flat)
+
+    def views_of(vector):
+        out = {}
+        offset = 0
+        for key, arr in start.items():
+            out[key] = vector[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        return out
+
+    params = views_of(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     shuffler = np.random.default_rng(config.seed + 3)
 
     log = []
     best_acc = -np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = flat.copy()
     best_epoch = 0
     for epoch in range(1, config.epochs + 1):
         order = shuffler.permutation(train_arr.shape[0])
+        grad_sq = 0.0
         for lo in range(0, order.size, config.batch_size):
             batch = train_arr[order[lo:lo + config.batch_size]]
             model = model.with_params(params)
-            _, grads = loss(model, inputs, batch, net=net)
+            _, grads = loss(model, inputs, batch, net=net, first_mix=first_mix)
+            np.concatenate([grads[key].ravel() for key in start], out=grad)
+            grad_sq += float(np.dot(grad, grad))
             step += 1
-            for key in params:
-                g = grads[key]
-                moment1[key] = beta1 * moment1[key] + (1.0 - beta1) * g
-                moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * g * g
-                m_hat = moment1[key] / (1.0 - beta1**step)
-                v_hat = moment2[key] / (1.0 - beta2**step)
-                params[key] = params[key] - config.learning_rate * m_hat / (
-                    np.sqrt(v_hat) + eps
-                )
+            # Adam, operation for operation as m = beta1 m + (1 - beta1) g,
+            # v = beta2 v + (1 - beta2) g g, p = p - lr m_hat / (sqrt(v_hat) + eps).
+            moment1 *= beta1
+            np.multiply(grad, 1.0 - beta1, out=m_hat)
+            moment1 += m_hat
+            moment2 *= beta2
+            np.multiply(grad, 1.0 - beta2, out=v_hat)
+            v_hat *= grad
+            moment2 += v_hat
+            np.divide(moment1, 1.0 - beta1**step, out=m_hat)
+            m_hat *= config.learning_rate
+            np.divide(moment2, 1.0 - beta2**step, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += eps
+            m_hat /= v_hat
+            flat -= m_hat
         model = model.with_params(params)
-        train_ce, train_acc = _pair_metrics(model, inputs, train_arr, net=net)
+        train_ce, train_acc = _pair_metrics(
+            model, inputs, train_arr, net=net, first_mix=first_mix
+        )
+        batches = math.ceil(order.size / config.batch_size)
         entry = {
             "epoch": epoch,
             "train_loss": train_ce,
             "train_accuracy": train_acc,
+            "grad_norm": math.sqrt(grad_sq / batches),
         }
         if val_arr.shape[0]:
-            val_ce, val_acc = _pair_metrics(model, inputs, val_arr, net=net)
+            val_ce, val_acc = _pair_metrics(
+                model, inputs, val_arr, net=net, first_mix=first_mix
+            )
             entry["val_loss"] = val_ce
             entry["val_accuracy"] = val_acc
             if val_acc > best_acc:
                 best_acc = val_acc
-                best_params = {k: v.copy() for k, v in params.items()}
+                best = flat.copy()
                 best_epoch = epoch
         log.append(entry)
     if not val_arr.shape[0]:
-        best_params = params
+        best = flat.copy()
         best_epoch = config.epochs
     return TrainResult(
-        model=model.with_params(best_params),
+        model=model.with_params(views_of(best)),
         log=tuple(log),
         best_epoch=best_epoch,
         train_pairs=int(train_arr.shape[0]),

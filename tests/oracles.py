@@ -379,3 +379,145 @@ def hub_curve_by_scan(net, ranks, hub, samples):
     incident = [k for k, (a, b) in enumerate(net.edges) if hub in (a, b)]
     positions = np.sort(np.asarray(ranks, dtype=np.float64)[incident])
     return np.searchsorted(positions, cutoffs, side="right").astype(np.float64)
+
+
+def coupled_backward_by_add_at(embeddings, endpoints, grad_feats):
+    """Edge-feature gradients scattered onto nodes with two np.add.at calls."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    d = emb.shape[1]
+    u = endpoints[:, 0]
+    v = endpoints[:, 1]
+    g = np.asarray(grad_feats, dtype=np.float64)
+    g_u, g_v, g_sum, g_abs = g[:, :d], g[:, d:2 * d], g[:, 2 * d:3 * d], g[:, 3 * d:]
+    sign = np.sign(emb[u] - emb[v])
+    out = np.zeros_like(emb)
+    np.add.at(out, u, g_u + g_sum + sign * g_abs)
+    np.add.at(out, v, g_v + g_sum - sign * g_abs)
+    return out
+
+
+def _loss_by_add_at(model, inputs, pairs, net):
+    """ranker.loss's gradients, scored through np.unique and scattered by np.add.at."""
+    from netchron.coupling import propagate_backward
+    from netchron.ranker import _forward_scores, _scorer_backward, _stable_sigmoid
+
+    arr = np.asarray(pairs, dtype=np.int64)
+    edge_rows, inverse = np.unique(arr[:, :2].ravel(), return_inverse=True)
+    z, cache = _forward_scores(model, inputs, edge_rows, net=net)
+    a_pos, b_pos = inverse[0::2], inverse[1::2]
+    dd = _stable_sigmoid(z[a_pos] - z[b_pos]) - arr[:, 2].astype(np.float64)
+    dz = np.zeros(edge_rows.size)
+    np.add.at(dz, a_pos, dd)
+    np.add.at(dz, b_pos, -dd)
+    eta = model.config.l2_coeff
+    sc = model.scorer
+    d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats = _scorer_backward(
+        sc, cache["feats"], cache["pre"], cache["act"], dz
+    )
+    grads = {
+        "scorer.w_hidden": d_w_hidden + 2.0 * eta * sc.w_hidden,
+        "scorer.b_hidden": d_b_hidden + 2.0 * eta * sc.b_hidden,
+        "scorer.w_out": d_w_out + 2.0 * eta * sc.w_out,
+        "scorer.b_out": d_b_out + 2.0 * eta * np.asarray(sc.b_out),
+    }
+    if "embeddings" in cache:
+        width = inputs.static.values.shape[1]
+        d_emb = coupled_backward_by_add_at(
+            cache["embeddings"], cache["endpoints"], d_feats[:, width:]
+        )
+        g_self, g_neigh, _ = propagate_backward(
+            net, model.propagation, cache["stages"], d_emb
+        )
+        for l in range(model.propagation.layer_count):
+            grads["prop.self.%d" % l] = g_self[l]
+            grads["prop.neigh.%d" % l] = g_neigh[l]
+    return grads
+
+
+def _pair_metrics_by_unique(model, inputs, pairs, net):
+    from netchron.ranker import _forward_scores, _softplus
+
+    edge_rows, inverse = np.unique(pairs[:, :2].ravel(), return_inverse=True)
+    z, _ = _forward_scores(model, inputs, edge_rows, net=net)
+    d = z[inverse[0::2]] - z[inverse[1::2]]
+    y = pairs[:, 2].astype(np.float64)
+    ce = float(np.mean(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
+    return ce, float(np.mean((d > 0) == (y == 1)))
+
+
+def train_by_key_loop(net, inputs, config):
+    """ranker.train as a per-key loop: Adam over params() dicts, new arrays each step.
+
+    Every batch rebuilds the model from the dict, recomputes layer 0's
+    neighbor aggregate and the input gradient it throws away. Returns
+    (best params, log, best_epoch); each log entry's grad_norm is the
+    RMS over the epoch's batches of sqrt(sum over keys of sum(g ** 2)).
+    """
+    from netchron.coupling import coupled_column_names
+    from netchron.features import FeatureMode
+    from netchron.ranker import init_cpnn, make_pairs
+
+    config = config.validated()
+    train_arr, val_arr = make_pairs(
+        net, config.label_fraction, config.pair_budget, config.seed,
+        val_fraction=config.val_fraction,
+    )
+    input_dim = inputs.static.values.shape[1]
+    columns = inputs.static.columns
+    coupling = (
+        FeatureMode(config.mode) is not FeatureMode.STATE_ONLY
+        and inputs.node_inputs is not None
+    )
+    if coupling:
+        input_dim += 4 * config.embedding_dims[-1]
+        columns = columns + coupled_column_names(config.embedding_dims[-1])
+    model = init_cpnn(input_dim, config, feature_columns=columns, coupling=coupling)
+    params = {k: v.copy() for k, v in model.params().items()}
+    moment1 = {k: np.zeros_like(v) for k, v in params.items()}
+    moment2 = {k: np.zeros_like(v) for k, v in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    shuffler = np.random.default_rng(config.seed + 3)
+    log = []
+    best_acc = -np.inf
+    best_params = {k: v.copy() for k, v in params.items()}
+    best_epoch = 0
+    for epoch in range(1, config.epochs + 1):
+        order = shuffler.permutation(train_arr.shape[0])
+        squares = []
+        for lo in range(0, order.size, config.batch_size):
+            batch = train_arr[order[lo:lo + config.batch_size]]
+            model = model.with_params(params)
+            grads = _loss_by_add_at(model, inputs, batch, net)
+            squares.append(sum(float(np.sum(g * g)) for g in grads.values()))
+            step += 1
+            for key in params:
+                g = grads[key]
+                moment1[key] = beta1 * moment1[key] + (1.0 - beta1) * g
+                moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * g * g
+                m_hat = moment1[key] / (1.0 - beta1**step)
+                v_hat = moment2[key] / (1.0 - beta2**step)
+                params[key] = params[key] - config.learning_rate * m_hat / (
+                    np.sqrt(v_hat) + eps
+                )
+        model = model.with_params(params)
+        train_ce, train_acc = _pair_metrics_by_unique(model, inputs, train_arr, net)
+        entry = {
+            "epoch": epoch,
+            "train_loss": train_ce,
+            "train_accuracy": train_acc,
+            "grad_norm": math.sqrt(sum(squares) / len(squares)),
+        }
+        if val_arr.shape[0]:
+            val_ce, val_acc = _pair_metrics_by_unique(model, inputs, val_arr, net)
+            entry["val_loss"] = val_ce
+            entry["val_accuracy"] = val_acc
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_params = {k: v.copy() for k, v in params.items()}
+                best_epoch = epoch
+        log.append(entry)
+    if not val_arr.shape[0]:
+        best_params = params
+        best_epoch = config.epochs
+    return best_params, log, best_epoch

@@ -164,6 +164,40 @@ class TestBackward:
         fd_in = oracles.finite_difference_grad(input_loss, h)
         assert oracles.max_relative_error(g_in, fd_in) < tol
 
+    @pytest.mark.parametrize("norm", ["mean", "symmetric"])
+    def test_skipping_the_input_gradient_keeps_weight_gradients(self, norm):
+        rng = np.random.default_rng(30)
+        net = oracles.random_network(rng, max_nodes=9, min_nodes=5)
+        weights = init_propagation((4, 5, 3), seed=2, neighbor_norm=norm)
+        h = rng.normal(size=(net.node_count, 4))
+        probe = rng.normal(size=(net.node_count, 3))
+        _, stages = propagate(net, h, weights, return_cache=True)
+        full = propagate_backward(net, weights, stages, probe)
+        lean = propagate_backward(net, weights, stages, probe, input_grad=False)
+        assert lean[2] is None
+        for l in range(2):
+            assert np.array_equal(lean[0][l], full[0][l])
+            assert np.array_equal(lean[1][l], full[1][l])
+
+    @pytest.mark.parametrize("norm", ["mean", "symmetric"])
+    def test_precomputed_first_mix_changes_nothing(self, norm):
+        from netchron.coupling import _neighbor_mix
+
+        rng = np.random.default_rng(31)
+        net = build_network(6, [(0, 1), (1, 2), (2, 0), (3, 4)])  # node 5 isolated
+        weights = init_propagation((4, 3, 2), seed=5, neighbor_norm=norm)
+        h = rng.normal(size=(6, 4))
+        mix = _neighbor_mix(net, h, norm)
+        out, stages = propagate(net, h, weights, return_cache=True)
+        out_mix, stages_mix = propagate(
+            net, h, weights, return_cache=True, first_mix=mix
+        )
+        assert np.array_equal(out, out_mix)
+        assert stages_mix[0][1] is mix
+        for a, b in zip(stages, stages_mix):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+
 
 class TestCoupledFeatures:
     def test_blocks(self):

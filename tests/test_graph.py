@@ -103,6 +103,18 @@ class TestBuildNetwork:
                     assert net.edges[k] == (min(i, j), max(i, j))
 
 
+class TestDegreeScales:
+    def test_safe_degrees_and_symmetric_scale(self):
+        net = build_network(5, [(0, 1), (0, 2), (0, 3), (1, 2)])  # node 4 isolated
+        assert net.safe_degrees.tolist() == [3.0, 2.0, 2.0, 1.0, 1.0]
+        assert net.safe_degrees.dtype == np.float64
+        assert np.array_equal(
+            net.inv_sqrt_degrees,
+            [1.0 / np.sqrt(3.0), 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 1.0, 0.0],
+        )
+        assert net.safe_degrees is net.safe_degrees
+
+
 class TestPrefixGraph:
     def test_keeps_first_ceil_fraction(self):
         net = path4()

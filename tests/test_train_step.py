@@ -1,0 +1,206 @@
+"""The training step against the per-key loop it replaced, and its work counts.
+
+train keeps every parameter in one flat vector updated in place, mixes
+layer 0's constant inputs once per call, and scatters by bincount. The
+oracle (oracles.train_by_key_loop) does none of that, so equality here
+is bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import netchron.coupling
+import netchron.ranker
+from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
+from netchron.dynamics import DynamicsKind, DynamicsSpec, simulate
+from netchron.features import FeatureMode
+from netchron.graph import build_network
+from netchron.ranker import TrainConfig, _edge_slots, make_pairs, prepare_inputs, train
+
+import oracles
+
+
+def instance(kind, mode):
+    """A PA graph, or the same graph with four isolated nodes appended."""
+    net = generate_synthetic(
+        SynthSpec(
+            kind=SynthKind.PREFERENTIAL_ATTACHMENT,
+            node_count=40,
+            edges_per_node=2,
+            seed=5,
+        )
+    )
+    if kind == "isolated":
+        net = build_network(net.node_count + 4, list(net.edges), times=list(net.alpha))
+    state = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=5).values
+    return net, prepare_inputs(net, state, mode)
+
+
+def config(mode, norm="mean", activation="tanh", val_fraction=0.1, **kw):
+    fields = dict(
+        mode=mode,
+        neighbor_norm=norm,
+        activation=activation,
+        scorer_activation=activation,
+        val_fraction=val_fraction,
+        label_fraction=0.5,
+        pair_budget=600,
+        batch_size=64,
+        epochs=4,
+        hidden=8,
+        embedding_dims=(4, 6, 5),
+        seed=7,
+    )
+    fields.update(kw)
+    return TrainConfig(**fields)
+
+
+CASES = [
+    ("pa", FeatureMode.BOTH, "mean", "tanh", 0.1),
+    ("pa", FeatureMode.BOTH, "symmetric", "relu", 0.0),
+    ("isolated", FeatureMode.BOTH, "symmetric", "tanh", 0.1),
+    ("isolated", FeatureMode.BOTH, "mean", "relu", 0.0),
+    ("pa", FeatureMode.STRUCT_ONLY, "symmetric", "tanh", 0.0),
+    ("isolated", FeatureMode.STRUCT_ONLY, "mean", "relu", 0.1),
+    ("pa", FeatureMode.STATE_ONLY, "mean", "tanh", 0.1),
+    ("isolated", FeatureMode.STATE_ONLY, "mean", "relu", 0.0),
+]
+
+
+class TestMatchesKeyLoop:
+    @pytest.mark.parametrize("kind, mode, norm, activation, val_fraction", CASES)
+    def test_params_and_log_are_bit_identical(
+        self, kind, mode, norm, activation, val_fraction
+    ):
+        net, inputs = instance(kind, mode)
+        cfg = config(mode, norm, activation, val_fraction)
+        result = train(net, inputs, cfg)
+        params, log, best_epoch = oracles.train_by_key_loop(net, inputs, cfg)
+
+        got = result.model.params()
+        assert got.keys() == params.keys()
+        for key, arr in params.items():
+            assert np.array_equal(got[key], arr), key
+        assert result.best_epoch == best_epoch
+        assert len(result.log) == len(log)
+        for entry, want in zip(result.log, log):
+            assert entry.keys() == want.keys()
+            for key, value in want.items():
+                if key == "grad_norm":
+                    # Summed in another order (flat dot vs per key).
+                    assert entry[key] == pytest.approx(value, rel=1e-12)
+                else:
+                    assert entry[key] == value, key
+
+
+class TestCoupledBackwardOracle:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_star_batch_sums_like_add_at(self, d):
+        # Every edge touches the hub (node 0), on either side.
+        rng = np.random.default_rng(3)
+        emb = rng.normal(size=(9, d))
+        leaves = rng.integers(1, 9, size=40)
+        endpoints = np.column_stack([np.zeros(40, dtype=np.int64), leaves])
+        endpoints[::3] = endpoints[::3, ::-1]
+        grad = rng.normal(size=(40, 4 * d))
+        assert np.array_equal(
+            netchron.coupling.coupled_backward(emb, endpoints, grad),
+            oracles.coupled_backward_by_add_at(emb, endpoints, grad),
+        )
+
+    def test_random_endpoints_sum_like_add_at(self):
+        rng = np.random.default_rng(4)
+        emb = rng.normal(size=(30, 5))
+        emb[3] = emb[4]  # a tie: zero subgradient
+        endpoints = rng.integers(0, 30, size=(200, 2))
+        endpoints[0] = (3, 4)
+        grad = rng.normal(size=(200, 20)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+        assert np.array_equal(
+            netchron.coupling.coupled_backward(emb, endpoints, grad),
+            oracles.coupled_backward_by_add_at(emb, endpoints, grad),
+        )
+
+
+class TestEdgeSlots:
+    @pytest.mark.parametrize("m", [1, 2, 17, 400])
+    def test_bitmap_equals_unique(self, m):
+        rng = np.random.default_rng(m)
+        flat = rng.integers(0, m, size=3 * m + 2)
+        flat[:2] = (0, m - 1)  # a pair that touches the first and last edge
+        rows, inverse = _edge_slots(flat, m)
+        want_rows, want_inverse = np.unique(flat, return_inverse=True)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(inverse, want_inverse)
+        assert np.array_equal(rows[inverse], flat)
+
+
+def batches_per_epoch(net, cfg):
+    train_arr, _ = make_pairs(
+        net, cfg.label_fraction, cfg.pair_budget, cfg.seed,
+        val_fraction=cfg.val_fraction,
+    )
+    return math.ceil(train_arr.shape[0] / cfg.batch_size)
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("norm", ["mean", "symmetric"])
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.1])
+    def test_neighbor_sums_per_call(self, monkeypatch, norm, val_fraction):
+        net, inputs = instance("pa", FeatureMode.BOTH)
+        cfg = config(FeatureMode.BOTH, norm, val_fraction=val_fraction)
+        calls = []
+        real = netchron.coupling.neighbor_sum
+
+        def counting(net, x):
+            calls.append(x.shape)
+            return real(net, x)
+
+        monkeypatch.setattr(netchron.coupling, "neighbor_sum", counting)
+        train(net, inputs, cfg)
+        # Two propagation layers. Per batch: layer 1's aggregate forward
+        # and its transpose backward (layer 0's transpose is skipped).
+        # Per metric pass (train, plus validation if any): layer 1's
+        # aggregate. Per call: layer 0's aggregate, hoisted.
+        passes = 2 if val_fraction else 1
+        expected = (
+            2 * cfg.epochs * batches_per_epoch(net, cfg)
+            + passes * cfg.epochs
+            + 1
+        )
+        assert len(calls) == expected
+        assert calls.count((net.node_count, 4)) == 1
+
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STATE_ONLY])
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.1])
+    def test_loss_runs_once_per_batch(self, monkeypatch, mode, val_fraction):
+        net, inputs = instance("pa", mode)
+        cfg = config(mode, val_fraction=val_fraction)
+        seen = []
+        real = netchron.ranker.loss
+
+        def counting(model, *args, **kwargs):
+            seen.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(netchron.ranker, "loss", counting)
+        result = train(net, inputs, cfg)
+        assert len(seen) == cfg.epochs * batches_per_epoch(net, cfg)
+        # The returned model owns its memory: no array of it is a view
+        # of the flat vector the batches trained.
+        for key, arr in result.model.params().items():
+            for model in seen:
+                assert not np.shares_memory(arr, model.params()[key]), key
+
+
+class TestRepeatable:
+    def test_two_calls_give_equal_models(self):
+        net, inputs = instance("isolated", FeatureMode.BOTH)
+        cfg = config(FeatureMode.BOTH, "symmetric", val_fraction=0.0)
+        first = train(net, inputs, cfg)
+        second = train(net, inputs, cfg)
+        assert first.log == second.log
+        for key, arr in first.model.params().items():
+            assert np.array_equal(arr, second.model.params()[key])
+            assert not np.shares_memory(arr, second.model.params()[key])
