@@ -132,7 +132,8 @@ def _int_list(value, name):
         raise ParseError("%s must hold finite integers" % name) from None
 
 
-def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0):
+def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0,
+                    warnings=()):
     manifest = {
         "command": command,
         "config": config,
@@ -146,6 +147,7 @@ def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0):
             for name, path in outputs.items()
         },
         "timings": {"total_seconds": round(time.time() - t0, 3)},
+        "warnings": list(warnings),
         "versions": {
             "netchron": __version__,
             "numpy": np.__version__,
@@ -223,13 +225,28 @@ TRAIN_DEFAULTS = dict(
 )
 
 
-def _load_state_for(net, path):
-    values, _ = load_steady_state(path)
+def _load_state_for(net, path, warnings):
+    """The steady state's values for net.
+
+    A state whose metadata says it did not converge is still used; the
+    fact is appended to warnings and printed on stderr.
+    """
+    values, meta = load_steady_state(path)
     if values.shape != (net.node_count,):
         raise RowMismatch(
             "steady state has %d values, graph has %d nodes"
             % (values.shape[0], net.node_count)
         )
+    if meta is None:
+        return values
+    if not isinstance(meta, dict):
+        raise ParseError("%s.meta.json must hold a JSON object" % path)
+    if meta.get("converged") is False:
+        message = "steady state %s did not converge (steps=%s, residual=%s)" % (
+            path, meta.get("steps"), meta.get("residual"),
+        )
+        warnings.append(message)
+        print("warning: %s" % message, file=sys.stderr)
     return values
 
 
@@ -240,7 +257,8 @@ def cmd_train(args):
     train_cfg = config_from_dict(cfg)
     mode = train_cfg.mode
     net = load_edge_list(args.graph)
-    values = _load_state_for(net, args.steady_state)
+    warnings = []
+    values = _load_state_for(net, args.steady_state, warnings)
     inputs = prepare_inputs(net, values, mode)
     result = train(net, inputs, train_cfg)
     save_model(result.model, cfg["out"])
@@ -263,6 +281,7 @@ def cmd_train(args):
         {"graph": args.graph, "steady_state": args.steady_state},
         {"model": cfg["out"], "training_log": log_path},
         t0,
+        warnings=warnings,
     )
     last = result.log[-1]
     summary = "trained mode=%s label_fraction=%s pairs=%d best_epoch=%d" % (
@@ -283,7 +302,8 @@ def cmd_infer(args):
     cfg = _resolve(args, INFER_DEFAULTS)
     _require(cfg, "out")
     net = load_edge_list(args.graph)
-    values = _load_state_for(net, args.steady_state)
+    warnings = []
+    values = _load_state_for(net, args.steady_state, warnings)
     model = load_model(args.model)
     inputs = prepare_inputs(net, values, model.mode)
     scores = predict_scores(model, net, inputs)
@@ -301,6 +321,7 @@ def cmd_infer(args):
         },
         {"ordering": cfg["out"]},
         t0,
+        warnings=warnings,
     )
     print("wrote ordering for %d edges to %s" % (net.edge_count, cfg["out"]))
     return 0
@@ -326,8 +347,9 @@ def cmd_evaluate(args):
     ordering = load_ordering(args.ordering, net)
     fm = structural_edge_features(net)
     inputs = {"ordering": args.ordering, "graph": args.graph}
+    warnings = []
     if cfg["steady_state"] is not None:
-        values = _load_state_for(net, cfg["steady_state"])
+        values = _load_state_for(net, cfg["steady_state"], warnings)
         fm = combine(fm, steady_state_edge_features(net, values))
         inputs["steady_state"] = cfg["steady_state"]
     report = evaluation_report(
@@ -382,6 +404,7 @@ def cmd_evaluate(args):
             "hub_curves": hubs_path,
         },
         t0,
+        warnings=warnings,
     )
     print(
         "pairwise accuracy %.4f, spearman rho %.4f over %d pairs"

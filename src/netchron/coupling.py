@@ -205,14 +205,24 @@ def coupled_column_names(dim):
     return tuple(names)
 
 
-def coupled_edge_features(embeddings, endpoints):
-    """Edge representation [h_u, h_v, h_u + h_v, |h_u - h_v|], (M, 4 d)."""
+def coupled_edge_features(embeddings, endpoints, out=None):
+    """Edge representation [h_u, h_v, h_u + h_v, |h_u - h_v|], (M, 4 d).
+
+    Written into out, an (M, 4 d) array or a column slice of a wider
+    one, when given; returns the filled block.
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
-    u = endpoints[:, 0]
-    v = endpoints[:, 1]
-    hu = emb[u]
-    hv = emb[v]
-    return np.hstack([hu, hv, hu + hv, np.abs(hu - hv)])
+    d = emb.shape[1]
+    if out is None:
+        out = np.empty((endpoints.shape[0], 4 * d))
+    hu = out[:, :d]
+    hv = out[:, d:2 * d]
+    hu[...] = emb[endpoints[:, 0]]
+    hv[...] = emb[endpoints[:, 1]]
+    np.add(hu, hv, out=out[:, 2 * d:3 * d])
+    absdiff = np.subtract(hu, hv, out=out[:, 3 * d:])
+    np.abs(absdiff, out=absdiff)
+    return out
 
 
 def coupled_backward(embeddings, endpoints, grad_feats):

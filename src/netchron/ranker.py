@@ -20,6 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import (
+    ACTIVATIONS,
+    NEIGHBOR_NORMS,
+    _check_dims,
     _neighbor_mix,
     coupled_backward,
     coupled_column_names,
@@ -307,18 +310,25 @@ def _scorer_forward(scorer, feats):
     return z, pre, act
 
 
-def _scorer_backward(scorer, feats, pre, act, dz, feats_grad=True):
-    """Scorer weight gradients, plus dLoss/dfeats unless feats_grad is False."""
+def _scorer_backward(scorer, feats, pre, act, dz, grad_from=None):
+    """Scorer weight gradients, plus dLoss/dfeats[:, grad_from:].
+
+    grad_from=None skips the feature gradient (the last item is None).
+    """
     d_w_out = act.T @ dz
     d_b_out = np.asarray(dz.sum(), dtype=np.float64)
-    d_act = np.outer(dz, scorer.w_out)
+    d_pre = dz[:, None] * scorer.w_out
     if scorer.activation == "tanh":
-        d_pre = d_act * (1.0 - act * act)
+        slope = np.multiply(act, act)
+        np.subtract(1.0, slope, out=slope)
+        d_pre *= slope
     else:
-        d_pre = d_act * (pre > 0.0)
+        d_pre *= pre > 0.0
     d_w_hidden = feats.T @ d_pre
     d_b_hidden = d_pre.sum(axis=0)
-    d_feats = d_pre @ scorer.w_hidden.T if feats_grad else None
+    d_feats = None
+    if grad_from is not None:
+        d_feats = d_pre @ scorer.w_hidden[grad_from:].T
     return d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats
 
 
@@ -383,22 +393,26 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
 def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
     """Scores for the given edge rows, plus the caches backprop needs.
 
+    With coupling, the scorer's input is one (rows, static + 4 d) block:
+    the static rows, then the coupled features written in place.
     first_mix is layer 0's neighbor aggregate of inputs.node_inputs, if
     the caller has it (see coupling.propagate).
     """
-    static_rows = inputs.static.values[edge_rows]
-    cache = {"edge_rows": edge_rows, "static_rows": static_rows}
+    static = inputs.static.values
+    cache = {"edge_rows": edge_rows}
     if model.propagation is not None and inputs.node_inputs is not None:
         emb, stages = propagate(
             net, inputs.node_inputs, model.propagation, return_cache=True,
             first_mix=first_mix,
         )
         endpoints = net.endpoints[edge_rows]
-        cpl = coupled_edge_features(emb, endpoints)
-        feats = np.hstack([static_rows, cpl])
+        width = static.shape[1]
+        feats = np.empty((edge_rows.size, width + 4 * emb.shape[1]))
+        feats[:, :width] = static[edge_rows]
+        coupled_edge_features(emb, endpoints, out=feats[:, width:])
         cache.update(embeddings=emb, stages=stages, endpoints=endpoints)
     else:
-        feats = static_rows
+        feats = static[edge_rows]
     z, pre, act = _scorer_forward(model.scorer, feats)
     cache.update(feats=feats, pre=pre, act=act)
     return z, cache
@@ -465,8 +479,10 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
         minlength=cache["edge_rows"].size,
     )
 
-    d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats = _scorer_backward(
-        sc, cache["feats"], cache["pre"], cache["act"], dz, feats_grad=coupled
+    width = inputs.static.values.shape[1]
+    d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_cpl = _scorer_backward(
+        sc, cache["feats"], cache["pre"], cache["act"], dz,
+        grad_from=width if coupled else None,
     )
     grads = {
         "scorer.w_hidden": d_w_hidden + 2.0 * eta * sc.w_hidden,
@@ -475,8 +491,6 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
         "scorer.b_out": d_b_out + 2.0 * eta * np.asarray(sc.b_out),
     }
     if coupled:
-        width = inputs.static.values.shape[1]
-        d_cpl = d_feats[:, width:]
         d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl)
         g_self, g_neigh, _ = propagate_backward(
             net, model.propagation, cache["stages"], d_emb, input_grad=False
@@ -674,32 +688,94 @@ def save_model(model, path):
     dump_json(payload, path)
 
 
-def load_model(path):
-    payload = load_json(path)
-    if payload.get("format") != "netchron-cpnn":
-        raise FeatureSchemaMismatch("not a model checkpoint: %s" % path)
+def _count(value, name):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError("%s must be a positive integer, got %r" % (name, value))
+    return value
+
+
+def _choice(value, allowed, name):
+    if value not in allowed:
+        raise ParseError("%s must be one of %s, got %r"
+                         % (name, ", ".join(allowed), value))
+    return value
+
+
+def _weights(value, shape, name):
+    """A checkpoint weight as float64, all finite numbers, of the given shape."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ParseError("%s must hold numbers" % name)
+    if arr.shape != shape:
+        raise ParseError("%s has shape %r, expected %r" % (name, arr.shape, shape))
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ParseError("%s holds a non-finite value" % name)
+    return arr
+
+
+def _layer_weights(values, dims, name):
+    if len(values) != len(dims) - 1:
+        raise ParseError("%s has %d layers, dims give %d"
+                         % (name, len(values), len(dims) - 1))
+    return tuple(
+        _weights(w, (dims[l], dims[l + 1]), "%s[%d]" % (name, l))
+        for l, w in enumerate(values)
+    )
+
+
+def _model_from_payload(payload):
+    input_dim = _count(payload["input_dim"], "input_dim")
+    hidden = _count(payload["hidden"], "hidden")
     sc = payload["scorer"]
     scorer = ScorerWeights(
-        w_hidden=np.asarray(sc["w_hidden"], dtype=np.float64),
-        b_hidden=np.asarray(sc["b_hidden"], dtype=np.float64),
-        w_out=np.asarray(sc["w_out"], dtype=np.float64),
-        b_out=float(sc["b_out"]),
-        activation=sc["activation"],
+        w_hidden=_weights(sc["w_hidden"], (input_dim, hidden), "scorer.w_hidden"),
+        b_hidden=_weights(sc["b_hidden"], (hidden,), "scorer.b_hidden"),
+        w_out=_weights(sc["w_out"], (hidden,), "scorer.w_out"),
+        b_out=float(_weights(sc["b_out"], (), "scorer.b_out")),
+        activation=_choice(sc["activation"], ACTIVATIONS, "scorer.activation"),
     )
     propagation = None
-    if payload["propagation"] is not None:
-        pr = payload["propagation"]
+    prop = payload["propagation"]
+    if prop is not None:
+        dims = _check_dims(_count(d, "propagation.dims") for d in prop["dims"])
         propagation = PropagationWeights(
-            w_self=tuple(np.asarray(w, dtype=np.float64) for w in pr["w_self"]),
-            w_neigh=tuple(np.asarray(w, dtype=np.float64) for w in pr["w_neigh"]),
-            dims=tuple(pr["dims"]),
-            activation=pr["activation"],
-            neighbor_norm=pr["neighbor_norm"],
+            w_self=_layer_weights(prop["w_self"], dims, "propagation.w_self"),
+            w_neigh=_layer_weights(prop["w_neigh"], dims, "propagation.w_neigh"),
+            dims=dims,
+            activation=_choice(prop["activation"], ACTIVATIONS,
+                               "propagation.activation"),
+            neighbor_norm=_choice(prop["neighbor_norm"], NEIGHBOR_NORMS,
+                                  "propagation.neighbor_norm"),
         )
+    columns = payload["feature_columns"]
+    if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+        raise ParseError("feature_columns must be a list of names")
+    if not isinstance(payload["config"], dict):
+        raise ParseError("config must be a JSON object")
     return CpnnModel(
         scorer=scorer,
         propagation=propagation,
-        feature_columns=tuple(payload["feature_columns"]),
+        feature_columns=tuple(columns),
         mode=FeatureMode(payload["mode"]),
         config=config_from_dict(payload["config"]),
     )
+
+
+def load_model(path):
+    """Read a save_model checkpoint back.
+
+    A file of another format raises FeatureSchemaMismatch. A missing
+    key, a malformed value, a non-numeric or non-finite weight, or a
+    weight whose shape disagrees with input_dim, hidden or the
+    propagation dims raises ParseError.
+    """
+    payload = load_json(path)
+    if not isinstance(payload, dict) or payload.get("format") != "netchron-cpnn":
+        raise FeatureSchemaMismatch("not a model checkpoint: %s" % path)
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise ParseError("%s: checkpoint lacks key %s" % (path, exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError("%s: malformed checkpoint: %s" % (path, exc)) from None

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ParseError
 
 
 def format_float(x):
@@ -49,8 +49,12 @@ def dump_json(obj, path):
 
 
 def load_json(path):
+    """Parsed JSON file; text that is not valid JSON raises ParseError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError("%s: invalid JSON: %s" % (path, exc)) from None
 
 
 def sha256_file(path):

@@ -33,6 +33,18 @@ def adjacency_matrix(net):
     return a
 
 
+def neighbor_sum_by_loop(net, x):
+    """Each node's CSR row of x summed term by term, left to right, from zero."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros(x.shape)
+    for node in range(net.node_count):
+        total = np.zeros(x.shape[1:])
+        for other in net.adj_indices[net.adj_indptr[node]:net.adj_indptr[node + 1]]:
+            total = total + x[other]
+        out[node] = total
+    return out
+
+
 def clustering_by_definition(net):
     """C(i) = closed neighbor pairs / all neighbor pairs."""
     adj = adjacency_sets(net)
@@ -396,6 +408,17 @@ def coupled_backward_by_add_at(embeddings, endpoints, grad_feats):
     return out
 
 
+def scorer_backward_by_outer(scorer, feats, pre, act, dz):
+    """Scorer gradients with np.outer and fresh temporaries, d_feats for every column."""
+    d_act = np.outer(dz, scorer.w_out)
+    if scorer.activation == "tanh":
+        d_pre = d_act * (1.0 - act * act)
+    else:
+        d_pre = d_act * (pre > 0.0)
+    return (feats.T @ d_pre, d_pre.sum(axis=0), act.T @ dz,
+            np.asarray(dz.sum(), dtype=np.float64), d_pre @ scorer.w_hidden.T)
+
+
 def _loss_by_add_at(model, inputs, pairs, net):
     """ranker.loss's gradients, scored through np.unique and scattered by np.add.at."""
     from netchron.coupling import propagate_backward
@@ -411,8 +434,9 @@ def _loss_by_add_at(model, inputs, pairs, net):
     np.add.at(dz, b_pos, -dd)
     eta = model.config.l2_coeff
     sc = model.scorer
-    d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats = _scorer_backward(
-        sc, cache["feats"], cache["pre"], cache["act"], dz
+    width = inputs.static.values.shape[1]
+    d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_cpl = _scorer_backward(
+        sc, cache["feats"], cache["pre"], cache["act"], dz, grad_from=width
     )
     grads = {
         "scorer.w_hidden": d_w_hidden + 2.0 * eta * sc.w_hidden,
@@ -421,9 +445,8 @@ def _loss_by_add_at(model, inputs, pairs, net):
         "scorer.b_out": d_b_out + 2.0 * eta * np.asarray(sc.b_out),
     }
     if "embeddings" in cache:
-        width = inputs.static.values.shape[1]
         d_emb = coupled_backward_by_add_at(
-            cache["embeddings"], cache["endpoints"], d_feats[:, width:]
+            cache["embeddings"], cache["endpoints"], d_cpl
         )
         g_self, g_neigh, _ = propagate_backward(
             net, model.propagation, cache["stages"], d_emb

@@ -4,10 +4,16 @@ Commands run in-process through main(argv); files land in tmp_path.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import netchron
 from netchron.cli import TRAIN_DEFAULTS, main
 from netchron.datasets import load_edge_list, write_edge_list
 from netchron.dynamics import load_steady_state
@@ -15,7 +21,13 @@ from netchron.errors import NumericalError
 from netchron.features import STATE_COLUMNS, FeatureMode
 from netchron.graph import build_network
 from netchron.ordering import ground_truth_ordering, load_ordering, write_ordering
-from netchron.ranker import CpnnModel, ScorerWeights, TrainConfig, save_model
+from netchron.ranker import (
+    CpnnModel,
+    ScorerWeights,
+    TrainConfig,
+    load_model,
+    save_model,
+)
 from netchron.serialize import dump_json, load_json, sha256_file
 
 
@@ -525,3 +537,159 @@ class TestConfigCoercion:
         assert run("simulate", graph, "--config", cfg, "--out", out) == 3
         assert "invalid value for max_steps" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _set_w_out_entry(payload):
+    payload["scorer"]["w_out"][0] = "x"
+
+
+def _widen_w_self(payload):
+    rows = payload["propagation"]["w_self"][1]
+    payload["propagation"]["w_self"][1] = [row[:31] for row in rows]
+
+
+def _nan_w_hidden(payload):
+    payload["scorer"]["w_hidden"][0][0] = float("nan")
+
+
+class TestMalformedJson:
+    @pytest.fixture()
+    def coupled(self, workspace):
+        """A trained mode-both model with the default 4-32-32 propagation."""
+        tmp_path, graph, state = workspace
+        model = tmp_path / "model.json"
+        assert run("train", graph, state, "--epochs", 1, "--out", model) == 0
+        return tmp_path, graph, state, model
+
+    def infer_exits_3(self, capsys, tmp_path, graph, state, model, needle):
+        out = tmp_path / "ordering.csv"
+        assert run("infer", graph, state, model, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_truncated_model_file(self, coupled, capsys):
+        tmp_path, graph, state, model = coupled
+        model.write_text("{")
+        self.infer_exits_3(capsys, tmp_path, graph, state, model, "invalid JSON")
+
+    def test_truncated_state_metadata(self, coupled, capsys):
+        tmp_path, graph, state, model = coupled
+        (tmp_path / "state.csv.meta.json").write_text("{")
+        self.infer_exits_3(capsys, tmp_path, graph, state, model, "invalid JSON")
+
+    def test_truncated_config_file(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{")
+        out = tmp_path / "m.json"
+        assert run("train", graph, state, "--config", cfg, "--out", out) == 3
+        assert "invalid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_without_scorer(self, coupled, capsys):
+        tmp_path, graph, state, model = coupled
+        model.write_text('{"format": "netchron-cpnn"}')
+        self.infer_exits_3(capsys, tmp_path, graph, state, model, "lacks key")
+
+    @pytest.mark.parametrize("edit, needle", [
+        (_set_w_out_entry, "scorer.w_out must hold numbers"),
+        (_widen_w_self, "propagation.w_self[1] has shape (32, 31)"),
+        (_nan_w_hidden, "scorer.w_hidden holds a non-finite value"),
+    ])
+    def test_bad_weights(self, coupled, capsys, edit, needle):
+        tmp_path, graph, state, model = coupled
+        payload = load_json(model)
+        edit(payload)
+        # json.dumps writes NaN as a bare token, which json.load reads back.
+        model.write_text(json.dumps(payload))
+        self.infer_exits_3(capsys, tmp_path, graph, state, model, needle)
+
+    def test_round_trip_still_loads(self, coupled):
+        tmp_path, graph, state, model = coupled
+        again = tmp_path / "again.json"
+        save_model(load_model(model), again)
+        assert again.read_bytes() == model.read_bytes()
+
+
+class TestSteadyStateWarnings:
+    def test_non_converged_state_warns_and_changes_no_output(self, workspace, capsys):
+        tmp_path, graph, _ = workspace
+        state = tmp_path / "short.csv"
+        assert run("simulate", graph, "--dynamics", "gene", "--seed", 0,
+                   "--max-steps", 5, "--out", state) == 0
+        assert load_json(str(state) + ".meta.json")["converged"] is False
+        # The same values without metadata give the run made without a warning.
+        quiet = tmp_path / "quiet"
+        quiet.mkdir()
+        quiet_state = quiet / "short.csv"
+        quiet_state.write_bytes(state.read_bytes())
+        capsys.readouterr()
+
+        outputs = {}
+        for name, values in (("warned", state), ("quiet", quiet_state)):
+            model = tmp_path / ("%s.json" % name)
+            ordering = tmp_path / ("%s.csv" % name)
+            assert run("train", graph, values, "--epochs", 2, "--hidden", 8,
+                       "--embedding-dims", "4,3,2", "--out", model) == 0
+            assert run("infer", graph, values, model, "--out", ordering) == 0
+            manifests = [load_json(str(path) + ".manifest.json")
+                         for path in (model, ordering)]
+            outputs[name] = (model.read_bytes(), ordering.read_bytes(),
+                             [m["warnings"] for m in manifests],
+                             capsys.readouterr().err)
+
+        model_bytes, ordering_bytes, warnings, err = outputs["warned"]
+        assert all(len(w) == 1 and "did not converge" in w[0] for w in warnings)
+        assert err.count("warning: steady state") == 2
+        assert outputs["quiet"][:2] == (model_bytes, ordering_bytes)
+        assert outputs["quiet"][2:] == ([[], []], "")
+
+    def test_converged_state_leaves_warnings_empty(self, workspace):
+        tmp_path, graph, state = workspace
+        assert load_json(str(state) + ".meta.json")["converged"] is True
+        model = tmp_path / "m.json"
+        assert run("train", graph, state, "--epochs", 1, "--hidden", 8,
+                   "--embedding-dims", "4,3,2", "--out", model) == 0
+        assert load_json(str(model) + ".manifest.json")["warnings"] == []
+
+    def test_metadata_that_is_not_an_object_exits_3(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        (tmp_path / "state.csv.meta.json").write_text("[1, 2]\n")
+        out = tmp_path / "m.json"
+        assert run("train", graph, state, "--epochs", 1, "--out", out) == 3
+        assert "JSON object" in capsys.readouterr().err
+
+
+class TestNumpyOnlyRuntime:
+    def test_pipeline_imports_neither_scipy_nor_networkx(self, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+            from netchron.cli import main
+
+            def run(*argv):
+                assert main([str(a) for a in argv]) == 0
+
+            run("synth", "--n", 30, "--m", 2, "--out", "g.tsv")
+            run("simulate", "g.tsv", "--dynamics", "gene", "--out", "s.csv")
+            run("train", "g.tsv", "s.csv", "--epochs", 1, "--hidden", 4,
+                "--embedding-dims", "4,3", "--out", "m.json")
+            run("infer", "g.tsv", "s.csv", "m.json", "--out", "o.csv")
+            run("evaluate", "o.csv", "g.tsv", "--steady-state", "s.csv",
+                "--samples", 5, "--out", "r.json")
+            loaded = sorted({"scipy", "networkx"} & set(sys.modules))
+            print("heavy modules:", loaded)
+            assert not loaded, loaded
+        """)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(netchron.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "heavy modules: []" in done.stdout

@@ -212,6 +212,18 @@ class TestCoupledFeatures:
         assert names[0] == "embed_u_0"
         assert names[-1] == "embed_absdiff_1"
 
+    def test_writes_into_a_column_slice(self):
+        rng = np.random.default_rng(59)
+        emb = rng.normal(size=(6, 3))
+        endpoints = np.array([[0, 1], [2, 5], [3, 4], [0, 5]])
+        hu, hv = emb[endpoints[:, 0]], emb[endpoints[:, 1]]
+        block = np.full((4, 2 + 12), 7.0)
+        filled = coupled_edge_features(emb, endpoints, out=block[:, 2:])
+        assert np.shares_memory(filled, block)
+        assert np.array_equal(block[:, :2], np.full((4, 2), 7.0))
+        assert np.array_equal(block[:, 2:], np.hstack([hu, hv, hu + hv, np.abs(hu - hv)]))
+        assert np.array_equal(coupled_edge_features(emb, endpoints), block[:, 2:])
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(61)
         emb = rng.normal(size=(5, 3))

@@ -305,6 +305,46 @@ class TestNeighborSum:
         out = neighbor_sum(net, np.array([1.0, 2.0, 3.0]))
         assert np.allclose(out, [2.0, 1.0, 0.0])
 
+    @staticmethod
+    def exact_cases():
+        rng = np.random.default_rng(37)
+        return [
+            build_network(5, []),
+            build_network(9, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6), (6, 7)]),
+            random_graph(rng, 60, 1.5),
+            generate_synthetic(
+                SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 120, 3, seed=4)
+            ),
+        ]
+
+    @pytest.mark.parametrize("width", [None, 1, 4, 27, 32])
+    def test_sums_each_row_left_to_right(self, width):
+        rng = np.random.default_rng(41)
+        cases = self.exact_cases()
+        assert any((net.degrees == 0).any() for net in cases[1:])
+        for net in cases:
+            shape = (net.node_count,) if width is None else (net.node_count, width)
+            # Magnitudes over 12 decades make the summation order visible.
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+            out = neighbor_sum(net, x)
+            assert out.shape == shape
+            assert np.array_equal(out, oracles.neighbor_sum_by_loop(net, x))
+
+    def test_scatter_index_is_cached_per_width_and_per_network(self):
+        first, second = (
+            generate_synthetic(
+                SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 30, 2, seed=4)
+            )
+            for _ in range(2)
+        )
+        assert np.array_equal(first.adj_indices, second.adj_indices)
+        index = first.scatter_index(4)
+        neighbor_sum(first, np.ones((30, 4)))
+        assert first.scatter_index(4) is index
+        assert first.scatter_index(3) is not index
+        assert second.scatter_index(4) is not index
+        assert np.array_equal(second.scatter_index(4), index)
+
 
 def random_graph(rng, n, mean_degree):
     """G(n, p) with the given mean degree; low degrees leave isolated nodes."""

@@ -123,6 +123,33 @@ class TestCoupledBackwardOracle:
         )
 
 
+class TestScorerBackwardOracle:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_weight_grads_bit_equal_and_feature_grad_sliced(self, activation):
+        rng = np.random.default_rng(6)
+        scorer = netchron.ranker.ScorerWeights(
+            w_hidden=rng.normal(size=(30, 8)), b_hidden=rng.normal(size=8),
+            w_out=rng.normal(size=8), b_out=0.5, activation=activation,
+        )
+        feats = rng.normal(size=(50, 30))
+        _, pre, act = netchron.ranker._scorer_forward(scorer, feats)
+        dz = rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, size=50)
+        want = oracles.scorer_backward_by_outer(scorer, feats, pre, act, dz)
+        for grad_from in (None, 0, 22):
+            got = netchron.ranker._scorer_backward(
+                scorer, feats, pre, act, dz, grad_from=grad_from
+            )
+            for a, b in zip(got[:4], want[:4]):
+                assert np.array_equal(a, b)
+            if grad_from is None:
+                assert got[4] is None
+            else:
+                assert got[4].shape == (50, 30 - grad_from)
+                ref = want[4][:, grad_from:]
+                scale = np.abs(ref).max(axis=1, keepdims=True)
+                assert np.all(np.abs(got[4] - ref) <= 1e-12 * scale)
+
+
 class TestEdgeSlots:
     @pytest.mark.parametrize("m", [1, 2, 17, 400])
     def test_bitmap_equals_unique(self, m):
