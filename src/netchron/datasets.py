@@ -54,7 +54,8 @@ def load_edge_list(path):
     one past the largest id seen. Unknown times (`?` or `nan`) stay
     unlabeled; an infinite time is a ParseError.
     """
-    entries = []
+    pairs = []
+    times = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -76,7 +77,7 @@ def load_edge_list(path):
             if u < 0 or v < 0:
                 raise ParseError("%s:%d: node ids must be >= 0" % (path, lineno))
             if parts[2] == "?":
-                t = None
+                t = math.nan
             else:
                 try:
                     t = float(parts[2])
@@ -88,29 +89,21 @@ def load_edge_list(path):
                     raise ParseError(
                         "%s:%d: time must be finite, got %r" % (path, lineno, t)
                     )
-                if math.isnan(t):
-                    t = None
-            entries.append((u, v, t))
-    if not entries:
+            pairs.append((u, v))
+            times.append(t)
+    if not pairs:
         raise EmptyInput("no edges in %s" % path)
-    seen = set()
-    edges = []
-    times = []
-    for u, v, t in entries:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append((u, v))
-        times.append(t)
-    node_count = max(max(u, v) for u, v in edges) + 1
-    return build_network(node_count, edges, times)
+    ends = np.array(pairs, dtype=np.int64)
+    node_count = int(ends.max()) + 1
+    keys = ends.min(axis=1) * node_count + ends.max(axis=1)
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    return build_network(node_count, ends[first], np.array(times)[first])
 
 
 def write_edge_list(net, path):
     """Write the canonical TSV form: normalized endpoints and times."""
     with open(path, "w") as fh:
-        for k, (u, v) in enumerate(net.edges):
+        for k, (u, v) in enumerate(net.endpoints.tolist()):
             if net.labeled_mask[k] and not math.isnan(net.alpha[k]):
                 t = format_float(net.alpha[k])
             else:

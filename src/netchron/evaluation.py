@@ -462,19 +462,16 @@ class FeatureTimeCorrelation(NamedTuple):
     degenerate: frozenset
 
 
-def feature_time_correlation(fm, alphas, mask=None):
+def feature_time_correlation(fm, alphas):
     """Rank correlation of every feature column with formation time.
 
-    Rows with unknown time are skipped (or pass an explicit boolean
-    mask). Constant columns are reported as 0 and flagged rather than
-    failing.
+    Rows with unknown time are skipped. Constant columns are reported
+    as 0 and flagged rather than failing.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.shape != (fm.edge_count,):
         raise DimensionMismatch("alpha length != edge count")
-    if mask is None:
-        mask = ~np.isnan(alphas)
-    mask = np.asarray(mask, dtype=bool)
+    mask = ~np.isnan(alphas)
     if mask.sum() < 2:
         raise EmptyInput("need at least two timed edges")
     t = alphas[mask]
@@ -492,9 +489,8 @@ def feature_time_correlation(fm, alphas, mask=None):
     return FeatureTimeCorrelation(values=values, degenerate=frozenset(degenerate))
 
 
-def evaluation_report(net, ordering, eval_pairs=None, pair_budget=None, seed=0,
-                      feature_matrix=None, samples=TRAJECTORY_SAMPLES,
-                      top_k=RADAR_TOP_K, bins=TREND_BINS):
+def evaluation_report(net, ordering, pair_budget=None, seed=0, feature_matrix=None,
+                      samples=TRAJECTORY_SAMPLES, top_k=RADAR_TOP_K, bins=TREND_BINS):
     """Bundle every ordering metric into one JSON-friendly dict.
 
     Needs fully timed edges for the ground-truth comparison. Trajectory
@@ -508,13 +504,12 @@ def evaluation_report(net, ordering, eval_pairs=None, pair_budget=None, seed=0,
     if bins < 1 or samples < 1:
         raise EmptyInput("bins and samples must be >= 1")
     truth = ground_truth_ordering(net.alpha)
-    if eval_pairs is None and pair_budget is None:
+    if pair_budget is None:
         accuracy, pair_count = all_pairs_accuracy(ordering, net.alpha)
     else:
-        if eval_pairs is None:
-            eval_pairs = make_eval_pairs(net, budget=pair_budget, seed=seed)
+        eval_pairs = make_eval_pairs(net, budget=pair_budget, seed=seed)
         accuracy = pairwise_accuracy(ordering, eval_pairs)
-        pair_count = np.asarray(eval_pairs).shape[0]
+        pair_count = len(eval_pairs)
     pred_ranks = _ranks_of(ordering)
     records, trend_rmse = binned_trend(pred_ranks, truth.ranks, bins=bins)
     report = {

@@ -85,11 +85,12 @@ def _is_state_column(name):
 class FeatureMatrix:
     """Named per-edge feature columns.
 
-    values is (M, d) float64 with one row per edge of `edges` (same
-    order). column_stats and degenerate are populated by normalize().
+    values is (M, d) float64 with one row per row of `edges`, the
+    network's own (M, 2) endpoints array. column_stats and degenerate
+    are populated by normalize().
     """
 
-    edges: tuple
+    edges: np.ndarray
     columns: tuple
     values: np.ndarray
     column_stats: dict = field(default_factory=dict)
@@ -138,7 +139,7 @@ def combine(*mats):
         raise EmptyInput("nothing to combine")
     first = mats[0]
     for other in mats[1:]:
-        if other.edges != first.edges:
+        if not np.array_equal(other.edges, first.edges):
             raise RowMismatch("feature blocks describe different edge lists")
     columns = tuple(c for m in mats for c in m.columns)
     if len(set(columns)) != len(columns):
@@ -219,7 +220,7 @@ def structural_edge_features(net, stats=None, pagerank_values=None, betweenness=
             np.minimum(core[u], core[v]),
         ]
     )
-    return FeatureMatrix(edges=net.edges, columns=STRUCT_COLUMNS, values=vals)
+    return FeatureMatrix(edges=net.endpoints, columns=STRUCT_COLUMNS, values=vals)
 
 
 def steady_state_edge_features(net, state_values):
@@ -244,7 +245,7 @@ def steady_state_edge_features(net, state_values):
             xv / (xu + EPSILON),
         ]
     )
-    return FeatureMatrix(edges=net.edges, columns=STATE_COLUMNS, values=vals)
+    return FeatureMatrix(edges=net.endpoints, columns=STATE_COLUMNS, values=vals)
 
 
 def standardize_columns(values):
@@ -315,7 +316,7 @@ def write_feature_csv(fm, path):
 
     with open(path, "w") as fh:
         fh.write("edge_u,edge_v," + ",".join(fm.columns) + "\n")
-        for k, (a, b) in enumerate(fm.edges):
+        for k, (a, b) in enumerate(fm.edges.tolist()):
             row = ",".join(format_float(x) for x in fm.values[k])
             fh.write("%d,%d,%s\n" % (a, b, row))
     sidecar = {

@@ -1,9 +1,9 @@
 """Immutable undirected network snapshot with per-edge formation times.
 
 The snapshot is the single structural input every later stage consumes.
-Edges are stored as (min id, max id) pairs in construction order, times
-are normalized to [0, 1] over the edges whose time is known, and the
-adjacency is prebuilt once, in CSR form. Every structural kernel here
+Edges are the rows of one (M, 2) array of (min id, max id) pairs in
+construction order, times are normalized to [0, 1] over the edges whose
+time is known, and the adjacency is prebuilt once, in CSR form. Every structural kernel here
 (neighbourhood sums, betweenness, triangles, 4-cycles, coreness) is a
 pass over those CSR rows.
 """
@@ -34,8 +34,9 @@ class TemporalNetwork:
     ----------
     node_count : int
         Number of nodes; ids are 0 .. node_count - 1.
-    edges : tuple of (int, int)
-        Unordered edges as (min id, max id), in construction order.
+    endpoints : ndarray of int, shape (M, 2)
+        Unordered edges as (min id, max id) rows, in construction order.
+        Read-only: it is the network's one edge list.
     alpha : ndarray of float
         Normalized formation time per edge, NaN where unknown.
     labeled_mask : ndarray of bool
@@ -43,11 +44,12 @@ class TemporalNetwork:
     adj_indptr, adj_indices : ndarray of int
         CSR layout of the adjacency, rows sorted ascending.
     adj_edges : ndarray of int
-        Index into `edges` of each CSR entry, aligned with adj_indices.
+        Edge index (row of `endpoints`) of each CSR entry, aligned with
+        adj_indices.
     """
 
     node_count: int
-    edges: tuple
+    endpoints: np.ndarray
     alpha: np.ndarray
     labeled_mask: np.ndarray
     adj_indptr: np.ndarray
@@ -56,7 +58,7 @@ class TemporalNetwork:
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return self.endpoints.shape[0]
 
     @cached_property
     def degrees(self):
@@ -95,20 +97,16 @@ class TemporalNetwork:
             self._scatter_indices[width] = index
         return index
 
-    @cached_property
-    def endpoints(self):
-        """Edges as an (M, 2) int array, column 0 < column 1."""
-        return np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
 
-
-def _assemble(node_count, edges, alpha, labeled_mask):
+def _assemble(node_count, ends, alpha, labeled_mask):
     """Build the CSR adjacency and freeze the network.
 
-    Each edge gives two entries, one per endpoint row; sorting the
-    entries by (row, column) sorts every row ascending.
+    ends is a fresh (M, 2) int64 array of (min id, max id) rows, which
+    the network takes over read-only. Each edge gives two entries, one
+    per endpoint row; sorting the entries by (row, column) sorts every
+    row ascending.
     """
-    edges = tuple(edges)
-    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ends.flags.writeable = False
     rows = np.concatenate([ends[:, 0], ends[:, 1]])
     cols = np.concatenate([ends[:, 1], ends[:, 0]])
     order = np.argsort(rows * node_count + cols)
@@ -116,13 +114,43 @@ def _assemble(node_count, edges, alpha, labeled_mask):
     np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
     return TemporalNetwork(
         node_count=node_count,
-        edges=edges,
+        endpoints=ends,
         alpha=np.asarray(alpha, dtype=np.float64),
         labeled_mask=np.asarray(labeled_mask, dtype=bool),
         adj_indptr=indptr,
         adj_indices=cols[order],
-        adj_edges=order % max(len(edges), 1),
+        adj_edges=order % max(len(ends), 1),
     )
+
+
+def _listed(values, dtype):
+    """values as an array; an iterable that is not one is listed first."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype)
+
+
+def _check_edges(node_count, ends):
+    """Raise for the first bad edge in order: out of range, then self
+    loop, then a repeat of an earlier edge in either orientation.
+
+    An out-of-range edge's key may equal another's, but every edge it
+    marks as a repeat comes after it.
+    """
+    lo = ends.min(axis=1)
+    hi = ends.max(axis=1)
+    outside = (lo < 0) | (hi >= node_count)
+    loop = lo == hi
+    repeat = np.ones(len(ends), dtype=bool)
+    repeat[np.unique(lo * node_count + hi, return_index=True)[1]] = False
+    bad = np.flatnonzero(outside | loop | repeat)
+    if not bad.size:
+        return
+    k = bad[0]
+    if outside[k]:
+        u, v = ends[k]
+        raise InvalidEdge("edge (%d, %d) outside 0..%d" % (u, v, node_count - 1))
+    if loop[k]:
+        raise SelfLoop("self loop at node %d" % lo[k])
+    raise DuplicateEdge("duplicate edge (%d, %d)" % (lo[k], hi[k]))
 
 
 def build_network(node_count, edges, times=None):
@@ -132,10 +160,11 @@ def build_network(node_count, edges, times=None):
     ----------
     node_count : int
         Must be >= 1.
-    edges : sequence of (int, int)
+    edges : iterable of (int, int), or (M, 2) int array
         Node pairs in construction order. Endpoints are reordered to
-        (min, max); duplicates and self loops are rejected.
-    times : sequence of float or None, optional
+        (min, max); duplicates and self loops are rejected, reporting
+        the first bad edge in order.
+    times : iterable of float or None, optional
         Raw formation time per edge; None or NaN marks an unknown time,
         and an infinite time raises InvalidEdge. Known times are
         min-max normalized to [0, 1]. When all known times coincide
@@ -143,43 +172,21 @@ def build_network(node_count, edges, times=None):
     """
     if node_count <= 0:
         raise EmptyInput("node_count must be >= 1, got %r" % (node_count,))
-    edges = list(edges)
-    if times is None:
-        times = [None] * len(edges)
-    else:
-        times = list(times)
-    if len(times) != len(edges):
+    ends = _listed(edges, np.int64)
+    ends = ends.reshape(len(ends), 2)
+    raw = np.full(len(ends), np.nan) if times is None else _listed(times, np.float64)
+    if len(raw) != len(ends):
+        raise InvalidEdge("got %d times for %d edges" % (len(raw), len(ends)))
+    _check_edges(node_count, ends)
+    ends = np.sort(ends, axis=1)
+    infinite = np.flatnonzero(np.isinf(raw))
+    if infinite.size:
+        k = infinite[0]
         raise InvalidEdge(
-            "got %d times for %d edges" % (len(times), len(edges))
+            "edge (%d, %d) has non-finite time %r" % (ends[k, 0], ends[k, 1], float(raw[k]))
         )
-    norm_edges = []
-    seen = set()
-    for u, v in edges:
-        u = int(u)
-        v = int(v)
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise InvalidEdge("edge (%d, %d) outside 0..%d" % (u, v, node_count - 1))
-        if u == v:
-            raise SelfLoop("self loop at node %d" % u)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge("duplicate edge (%d, %d)" % key)
-        seen.add(key)
-        norm_edges.append(key)
-
-    raw = np.full(len(norm_edges), np.nan)
-    for k, t in enumerate(times):
-        if t is None:
-            continue
-        t = float(t)
-        if math.isinf(t):
-            raise InvalidEdge(
-                "edge (%d, %d) has non-finite time %r" % (norm_edges[k] + (t,))
-            )
-        if not math.isnan(t):
-            raw[k] = t
     known = ~np.isnan(raw)
-    alpha = np.full(len(norm_edges), np.nan)
+    alpha = np.full(len(ends), np.nan)
     if known.any():
         lo = raw[known].min()
         hi = raw[known].max()
@@ -187,7 +194,7 @@ def build_network(node_count, edges, times=None):
             alpha[known] = (raw[known] - lo) / (hi - lo)
         else:
             alpha[known] = 0.0
-    return _assemble(node_count, norm_edges, alpha, known)
+    return _assemble(node_count, ends, alpha, known)
 
 
 def prefix_graph(net, ordering, fraction):
@@ -205,10 +212,10 @@ def prefix_graph(net, ordering, fraction):
         raise InvalidPermutation("ordering is not a permutation of 0..%d" % (m - 1))
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1], got %r" % (fraction,))
-    count = math.ceil(fraction * m)
-    keep = order[:count]
-    edges = [net.edges[k] for k in keep]
-    return _assemble(net.node_count, edges, net.alpha[keep], net.labeled_mask[keep])
+    keep = order[:math.ceil(fraction * m)]
+    return _assemble(
+        net.node_count, net.endpoints[keep], net.alpha[keep], net.labeled_mask[keep]
+    )
 
 
 def _csr_sum(net, x):
@@ -314,7 +321,7 @@ def triangle_counts(net):
 
 
 def four_cycle_counts(net):
-    """Number of 4-cycles through each edge, aligned with net.edges.
+    """Number of 4-cycles through each edge, aligned with net.endpoints.
 
     A 4-cycle is two top wedges with the same top, its highest-ranked
     node, and the same far end, the node opposite; each of its edges
@@ -497,7 +504,7 @@ def _source_block_flow(net, sources):
 
 
 def edge_betweenness(net):
-    """Shortest-path betweenness per edge, aligned with net.edges.
+    """Shortest-path betweenness per edge, aligned with net.endpoints.
 
     Each unordered source-target pair contributes once (the two-sided
     accumulation is halved). Disconnected pairs contribute nothing.
@@ -516,6 +523,11 @@ def edge_betweenness(net):
     # per source.
     width = _BETWEENNESS_BLOCK_BYTES // (32 * (n + net.edge_count))
     width = int(min(n, max(1, width)))
+    # Betweenness runs once per network: its block-width scatter
+    # indices are dropped afterwards, unlike those cached before it.
+    cached = set(net._scatter_indices)
     for lo in range(0, n, width):
         bc += _source_block_flow(net, np.arange(lo, min(lo + width, n)))
+    for added in set(net._scatter_indices) - cached:
+        del net._scatter_indices[added]
     return bc / 2.0

@@ -203,7 +203,7 @@ def write_ordering(ordering, net, path):
         )
     with open(path, "w") as fh:
         fh.write("edge_index,u,v,borda_score,rank\n")
-        for k, (u, v) in enumerate(net.edges):
+        for k, (u, v) in enumerate(net.endpoints.tolist()):
             fh.write(
                 "%d,%d,%d,%s,%d\n"
                 % (k, u, v, format_float(ordering.borda_scores[k]),
@@ -224,6 +224,7 @@ def load_ordering(path, net):
     scores = np.full(net.edge_count, np.nan)
     ranks = np.zeros(net.edge_count, dtype=np.int64)
     seen = np.zeros(net.edge_count, dtype=bool)
+    edges = net.endpoints.tolist()
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("edge_index"):
@@ -256,7 +257,7 @@ def load_ordering(path, net):
                 )
             if seen[k]:
                 raise CoverageError("%s:%d: duplicate edge index %d" % (path, lineno, k))
-            if net.edges[k] != (min(u, v), max(u, v)):
+            if edges[k] != [min(u, v), max(u, v)]:
                 raise CoverageError(
                     "%s:%d: endpoints (%d, %d) do not match graph edge %d"
                     % (path, lineno, u, v, k)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +52,6 @@ from .features import (
     structural_edge_features,
 )
 from .serialize import dump_json, load_json
-
-
-class PairSample(NamedTuple):
-    """One supervised comparison: does edge a precede edge b (y=1)?"""
-
-    a: int
-    b: int
-    y: int
 
 
 @dataclass(frozen=True)
@@ -528,7 +519,7 @@ def train(net, inputs, config):
     epoch wins.
     """
     config = config.validated()
-    if inputs.static.edges != net.edges:
+    if not np.array_equal(inputs.static.edges, net.endpoints):
         raise RowMismatch("static features describe a different edge list")
     train_arr, val_arr = make_pairs(
         net, config.label_fraction, config.pair_budget, config.seed,

@@ -14,20 +14,20 @@ import numpy as np
 def adjacency_sets(net):
     """Neighbour set per node, built from the edge list alone."""
     nbrs = [set() for _ in range(net.node_count)]
-    for u, v in net.edges:
+    for u, v in net.endpoints.tolist():
         nbrs[u].add(v)
         nbrs[v].add(u)
     return nbrs
 
 
 def edge_index(net):
-    """Map (min id, max id) -> index into net.edges."""
-    return {e: k for k, e in enumerate(net.edges)}
+    """Map (min id, max id) -> row of net.endpoints."""
+    return {(u, v): k for k, (u, v) in enumerate(net.endpoints.tolist())}
 
 
 def adjacency_matrix(net):
     a = np.zeros((net.node_count, net.node_count))
-    for u, v in net.edges:
+    for u, v in net.endpoints.tolist():
         a[u, v] = 1.0
         a[v, u] = 1.0
     return a
@@ -163,6 +163,56 @@ def walk_counts_by_power(net, u, v):
     return int(round(a2[u, v])), int(round(a3[u, v]))
 
 
+def build_network_by_loop(node_count, edges, times=None):
+    """The edge-by-edge validation build_network replaced.
+
+    Returns (endpoints, alpha, labeled_mask), or raises exactly what
+    build_network must raise: the times count first, then the first
+    bad edge in order (out of range, then self loop, then a repeat in
+    either orientation), then the first infinite time.
+    """
+    from netchron.errors import DuplicateEdge, EmptyInput, InvalidEdge, SelfLoop
+
+    if node_count <= 0:
+        raise EmptyInput("node_count must be >= 1, got %r" % (node_count,))
+    edges = list(edges)
+    times = [None] * len(edges) if times is None else list(times)
+    if len(times) != len(edges):
+        raise InvalidEdge("got %d times for %d edges" % (len(times), len(edges)))
+    norm_edges = []
+    seen = set()
+    for u, v in edges:
+        u = int(u)
+        v = int(v)
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise InvalidEdge("edge (%d, %d) outside 0..%d" % (u, v, node_count - 1))
+        if u == v:
+            raise SelfLoop("self loop at node %d" % u)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdge("duplicate edge (%d, %d)" % key)
+        seen.add(key)
+        norm_edges.append(key)
+    raw = np.full(len(norm_edges), np.nan)
+    for k, t in enumerate(times):
+        if t is None:
+            continue
+        t = float(t)
+        if math.isinf(t):
+            raise InvalidEdge(
+                "edge (%d, %d) has non-finite time %r" % (norm_edges[k] + (t,))
+            )
+        if not math.isnan(t):
+            raw[k] = t
+    known = ~np.isnan(raw)
+    alpha = np.full(len(norm_edges), np.nan)
+    if known.any():
+        lo = raw[known].min()
+        hi = raw[known].max()
+        alpha[known] = (raw[known] - lo) / (hi - lo) if hi > lo else 0.0
+    return np.array(norm_edges, dtype=np.int64).reshape(-1, 2), alpha, known
+
+
 def random_network(rng, max_nodes=20, min_nodes=2, edge_prob=0.35, with_times=True):
     """Random small graph for oracle comparisons."""
     from netchron.graph import build_network
@@ -191,7 +241,7 @@ def struct_features_by_definition(net, pagerank_values, betweenness):
     clust = clustering_by_definition(net)
     core = coreness_by_definition(net)
     rows = []
-    for k, (u, v) in enumerate(net.edges):
+    for k, (u, v) in enumerate(net.endpoints.tolist()):
         cn = a2[u, v]
         union = deg[u] + deg[v] - cn
         aa = 0.0
@@ -227,7 +277,7 @@ def struct_features_by_definition(net, pagerank_values, betweenness):
 
 def state_features_by_definition(net, x):
     rows = []
-    for u, v in net.edges:
+    for u, v in net.endpoints.tolist():
         rows.append(
             [
                 x[u],
@@ -388,7 +438,7 @@ def hub_curve_by_scan(net, ranks, hub, samples):
     """
     m = net.edge_count
     cutoffs = [math.ceil((k + 1) / samples * m) for k in range(samples)]
-    incident = [k for k, (a, b) in enumerate(net.edges) if hub in (a, b)]
+    incident = [k for k, (a, b) in enumerate(net.endpoints.tolist()) if hub in (a, b)]
     positions = np.sort(np.asarray(ranks, dtype=np.float64)[incident])
     return np.searchsorted(positions, cutoffs, side="right").astype(np.float64)
 

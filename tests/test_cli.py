@@ -181,7 +181,7 @@ class TestTrain:
         tmp_path, graph, state = workspace
         net = load_edge_list(graph)
         times = [float(k) if k < 5 else None for k in range(net.edge_count)]
-        sparse = build_network(net.node_count, list(net.edges), times)
+        sparse = build_network(net.node_count, net.endpoints, times)
         sparse_path = tmp_path / "sparse.tsv"
         write_edge_list(sparse, sparse_path)
         assert run("train", sparse_path, state, "--label-fraction", 0.5,

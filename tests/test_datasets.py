@@ -36,7 +36,7 @@ class TestLoadEdgeList:
         )
         net = load_edge_list(f)
         assert net.node_count == 4
-        assert net.edges == ((0, 1), (1, 2), (0, 3))
+        assert net.endpoints.tolist() == [[0, 1], [1, 2], [0, 3]]
         assert np.allclose(net.alpha[:2], [0.0, 1.0])
         assert np.isnan(net.alpha[2])
         assert list(net.labeled_mask) == [True, True, False]
@@ -55,6 +55,17 @@ class TestLoadEdgeList:
         assert net.edge_count == 2
         # Edge (0,1) keeps the 1990 stamp: it normalizes to 0.
         assert net.alpha[0] == 0.0
+
+    def test_reversed_duplicate_keeps_the_first_lines_time(self, tmp_path):
+        f = tmp_path / "g.tsv"
+        f.write_text(
+            "2\t1\t?\n0\t1\t10\n1\t3\t20\n1\t0\t40\n1\t2\t30\n0\t3\t30\n"
+        )
+        net = load_edge_list(f)
+        assert net.node_count == 4
+        assert net.endpoints.tolist() == [[1, 2], [0, 1], [1, 3], [0, 3]]
+        assert np.array_equal(net.alpha, [np.nan, 0.0, 0.5, 1.0], equal_nan=True)
+        assert net.labeled_mask.tolist() == [False, True, True, True]
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         cases = [
@@ -151,13 +162,13 @@ class TestGenerators:
         assert net.edge_count == 90
         assert net.node_count == 30
         assert (np.diff(net.alpha) > 0).all()
-        assert len(set(net.edges)) == 90
+        assert len(np.unique(net.endpoints, axis=0)) == 90
 
     def test_deterministic(self):
         for kind in SynthKind:
             a = generate_synthetic(SynthSpec(kind, 40, 2, seed=11))
             b = generate_synthetic(SynthSpec(kind, 40, 2, seed=11))
-            assert a.edges == b.edges
+            assert np.array_equal(a.endpoints, b.endpoints)
             assert np.array_equal(a.alpha, b.alpha)
 
     def test_bad_specs(self):

@@ -47,7 +47,7 @@ def timed_network(seed=0, n=14):
     net = oracles.random_network(rng, max_nodes=n, min_nodes=n, edge_prob=0.4)
     # Give every edge a distinct time.
     times = rng.permutation(net.edge_count).astype(float)
-    return build_network(net.node_count, net.edges, times)
+    return build_network(net.node_count, net.endpoints, times)
 
 
 def reversed_ordering(truth):
@@ -97,7 +97,7 @@ def tied_network(rng, levels):
     """Random graph whose formation times take at most `levels` values."""
     net = oracles.random_network(rng, max_nodes=16, min_nodes=3, edge_prob=0.4)
     times = rng.integers(0, levels, size=net.edge_count).astype(float)
-    return build_network(net.node_count, net.edges, times)
+    return build_network(net.node_count, net.endpoints, times)
 
 
 def peak_traced_mb(fn):
@@ -461,7 +461,7 @@ def random_rank_orderings(net, rng, count=2):
 def to_networkx(net, edge_ids):
     g = nx.Graph()
     g.add_nodes_from(range(net.node_count))
-    g.add_edges_from(net.edges[k] for k in edge_ids)
+    g.add_edges_from(net.endpoints[list(edge_ids)].tolist())
     return g
 
 

@@ -168,6 +168,7 @@ class TestSubsetAndCombine:
         struct = structural_edge_features(net)
         state = steady_state_edge_features(net, [0.1, 0.2, 0.3])
         both = combine(struct, state)
+        assert both.edges is net.endpoints
         assert feature_subset(both, FeatureMode.BOTH).columns == both.columns
         assert feature_subset(both, "struct").columns == STRUCT_COLUMNS
         assert feature_subset(both, "state").columns == STATE_COLUMNS
@@ -183,6 +184,9 @@ class TestSubsetAndCombine:
         b = steady_state_edge_features(build_network(2, [(0, 1)]), [0.0, 1.0])
         with pytest.raises(RowMismatch):
             combine(a, b)
+        reordered = build_network(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(RowMismatch):
+            combine(a, steady_state_edge_features(reordered, [0.1, 0.2, 0.3]))
 
     def test_combine_rejects_duplicate_columns(self):
         a = structural_edge_features(triangle())

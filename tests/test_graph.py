@@ -1,5 +1,6 @@
 """Graph construction and native graph algorithms vs brute-force oracles."""
 
+import itertools
 import tracemalloc
 
 import networkx as nx
@@ -47,7 +48,9 @@ def path4():
 class TestBuildNetwork:
     def test_endpoints_sorted_and_order_kept(self):
         net = build_network(4, [(2, 0), (3, 1)], [5.0, 7.0])
-        assert net.edges == ((0, 2), (1, 3))
+        assert net.endpoints.tolist() == [[0, 2], [1, 3]]
+        assert net.endpoints.dtype == np.int64
+        assert not net.endpoints.flags.writeable
 
     def test_alpha_minmax_normalized(self):
         net = build_network(3, [(0, 1), (1, 2), (0, 2)], [10.0, 30.0, 20.0])
@@ -100,7 +103,115 @@ class TestBuildNetwork:
                 assert list(row) == sorted(adj[i])
                 # Each entry names the edge it came from.
                 for j, k in zip(row, net.adj_edges[lo:hi]):
-                    assert net.edges[k] == (min(i, j), max(i, j))
+                    assert net.endpoints[k].tolist() == [min(i, j), max(i, j)]
+
+
+def random_build_case(rng):
+    """Small build_network arguments, good or bad in every way it checks."""
+    n = int(rng.integers(1, 7))
+    draw = rng.random()
+    if draw < 0.2:
+        # Any ids: out of range, negative, self loops and repeats.
+        edges = rng.integers(-2, n + 2, size=(int(rng.integers(0, 9)), 2)).tolist()
+    elif draw < 0.4:
+        # In-range ids: self loops and repeats.
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 6)), 2)).tolist()
+    else:
+        # Distinct in-range pairs, each in either orientation.
+        pairs = list(itertools.combinations(range(n), 2))
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))[:rng.integers(0, 9)]]
+        edges = [[b, a] if rng.random() < 0.5 else [a, b] for a, b in pairs]
+        if edges and rng.random() < 0.3:
+            # Repeat an earlier pair, possibly reversed, at a later place.
+            repeat = edges[rng.integers(len(edges))][::rng.choice([1, -1])]
+            edges.insert(int(rng.integers(1, len(edges) + 1)), repeat)
+    if rng.random() < 0.2:
+        return n, edges, None
+    pool = [None, float("nan"), float("inf"), -float("inf"), 0, 1, 2, 0.25, 7.5]
+    weights = np.array([2, 2, 0.6, 0.6, 2, 2, 2, 2, 2])
+    count = len(edges)
+    if rng.random() < 0.1:
+        count = max(count + int(rng.choice([-1, 1])), 0)
+    picks = rng.choice(len(pool), size=count, p=weights / weights.sum())
+    return n, edges, [pool[k] for k in picks]
+
+
+OUTCOMES = ("times for", "outside", "non-finite", "self loop", "duplicate")
+
+
+def build_outcome(build, n, edges, times):
+    """("ok", result) or (exception class, message) of one build."""
+    try:
+        return "ok", build(n, edges, times)
+    except (InvalidEdge, SelfLoop, DuplicateEdge) as exc:
+        return type(exc), str(exc)
+
+
+class TestValidationMatchesTheLoop:
+    """build_network's one-pass validation against the edge-by-edge loop."""
+
+    def check(self, n, edges, times, form):
+        if form == "generator":
+            given = ((u, v) for u, v in edges)
+            given_times = None if times is None else (t for t in times)
+        elif form == "ndarray":
+            given = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            given_times = None if times is None else np.array(times, dtype=np.float64)
+        else:
+            given, given_times = [tuple(e) for e in edges], times
+        want = build_outcome(oracles.build_network_by_loop, n, edges, times)
+        got = build_outcome(build_network, n, given, given_times)
+        if want[0] != "ok":
+            assert got == want, (n, edges, times, form)
+            return want
+        assert got[0] == "ok", (n, edges, times, form, got)
+        net = got[1]
+        ends, alpha, known = want[1]
+        assert net.endpoints.dtype == np.int64
+        assert np.array_equal(net.endpoints, ends)
+        assert np.array_equal(net.alpha, alpha, equal_nan=True)
+        assert np.array_equal(net.labeled_mask, known)
+        return want
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(41)
+        forms = ("list", "generator", "ndarray")
+        tally = {}
+        for k in range(600):
+            kind, message = self.check(*random_build_case(rng), forms[k % 3])
+            if kind != "ok":
+                kind = (kind, next(w for w in OUTCOMES if w in message))
+            tally[kind] = tally.get(kind, 0) + 1
+        # The inputs reach every outcome, each at least 20 times.
+        assert tally.keys() == {
+            "ok", (InvalidEdge, "times for"), (InvalidEdge, "outside"),
+            (InvalidEdge, "non-finite"), (SelfLoop, "self loop"),
+            (DuplicateEdge, "duplicate"),
+        }
+        assert min(tally.values()) >= 20, tally
+
+    @pytest.mark.parametrize("n, edges, times", [
+        # An out-of-range edge whose key equals an earlier edge's.
+        (3, [(0, 1), (-1, 4)], None),
+        # An out-of-range self loop.
+        (3, [(0, 1), (5, 5)], None),
+        # A self loop repeated.
+        (3, [(2, 2), (2, 2)], None),
+        # Every edge is checked before any time.
+        (4, [(0, 1), (1, 2), (2, 1)], [float("inf"), 1.0, 2.0]),
+        (4, [(0, 1), (1, 1)], [-float("inf"), 1.0]),
+        # The times count is checked before any edge.
+        (3, [(0, 1), (1, 1)], [1.0]),
+        # The first bad edge wins, whatever comes after it.
+        (3, [(1, 0), (0, 1), (2, 2), (0, 7)], None),
+        (3, [(0, 1), (1, 2), (0, 2), (2, 0)], [0, 1, 2, 3]),
+        (3, [(0, 1), (1, 2)], [None, -float("inf")]),
+        (3, [], []),
+        (3, [], None),
+    ])
+    @pytest.mark.parametrize("form", ["list", "generator", "ndarray"])
+    def test_fixed_cases(self, n, edges, times, form):
+        self.check(n, edges, times, form)
 
 
 class TestDegreeScales:
@@ -121,7 +232,7 @@ class TestPrefixGraph:
         order = [2, 0, 1]
         sub = prefix_graph(net, order, 0.5)
         # ceil(0.5 * 3) = 2 edges: indices 2 then 0.
-        assert sub.edges == ((2, 3), (0, 1))
+        assert sub.endpoints.tolist() == [[2, 3], [0, 1]]
         assert sub.node_count == 4
         assert np.allclose(sub.alpha, [1.0, 0.0])
 
@@ -133,7 +244,7 @@ class TestPrefixGraph:
     def test_full_fraction_is_whole_graph(self):
         net = path4()
         sub = prefix_graph(net, [0, 1, 2], 1.0)
-        assert sub.edges == net.edges
+        assert np.array_equal(sub.endpoints, net.endpoints)
 
     def test_rejects_non_permutation(self):
         net = path4()
@@ -233,11 +344,27 @@ class TestEdgeBetweenness:
             ref = oracles.edge_betweenness_by_paths(net)
             assert np.allclose(got, ref, atol=1e-9)
 
+    def test_keeps_only_the_scatter_indices_cached_before_it(self):
+        fresh, net = (
+            generate_synthetic(SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 400, 2, seed=1))
+            for _ in range(2)
+        )
+        want = edge_betweenness(fresh)
+        assert not fresh._scatter_indices
+        pagerank(net)
+        before = dict(net._scatter_indices)
+        assert list(before) == [1]
+        got = edge_betweenness(net)
+        assert net._scatter_indices == before
+        assert net._scatter_indices[1] is before[1]
+        assert np.array_equal(got, want)
+        assert np.array_equal(edge_betweenness(net), want)
+
     def test_peak_memory_stays_within_the_block_budget(self):
         net = generate_synthetic(
             SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 400, 2, seed=1)
         )
-        net.endpoints, net.degrees  # cached properties, built once per network
+        net.degrees  # a cached property, built once per network
         tracemalloc.start()
         try:
             edge_betweenness(net)
@@ -250,7 +377,7 @@ class TestEdgeBetweenness:
 def local_path_by_power(net):
     """two + 0.01 * three per edge, from the walk counts of matrix powers."""
     out = []
-    for u, v in net.edges:
+    for u, v in net.endpoints.tolist():
         two, three = oracles.walk_counts_by_power(net, u, v)
         out.append(two + 0.01 * three)
     return np.asarray(out)
@@ -372,13 +499,13 @@ def networkx_cases():
 def to_networkx(net):
     g = nx.Graph()
     g.add_nodes_from(range(net.node_count))
-    g.add_edges_from(net.edges)
+    g.add_edges_from(net.endpoints.tolist())
     return g
 
 
 def networkx_betweenness(net):
     ref = nx.edge_betweenness_centrality(to_networkx(net), normalized=False)
-    return np.array([ref.get((u, v), ref.get((v, u))) for u, v in net.edges])
+    return np.array([ref.get((u, v), ref.get((v, u))) for u, v in net.endpoints.tolist()])
 
 
 class TestNetworkxOracle:

@@ -67,7 +67,7 @@ def score_rows(model, values, columns=None):
     net = build_network(k + 1, [(i, i + 1) for i in range(k)])
     if columns is None:
         columns = tuple("f%d" % j for j in range(values.shape[1]))
-    static = FeatureMatrix(edges=net.edges, columns=columns, values=values)
+    static = FeatureMatrix(edges=net.endpoints, columns=columns, values=values)
     return predict_scores(model, net, TrainInputs(static=static))
 
 
@@ -95,7 +95,7 @@ def toy_chain(m_edges=40):
     edges = [(i, i + 1) for i in range(m_edges)]
     net = build_network(m_edges + 1, edges, times=list(range(m_edges)))
     static = FeatureMatrix(
-        edges=net.edges,
+        edges=net.endpoints,
         columns=("signal",),
         values=((net.alpha - 0.5) * 2.0)[:, None],
     )

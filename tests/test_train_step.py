@@ -33,7 +33,7 @@ def instance(kind, mode):
         )
     )
     if kind == "isolated":
-        net = build_network(net.node_count + 4, list(net.edges), times=list(net.alpha))
+        net = build_network(net.node_count + 4, net.endpoints, times=list(net.alpha))
     state = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=5).values
     return net, prepare_inputs(net, state, mode)
 
