@@ -2,7 +2,7 @@
 
 The pipeline: handcrafted structural and steady-state edge features,
 a trainable structure-state propagation coupling, a pairwise
-precedence scorer, and Borda aggregation into a global order, plus the
+precedence scorer, and a global order sorted by its scores, plus the
 dynamics simulators, evaluation metrics, and theoretical error checks
 that accompany it.
 """
@@ -15,7 +15,6 @@ from .datasets import (
     dataset_stats,
     generate_synthetic,
     load_edge_list,
-    split_labels,
     write_edge_list,
 )
 from .dynamics import (
@@ -51,7 +50,6 @@ from .features import (
     normalize,
     steady_state_edge_features,
     structural_edge_features,
-    write_feature_csv,
 )
 from .graph import (
     TemporalNetwork,
@@ -65,8 +63,6 @@ from .graph import (
 )
 from .ordering import (
     GlobalOrdering,
-    OrderingSource,
-    borda_aggregate,
     ground_truth_ordering,
     load_ordering,
     monte_carlo_error,

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import BadDims, DimensionMismatch
-from .graph import neighbor_sum
+from .graph import neighbor_sum, node_struct_stats
 
 NODE_INPUT_COLUMNS = ("degree", "clustering", "coreness", "state")
 NODE_INPUT_DIM = len(NODE_INPUT_COLUMNS)
@@ -98,8 +98,6 @@ def node_input_matrix(net, state_values, stats=None, zero_state=False):
     zero_state blanks the state column (the structure-only ablation).
     Standardize with features.standardize_columns before propagating.
     """
-    from .graph import node_struct_stats
-
     if stats is None:
         stats = node_struct_stats(net)
     state = np.asarray(state_values, dtype=np.float64)

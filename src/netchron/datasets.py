@@ -1,4 +1,4 @@
-"""Temporal-network ingestion, synthetic generators, and label splits.
+"""Temporal-network ingestion and synthetic generators.
 
 The on-disk format is a tab-separated edge list `u<TAB>v<TAB>t` where
 `t` is a raw formation time or the literal `?` when unknown; `#` lines
@@ -9,12 +9,12 @@ labeled formation order so recovered orderings can be scored exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import BadSpec, EmptyInput, InsufficientLabels, ParseError
+from .errors import BadSpec, EmptyInput, ParseError
 from .graph import build_network
 from .serialize import format_float
 
@@ -51,11 +51,14 @@ def load_edge_list(path):
     """Parse a TSV edge list into a TemporalNetwork.
 
     Duplicate (u, v) lines keep their first occurrence. Node count is
-    one past the largest id seen. Unknown times (`?` or `nan`) stay
-    unlabeled; an infinite time is a ParseError.
+    one past the largest id seen. A largest id of 2 x (edge lines) or
+    more is a ParseError naming its first line, raised before any array
+    is sized. Unknown times (`?` or `nan`) stay unlabeled; an infinite
+    time is a ParseError.
     """
     pairs = []
     times = []
+    top, top_line = -1, 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -89,12 +92,19 @@ def load_edge_list(path):
                     raise ParseError(
                         "%s:%d: time must be finite, got %r" % (path, lineno, t)
                     )
+            if max(u, v) > top:
+                top, top_line = max(u, v), lineno
             pairs.append((u, v))
             times.append(t)
     if not pairs:
         raise EmptyInput("no edges in %s" % path)
+    if top >= 2 * len(pairs):
+        raise ParseError(
+            "%s:%d: node id %d is not below 2 x %d edge lines"
+            % (path, top_line, top, len(pairs))
+        )
     ends = np.array(pairs, dtype=np.int64)
-    node_count = int(ends.max()) + 1
+    node_count = top + 1
     keys = ends.min(axis=1) * node_count + ends.max(axis=1)
     first = np.sort(np.unique(keys, return_index=True)[1])
     return build_network(node_count, ends[first], np.array(times)[first])
@@ -104,7 +114,7 @@ def write_edge_list(net, path):
     """Write the canonical TSV form: normalized endpoints and times."""
     with open(path, "w") as fh:
         for k, (u, v) in enumerate(net.endpoints.tolist()):
-            if net.labeled_mask[k] and not math.isnan(net.alpha[k]):
+            if not math.isnan(net.alpha[k]):
                 t = format_float(net.alpha[k])
             else:
                 t = "?"
@@ -201,44 +211,3 @@ def generate_synthetic(spec):
         order = rng.permutation(count)
         edges = [pairs[k] for k in order]
     return build_network(spec.node_count, edges, times=range(len(edges)))
-
-
-def split_labels(net, fraction, seed, stratified=False):
-    """Keep a uniform random ceil(fraction * M) of the labels visible.
-
-    All formation times stay stored for evaluation; only labeled_mask
-    changes. stratified=True balances the picks across ten time
-    deciles instead of sampling edge-uniformly.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1), got %r" % (fraction,))
-    known = np.flatnonzero(~np.isnan(net.alpha))
-    count = math.ceil(fraction * net.edge_count)
-    if count > known.size:
-        raise InsufficientLabels(
-            "need %d labeled edges but only %d have known times"
-            % (count, known.size)
-        )
-    rng = np.random.default_rng(seed)
-    if not stratified:
-        chosen = rng.choice(known, size=count, replace=False)
-    else:
-        by_time = known[np.lexsort((known, net.alpha[known]))]
-        strata = np.array_split(by_time, 10)
-        quotas = [len(s) * count / known.size for s in strata if len(s)]
-        strata = [s for s in strata if len(s)]
-        base = [int(q) for q in quotas]
-        remainder = count - sum(base)
-        # Largest fractional remainders absorb the leftover picks.
-        frac_order = np.argsort([-(q - int(q)) for q in quotas], kind="stable")
-        for k in range(remainder):
-            base[frac_order[k]] += 1
-        chosen = np.concatenate(
-            [
-                rng.choice(s, size=min(b, len(s)), replace=False)
-                for s, b in zip(strata, base)
-            ]
-        )
-    mask = np.zeros(net.edge_count, dtype=bool)
-    mask[chosen] = True
-    return replace(net, labeled_mask=mask)

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadSpec, DimensionMismatch, NumericalBlowup, StageMismatch
-from .graph import neighbor_sum
+from .errors import BadSpec, DimensionMismatch, NumericalBlowup, ParseError, StageMismatch
+from .graph import build_network, neighbor_sum
 from .serialize import dump_json, format_float, load_json
 
 CONVERGENCE_TOL = 1e-6
@@ -187,8 +187,8 @@ def relax_stages(path, targets, initial):
     x = np.asarray(initial, dtype=np.float64).copy()
     out = []
     for (net, duration), target in zip(path, targets):
-        if duration <= 0:
-            raise ValueError("stage duration must be positive")
+        if not duration > 0:
+            raise BadSpec("stage duration must be positive, got %r" % (duration,))
         tv = target.values if isinstance(target, SteadyState) else np.asarray(target)
         tv = tv.astype(np.float64)
         if tv.shape != x.shape:
@@ -214,9 +214,6 @@ def path_dependence_demo(kind=DynamicsKind.EPIDEMIC, seed=0, duration=1.0,
     Returns a report dict including the L2 difference of the finals
     and the full per-stage trajectories for plotting.
     """
-    from .errors import BadSpec
-    from .graph import build_network
-
     kind = DynamicsKind(kind)
     n = int(node_count)
     if n < 4:
@@ -283,8 +280,6 @@ def load_steady_state(path):
 
     Every value must be finite: NaN or infinity raises ParseError.
     """
-    from .errors import ParseError
-
     values = []
     with open(path) as fh:
         header = fh.readline()

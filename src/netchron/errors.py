@@ -15,7 +15,7 @@ class DataError(NetchronError):
 
 
 class NumericalError(NetchronError):
-    """Numerical failure while computing (divergence, domain, inconsistency)."""
+    """Numerical failure while computing (divergence, out of domain)."""
 
 
 class EmptyInput(DataError):
@@ -84,10 +84,6 @@ class CoverageError(DataError):
 
 class NumericalBlowup(NumericalError):
     """A simulated state left the plausible range (divergence)."""
-
-
-class InconsistentMatrix(NumericalError):
-    """A pairwise probability matrix violates complement symmetry."""
 
 
 class OutOfDomain(NumericalError):

@@ -27,6 +27,7 @@ from .errors import (
     InvalidPermutation,
 )
 from .graph import _clustering, triangles
+from .ordering import ground_truth_ordering
 
 TREND_BINS = 10
 TRAJECTORY_SAMPLES = 50
@@ -499,8 +500,6 @@ def evaluation_report(net, ordering, pair_budget=None, seed=0, feature_matrix=No
     The growth curves behind them are returned under growth_curves,
     keyed <property>_predicted and <property>_true.
     """
-    from .ordering import ground_truth_ordering
-
     if bins < 1 or samples < 1:
         raise EmptyInput("bins and samples must be >= 1")
     truth = ground_truth_ordering(net.alpha)

@@ -9,9 +9,8 @@ standardization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .graph import (
     pagerank,
     triangles,
 )
-from .serialize import format_float
 
 EPSILON = 1e-8
 LOCAL_PATH_WEIGHT = 0.01
@@ -60,15 +58,6 @@ STATE_COLUMNS = (
 )
 
 
-class ColumnStats(NamedTuple):
-    """Normalization statistics recorded per column."""
-
-    min: float
-    max: float
-    mean: float
-    std: float
-
-
 class FeatureMode(str, Enum):
     """Which handcrafted blocks feed the ranker."""
 
@@ -86,14 +75,13 @@ class FeatureMatrix:
     """Named per-edge feature columns.
 
     values is (M, d) float64 with one row per row of `edges`, the
-    network's own (M, 2) endpoints array. column_stats and degenerate
-    are populated by normalize().
+    network's own (M, 2) endpoints array. degenerate is populated by
+    normalize().
     """
 
     edges: np.ndarray
     columns: tuple
     values: np.ndarray
-    column_stats: dict = field(default_factory=dict)
     degenerate: frozenset = frozenset()
 
     def __post_init__(self):
@@ -128,7 +116,6 @@ class FeatureMatrix:
             edges=self.edges,
             columns=kept,
             values=self.values[:, idx].copy(),
-            column_stats={k: v for k, v in self.column_stats.items() if k in kept},
             degenerate=frozenset(n for n in self.degenerate if n in kept),
         )
 
@@ -144,17 +131,11 @@ def combine(*mats):
     columns = tuple(c for m in mats for c in m.columns)
     if len(set(columns)) != len(columns):
         raise FeatureSchemaMismatch("duplicate column names across blocks")
-    stats = {}
-    degenerate = set()
-    for m in mats:
-        stats.update(m.column_stats)
-        degenerate |= set(m.degenerate)
     return FeatureMatrix(
         edges=first.edges,
         columns=columns,
         values=np.hstack([m.values for m in mats]),
-        column_stats=stats,
-        degenerate=frozenset(degenerate),
+        degenerate=frozenset().union(*(m.degenerate for m in mats)),
     )
 
 
@@ -251,12 +232,11 @@ def steady_state_edge_features(net, state_values):
 def standardize_columns(values):
     """Min-max scale each column to [0, 1], then standardize.
 
-    Returns (transformed, stats list, degenerate column indices).
-    Constant columns come out as all zeros and are flagged.
+    Returns (transformed, degenerate column indices). Constant columns
+    come out as all zeros and are flagged.
     """
     values = np.asarray(values, dtype=np.float64)
     out = np.empty_like(values)
-    stats = []
     degenerate = []
     for k in range(values.shape[1]):
         col = values[:, k]
@@ -268,11 +248,9 @@ def standardize_columns(values):
         if cmax == cmin or sd == 0.0:
             out[:, k] = 0.0
             degenerate.append(k)
-            stats.append(ColumnStats(cmin, cmax, mu, 0.0))
         else:
             out[:, k] = (scaled - mu) / sd
-            stats.append(ColumnStats(cmin, cmax, mu, sd))
-    return out, stats, degenerate
+    return out, degenerate
 
 
 def normalize(fm):
@@ -282,13 +260,12 @@ def normalize(fm):
     listed in the result's `degenerate` set rather than failing.
     """
     if fm.edge_count < 2:
-        raise ValueError("normalization needs at least two edges")
-    out, stats, degenerate_idx = standardize_columns(fm.values)
+        raise EmptyInput("normalization needs at least two edges")
+    out, degenerate_idx = standardize_columns(fm.values)
     return FeatureMatrix(
         edges=fm.edges,
         columns=fm.columns,
         values=out,
-        column_stats={name: stats[k] for k, name in enumerate(fm.columns)},
         degenerate=frozenset(fm.columns[k] for k in degenerate_idx),
     )
 
@@ -305,31 +282,3 @@ def feature_subset(fm, mode):
     if not names:
         raise FeatureSchemaMismatch("mode %s leaves no columns" % mode.value)
     return fm.select(names)
-
-
-def write_feature_csv(fm, path):
-    """Write the matrix as CSV plus a JSON sidecar of column statistics.
-
-    The sidecar lands at `<path>.stats.json`.
-    """
-    from .serialize import dump_json
-
-    with open(path, "w") as fh:
-        fh.write("edge_u,edge_v," + ",".join(fm.columns) + "\n")
-        for k, (a, b) in enumerate(fm.edges.tolist()):
-            row = ",".join(format_float(x) for x in fm.values[k])
-            fh.write("%d,%d,%s\n" % (a, b, row))
-    sidecar = {
-        "epsilon": EPSILON,
-        "columns": {
-            name: {
-                "min": s.min,
-                "max": s.max,
-                "mean": s.mean,
-                "std": s.std,
-            }
-            for name, s in fm.column_stats.items()
-        },
-        "degenerate": sorted(fm.degenerate),
-    }
-    dump_json(sidecar, str(path) + ".stats.json")

@@ -39,8 +39,6 @@ class TemporalNetwork:
         Read-only: it is the network's one edge list.
     alpha : ndarray of float
         Normalized formation time per edge, NaN where unknown.
-    labeled_mask : ndarray of bool
-        True where the formation time is visible to supervision.
     adj_indptr, adj_indices : ndarray of int
         CSR layout of the adjacency, rows sorted ascending.
     adj_edges : ndarray of int
@@ -51,7 +49,6 @@ class TemporalNetwork:
     node_count: int
     endpoints: np.ndarray
     alpha: np.ndarray
-    labeled_mask: np.ndarray
     adj_indptr: np.ndarray
     adj_indices: np.ndarray
     adj_edges: np.ndarray
@@ -59,6 +56,11 @@ class TemporalNetwork:
     @property
     def edge_count(self):
         return self.endpoints.shape[0]
+
+    @cached_property
+    def labeled_mask(self):
+        """True where the formation time is known."""
+        return ~np.isnan(self.alpha)
 
     @cached_property
     def degrees(self):
@@ -98,7 +100,7 @@ class TemporalNetwork:
         return index
 
 
-def _assemble(node_count, ends, alpha, labeled_mask):
+def _assemble(node_count, ends, alpha):
     """Build the CSR adjacency and freeze the network.
 
     ends is a fresh (M, 2) int64 array of (min id, max id) rows, which
@@ -116,7 +118,6 @@ def _assemble(node_count, ends, alpha, labeled_mask):
         node_count=node_count,
         endpoints=ends,
         alpha=np.asarray(alpha, dtype=np.float64),
-        labeled_mask=np.asarray(labeled_mask, dtype=bool),
         adj_indptr=indptr,
         adj_indices=cols[order],
         adj_edges=order % max(len(ends), 1),
@@ -194,7 +195,7 @@ def build_network(node_count, edges, times=None):
             alpha[known] = (raw[known] - lo) / (hi - lo)
         else:
             alpha[known] = 0.0
-    return _assemble(node_count, ends, alpha, known)
+    return _assemble(node_count, ends, alpha)
 
 
 def prefix_graph(net, ordering, fraction):
@@ -213,9 +214,7 @@ def prefix_graph(net, ordering, fraction):
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1], got %r" % (fraction,))
     keep = order[:math.ceil(fraction * m)]
-    return _assemble(
-        net.node_count, net.endpoints[keep], net.alpha[keep], net.labeled_mask[keep]
-    )
+    return _assemble(net.node_count, net.endpoints[keep], net.alpha[keep])
 
 
 def _csr_sum(net, x):
@@ -353,13 +352,6 @@ def _clustering(degrees, triangle_count):
 def local_clustering(net):
     """Local clustering coefficient per node; 0 for degree < 2."""
     return _clustering(net.degrees, triangle_counts(net))
-
-
-def average_clustering(net):
-    """Mean local clustering over all nodes (degree < 2 counts as 0)."""
-    if net.node_count == 0:
-        return 0.0
-    return float(local_clustering(net).mean())
 
 
 def coreness(net):

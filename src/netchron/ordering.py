@@ -1,12 +1,10 @@
-"""Global edge ordering from pairwise precedence probabilities.
+"""Global edge ordering from per-edge scores.
 
-A pairwise probability matrix is collapsed into one score per edge by
-summing its rows (a Borda count); the global order sorts scores
-descending with ascending edge index breaking ties. Per-edge scalar
-scores are ordered by sorting them directly: the Borda row sum of
-sigma(z_i - z_j) is strictly increasing in z_i, so the sort gives the
-same order as aggregating the softmax pairwise matrix, in O(M log M)
-time and O(M) memory.
+The global order sorts per-edge scalar scores descending, with
+ascending edge index breaking ties. The Borda count of the softmax
+pairwise matrix, the row sum of sigma(z_i - z_j), is strictly
+increasing in z_i, so the sort gives the order a Borda aggregation of
+that matrix would, in O(M log M) time and O(M) memory.
 
 Also here: the closed-form expected error of recovering a total order
 from independently flipped pairwise comparisons, and its Monte Carlo
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,38 +22,26 @@ from .errors import (
     CoverageError,
     DegenerateTruth,
     EmptyInput,
-    InconsistentMatrix,
     NumericalError,
     OutOfDomain,
     ParseError,
 )
 from .serialize import format_float
 
-COMPLEMENT_TOL = 1e-9
-
-
-class OrderingSource(str, Enum):
-    FROM_MATRIX = "pairwise_matrix"
-    FROM_SCORES = "edge_scores"
-    GROUND_TRUTH = "ground_truth"
-
 
 @dataclass(frozen=True, eq=False)
 class GlobalOrdering:
     """A total order over edges.
 
-    borda_scores holds one score per edge: the Borda row sums of a
-    pairwise matrix, or the edge scores themselves when ordering by
-    score (the ordering file's borda_score column); ranks is the
-    1-based rank position of each edge (1 = earliest); order lists
-    edge indices earliest first. Descending score with ascending index
-    tie-break, ranks, and order are mutually consistent by
-    construction.
+    borda_scores holds one score per edge, the ordering file's
+    borda_score column; ranks is the 1-based rank position of each edge
+    (1 = earliest); order lists edge indices earliest first. Descending
+    score with ascending index tie-break, ranks, and order are mutually
+    consistent by construction.
     """
 
     borda_scores: np.ndarray
     ranks: np.ndarray
-    source: OrderingSource
 
     @property
     def edge_count(self):
@@ -68,7 +53,7 @@ class GlobalOrdering:
         return np.argsort(self.ranks, kind="stable")
 
 
-def _ordering_from_scores(scores, source):
+def _ordering_from_scores(scores):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise EmptyInput("need a non-empty score vector")
@@ -77,42 +62,20 @@ def _ordering_from_scores(scores, source):
     order = np.lexsort((np.arange(m), -scores))
     ranks = np.empty(m, dtype=np.int64)
     ranks[order] = np.arange(1, m + 1)
-    return GlobalOrdering(borda_scores=scores, ranks=ranks, source=source)
-
-
-def borda_aggregate(pair_probs):
-    """Collapse an M x M precedence-probability matrix to a global order.
-
-    Entry (i, j) is the probability that edge i precedes edge j. The
-    off-diagonal complement constraint P[i, j] + P[j, i] = 1 is
-    validated; each edge's score is the sum of its row over all other
-    edges.
-    """
-    p = np.asarray(pair_probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
-        raise EmptyInput("need a non-empty square matrix")
-    gap = np.abs(p + p.T - 1.0)
-    np.fill_diagonal(gap, 0.0)
-    worst = float(gap.max()) if gap.size else 0.0
-    if worst > COMPLEMENT_TOL:
-        raise InconsistentMatrix(
-            "complement violation up to %.3g exceeds %.1g" % (worst, COMPLEMENT_TOL)
-        )
-    scores = p.sum(axis=1) - np.diag(p)
-    return _ordering_from_scores(scores, OrderingSource.FROM_MATRIX)
+    return GlobalOrdering(borda_scores=scores, ranks=ranks)
 
 
 def order_from_scores(scores):
     """Global order from per-edge scalar scores, by sorting them.
 
-    The order equals borda_aggregate applied to the softmax pairwise
+    The order equals a Borda aggregation of the softmax pairwise
     matrix of the scores; borda_scores holds the scores themselves.
     A NaN or infinite score raises NumericalError.
     """
     z = np.array(scores, dtype=np.float64)
     if not np.isfinite(z).all():
         raise NumericalError("cannot order edges: a score is NaN or infinite")
-    return _ordering_from_scores(z, OrderingSource.FROM_SCORES)
+    return _ordering_from_scores(z)
 
 
 def ground_truth_ordering(alphas):
@@ -125,7 +88,7 @@ def ground_truth_ordering(alphas):
         raise EmptyInput("need a non-empty time vector")
     if np.isnan(alphas).any():
         raise DegenerateTruth("ground truth has unknown times")
-    return _ordering_from_scores(-alphas, OrderingSource.GROUND_TRUTH)
+    return _ordering_from_scores(-alphas)
 
 
 @dataclass(frozen=True)
@@ -218,8 +181,6 @@ def load_ordering(path, net):
     endpoints (CoverageError otherwise), ranks must form a permutation
     of 1..M consistent with the stored scores, and fields must parse
     (scores as finite floats).
-    Provenance is not persisted; loaded orderings are tagged as
-    score-derived.
     """
     scores = np.full(net.edge_count, np.nan)
     ranks = np.zeros(net.edge_count, dtype=np.int64)
@@ -269,7 +230,7 @@ def load_ordering(path, net):
         raise CoverageError(
             "ordering covers %d of %d edges" % (int(seen.sum()), net.edge_count)
         )
-    rebuilt = _ordering_from_scores(scores, OrderingSource.FROM_SCORES)
+    rebuilt = _ordering_from_scores(scores)
     if not np.array_equal(rebuilt.ranks, ranks):
         raise ParseError("rank column inconsistent with scores in %s" % path)
     return rebuilt

@@ -28,6 +28,7 @@ from .coupling import (
     coupled_edge_features,
     glorot_uniform,
     init_propagation,
+    node_input_matrix,
     propagate,
     propagate_backward,
     PropagationWeights,
@@ -51,6 +52,7 @@ from .features import (
     steady_state_edge_features,
     structural_edge_features,
 )
+from .graph import node_struct_stats
 from .serialize import dump_json, load_json
 
 
@@ -221,8 +223,7 @@ class TrainInputs:
     node_inputs: np.ndarray | None = None
 
 
-def prepare_inputs(net, state_values, mode=FeatureMode.BOTH, stats=None,
-                   pagerank_values=None, betweenness=None):
+def prepare_inputs(net, state_values, mode=FeatureMode.BOTH):
     """Build the TrainInputs bundle for a network and steady state.
 
     Only the handcrafted blocks the mode uses are built; they are
@@ -230,18 +231,11 @@ def prepare_inputs(net, state_values, mode=FeatureMode.BOTH, stats=None,
     column-wise, with the state column zeroed for the structure-only
     ablation and the whole branch dropped for the state-only one.
     """
-    from .coupling import node_input_matrix
-    from .graph import node_struct_stats
-
     mode = FeatureMode(mode)
     blocks = []
     if mode is not FeatureMode.STATE_ONLY:
-        if stats is None:
-            stats = node_struct_stats(net)
-        blocks.append(structural_edge_features(
-            net, stats=stats, pagerank_values=pagerank_values,
-            betweenness=betweenness,
-        ))
+        stats = node_struct_stats(net)
+        blocks.append(structural_edge_features(net, stats=stats))
     if mode is not FeatureMode.STRUCT_ONLY:
         blocks.append(steady_state_edge_features(net, state_values))
     # Normalization is column-wise, so unused blocks need not be built.
@@ -253,7 +247,7 @@ def prepare_inputs(net, state_values, mode=FeatureMode.BOTH, stats=None,
             net, state_values, stats=stats,
             zero_state=mode is FeatureMode.STRUCT_ONLY,
         )
-        node_inputs, _, _ = standardize_columns(raw)
+        node_inputs, _ = standardize_columns(raw)
     return TrainInputs(static=static, node_inputs=node_inputs)
 
 
@@ -356,7 +350,7 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
     the pair level.
     """
     rng = np.random.default_rng(seed)
-    known = np.flatnonzero(net.labeled_mask & ~np.isnan(net.alpha))
+    known = np.flatnonzero(net.labeled_mask)
     if label_fraction is None:
         lab = known
     else:

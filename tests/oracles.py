@@ -417,10 +417,46 @@ def midranks_by_loop(values):
     return ranks
 
 
+def borda_aggregate(pair_probs):
+    """Global order from an M x M precedence-probability matrix, by Borda count.
+
+    Entry (i, j) is the probability that edge i precedes edge j. The
+    off-diagonal complement P[i, j] + P[j, i] = 1 must hold to 1e-9,
+    else ValueError. Each edge's score is its row sum over the other
+    edges; the order sorts scores descending, ascending index breaking
+    ties. The O(M^2) reference for order_from_scores.
+    """
+    from netchron.errors import EmptyInput
+    from netchron.ordering import GlobalOrdering
+
+    p = np.asarray(pair_probs, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
+        raise EmptyInput("need a non-empty square matrix")
+    gap = np.abs(p + p.T - 1.0)
+    np.fill_diagonal(gap, 0.0)
+    if gap.max() > 1e-9:
+        raise ValueError("complement violation up to %.3g" % gap.max())
+    scores = p.sum(axis=1) - np.diag(p)
+    m = scores.size
+    order = np.lexsort((np.arange(m), -scores))
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[order] = np.arange(1, m + 1)
+    return GlobalOrdering(borda_scores=scores, ranks=ranks)
+
+
+def average_clustering(net):
+    """Mean local clustering over all nodes (degree < 2 counts as 0)."""
+    from netchron.graph import local_clustering
+
+    if net.node_count == 0:
+        return 0.0
+    return float(local_clustering(net).mean())
+
+
 def growth_curve_by_prefix_graphs(net, ordering, prop, samples):
     """A property of a freshly built prefix graph at each (k + 1) / samples."""
     from netchron.evaluation import degree_gini
-    from netchron.graph import average_clustering, prefix_graph
+    from netchron.graph import prefix_graph
 
     fn = {"clustering": average_clustering, "degree_gini": degree_gini}[prop]
     order = ordering.order if hasattr(ordering, "order") else np.asarray(ordering)

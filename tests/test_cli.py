@@ -156,6 +156,27 @@ class TestTrain:
         assert "Traceback" not in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("big", [10**12, 10**20])
+    def test_node_id_beyond_the_edge_bound_exits_3(self, workspace, capsys, big):
+        tmp_path, graph, state = workspace
+        lines = graph.read_text().splitlines()
+        lines[-1] = "0\t%d\t1" % big
+        graph.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.json"
+        assert run("train", graph, state, "--epochs", 1, "--out", model) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert ":%d: node id %d " % (len(lines), big) in err
+        assert not model.exists()
+
+    def test_one_edge_graph_exits_3(self, tmp_path, capsys):
+        graph, state = one_edge_graph(tmp_path)
+        model = tmp_path / "model.json"
+        assert run("train", graph, state, "--epochs", 1, "--out", model) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: normalization needs at least two edges\n"
+        assert not model.exists()
+
     def test_deterministic_checkpoint(self, workspace):
         tmp_path, graph, state = workspace
         digests = []
@@ -239,6 +260,14 @@ class TestTrain:
         assert "bogus" in capsys.readouterr().err
 
 
+def one_edge_graph(tmp_path):
+    graph = tmp_path / "one.tsv"
+    graph.write_text("0\t1\t0\n")
+    state = tmp_path / "one_state.csv"
+    state.write_text("node_id,value\n0,0.5\n1,0.25\n")
+    return graph, state
+
+
 def separable_toy(tmp_path):
     """Path graph whose state encodes the formation order exactly."""
     m_edges = 12
@@ -300,6 +329,15 @@ class TestInfer:
         assert run("infer", graph, state, model_path,
                    "--out", tmp_path / "o.csv") == 3
         assert "schema" in capsys.readouterr().err
+
+    def test_one_edge_graph_exits_3(self, tmp_path, capsys):
+        _, _, _, model_path = separable_toy(tmp_path)
+        graph, state = one_edge_graph(tmp_path)
+        out = tmp_path / "ordering.csv"
+        assert run("infer", graph, state, model_path, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: normalization needs at least two edges\n"
+        assert not out.exists()
 
     def test_non_finite_state_exits_3(self, tmp_path, capsys):
         net, graph, state, model_path = separable_toy(tmp_path)
@@ -496,6 +534,16 @@ class TestPathdep:
 
     def test_too_few_nodes_exits_3(self, tmp_path):
         assert run("pathdep", "--n", 3, "--out", tmp_path / "p.json") == 3
+
+    @pytest.mark.parametrize("duration", [0, -1])
+    def test_nonpositive_duration_exits_3(self, tmp_path, capsys, duration):
+        out = tmp_path / "p.json"
+        assert run("pathdep", "--duration", duration, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: stage duration must be positive, got %r\n" % float(
+            duration
+        )
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"

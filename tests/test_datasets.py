@@ -1,7 +1,6 @@
-"""Edge-list IO, synthetic temporal generators, and label splits."""
+"""Edge-list IO and synthetic temporal generators."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -13,13 +12,11 @@ from netchron.datasets import (
     dataset_stats,
     generate_synthetic,
     load_edge_list,
-    split_labels,
     write_edge_list,
 )
 from netchron.errors import (
     BadSpec,
     EmptyInput,
-    InsufficientLabels,
     ParseError,
 )
 
@@ -76,6 +73,8 @@ class TestLoadEdgeList:
             ("-1\t1\t1990\n", ">= 0"),
             ("0\t1\tinf\n", "finite"),
             ("0\t1\t-inf\n", "finite"),
+            ("0\t2\t1990\n", "node id 2 is not below 2 x 1 edge lines"),
+            ("%d\t1\t1990\n" % 10**20, "node id %d " % 10**20),
         ]
         for body, fragment in cases:
             f = tmp_path / "bad.tsv"
@@ -185,50 +184,3 @@ class TestGenerators:
         expect = list(itertools.combinations(range(n), 2))
         got = [_pair_from_index(t, n) for t in range(len(expect))]
         assert got == expect
-
-
-class TestSplitLabels:
-    def _net413(self):
-        return generate_synthetic(SynthSpec(SynthKind.ER_SHUFFLED, 59, 7, seed=2))
-
-    def test_ceil_count(self):
-        net = self._net413()
-        assert net.edge_count == 413
-        out = split_labels(net, 0.3, seed=0)
-        assert out.labeled_mask.sum() == 124  # ceil(0.3 * 413)
-        # Times are retained for evaluation even where hidden.
-        assert not np.isnan(out.alpha).any()
-
-    def test_same_seed_same_mask(self):
-        net = self._net413()
-        a = split_labels(net, 0.3, seed=9)
-        b = split_labels(net, 0.3, seed=9)
-        assert np.array_equal(a.labeled_mask, b.labeled_mask)
-        c = split_labels(net, 0.3, seed=10)
-        assert not np.array_equal(a.labeled_mask, c.labeled_mask)
-
-    def test_fraction_bounds(self):
-        net = self._net413()
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                split_labels(net, bad, seed=0)
-        out = split_labels(net, 0.99, seed=0)
-        assert out.labeled_mask.sum() == math.ceil(0.99 * 413)
-
-    def test_insufficient_known_times(self, tmp_path):
-        f = tmp_path / "g.tsv"
-        f.write_text("0\t1\t1990\n1\t2\t?\n0\t2\t?\n")
-        net = load_edge_list(f)
-        with pytest.raises(InsufficientLabels):
-            split_labels(net, 0.9, seed=0)
-
-    def test_stratified_balances_deciles(self):
-        net = generate_synthetic(SynthSpec(SynthKind.ER_SHUFFLED, 20, 5, seed=4))
-        assert net.edge_count == 100
-        out = split_labels(net, 0.5, seed=1, stratified=True)
-        assert out.labeled_mask.sum() == 50
-        order = np.argsort(net.alpha)
-        per_decile = [
-            out.labeled_mask[order[10 * k:10 * (k + 1)]].sum() for k in range(10)
-        ]
-        assert per_decile == [5] * 10

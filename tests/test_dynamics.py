@@ -207,7 +207,7 @@ class TestRelax:
 
     def test_nonpositive_duration(self):
         net = complete_graph(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec):
             relax_stages([(net, 0.0)], [np.zeros(2)], np.zeros(2))
 
 

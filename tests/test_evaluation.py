@@ -53,9 +53,7 @@ def timed_network(seed=0, n=14):
 def reversed_ordering(truth):
     m = truth.edge_count
     ranks = m + 1 - truth.ranks
-    return GlobalOrdering(
-        borda_scores=-truth.borda_scores, ranks=ranks, source=truth.source
-    )
+    return GlobalOrdering(borda_scores=-truth.borda_scores, ranks=ranks)
 
 
 class TestPairwiseAccuracy:
@@ -452,7 +450,6 @@ def random_rank_orderings(net, rng, count=2):
         GlobalOrdering(
             borda_scores=np.zeros(net.edge_count),
             ranks=rng.permutation(net.edge_count) + 1,
-            source=truth.source,
         )
         for _ in range(count)
     ]
@@ -553,7 +550,7 @@ class TestMalformedOrderings:
             hub_radar(net, bad, truth)
         with pytest.raises(InvalidPermutation):
             hub_radar(net, truth, bad)
-        broken = GlobalOrdering(borda_scores=truth.borda_scores, ranks=bad, source=truth.source)
+        broken = GlobalOrdering(borda_scores=truth.borda_scores, ranks=bad)
         with pytest.raises(InvalidPermutation):
             hub_radar(net, broken, truth)
 

@@ -1,12 +1,11 @@
 """Edge feature blocks and normalization vs definition-level oracles."""
 
-import json
-
 import numpy as np
 import pytest
 
 from netchron.errors import (
     DimensionMismatch,
+    EmptyInput,
     FeatureSchemaMismatch,
     RowMismatch,
 )
@@ -22,7 +21,6 @@ from netchron.features import (
     standardize_columns,
     steady_state_edge_features,
     structural_edge_features,
-    write_feature_csv,
 )
 from netchron.graph import build_network, edge_betweenness, pagerank
 
@@ -139,9 +137,6 @@ class TestNormalize:
         assert out.degenerate == frozenset({"flat"})
         assert np.allclose(out.column("flat"), 0.0)
         assert np.isfinite(out.values).all()
-        assert out.column_stats["flat"].std == 0.0
-        assert out.column_stats["ramp"].min == 0.0
-        assert out.column_stats["ramp"].max == 3.0
 
     def test_standardized_moments(self):
         rng = np.random.default_rng(43)
@@ -152,14 +147,13 @@ class TestNormalize:
 
     def test_needs_two_rows(self):
         fm = FeatureMatrix(edges=((0, 1),), columns=("a",), values=np.ones((1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput):
             normalize(fm)
 
     def test_standardize_columns_reports_degenerate_indices(self):
         vals = np.column_stack([np.zeros(3), np.arange(3.0)])
-        _, stats, degenerate = standardize_columns(vals)
+        _, degenerate = standardize_columns(vals)
         assert degenerate == [0]
-        assert len(stats) == 2
 
 
 class TestSubsetAndCombine:
@@ -197,32 +191,3 @@ class TestSubsetAndCombine:
         a = structural_edge_features(triangle())
         with pytest.raises(FeatureSchemaMismatch):
             a.select(("nope",))
-
-
-class TestFeatureCsv:
-    def test_roundtrip_and_sidecar(self, tmp_path):
-        net = triangle()
-        fm = normalize(structural_edge_features(net))
-        path = tmp_path / "features.csv"
-        write_feature_csv(fm, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].split(",")[:2] == ["edge_u", "edge_v"]
-        assert len(lines) == 1 + fm.edge_count
-        back = np.array(
-            [[float(x) for x in line.split(",")[2:]] for line in lines[1:]]
-        )
-        assert np.array_equal(back, fm.values)
-        sidecar = json.loads((tmp_path / "features.csv.stats.json").read_text())
-        assert set(sidecar["columns"]) == set(fm.columns)
-        assert sidecar["epsilon"] == EPSILON
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        fm = normalize(structural_edge_features(triangle()))
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        write_feature_csv(fm, p1)
-        write_feature_csv(fm, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert (tmp_path / "a.csv.stats.json").read_bytes() == (
-            tmp_path / "b.csv.stats.json"
-        ).read_bytes()

@@ -327,15 +327,9 @@ class TestMakePairs:
         assert not np.array_equal(a1, b1)
 
     def test_insufficient_labels_raises(self):
-        net = build_network(3, [(0, 1), (1, 2)], times=[0, 1])
-        masked = net
-        import dataclasses
-
-        masked = dataclasses.replace(
-            masked, labeled_mask=np.array([True, False])
-        )
+        net = build_network(3, [(0, 1), (1, 2)], times=[0, None])
         with pytest.raises(InsufficientLabels):
-            make_pairs(masked, 0.9, 100, seed=0)
+            make_pairs(net, 0.9, 100, seed=0)
 
     def test_all_tied_times_raise(self):
         net = build_network(3, [(0, 1), (1, 2)], times=[5, 5])
