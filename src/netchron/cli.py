@@ -6,10 +6,12 @@ configuration, the seed, content digests of every input and output
 file, timings, and versions. Digests let manifests chain (evaluate
 lists the digest of the ordering that infer produced).
 
-Configuration resolution: built-in defaults, then a flat-key JSON file
-given with --config, then explicit command-line flags, later layers
-winning. Exit codes: 0 success, 2 usage, 3 data error, 4 numerical
-error.
+Each command's options are one table, name -> (kind, default, help):
+the table gives the --flag-names, the keys a --config file may hold,
+the defaults, and the coercion of flag and file values alike.
+Configuration resolution: the defaults, then the flat-key JSON file
+given with --config, then explicit flags, later layers winning. Exit
+codes: 0 success, 2 usage, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import dataclasses
 import os
 import sys
 import time
+from enum import Enum
 
 import numpy as np
 
@@ -55,7 +58,7 @@ from .ordering import (
     write_ordering,
 )
 from .ranker import (
-    TrainConfig,
+    TRAIN_OPTIONS,
     config_from_dict,
     load_model,
     predict_scores,
@@ -63,73 +66,33 @@ from .ranker import (
     save_model,
     train,
 )
-from .serialize import dump_json, format_float, load_json, sha256_file
+from .serialize import (dump_json, finite_float, format_float, integer,
+                        load_json, resolve_options, sha256_file, tuple_of)
 
 
-def _resolve(args, defaults):
-    """Layer defaults, then the --config file, then explicit flags."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_cfg = load_json(config_path)
-        if not isinstance(file_cfg, dict):
+def _resolve(args):
+    """The command's options: its defaults, then --config, then flags."""
+    options = OPTIONS[args.command]
+    values = {}
+    if args.config:
+        values = load_json(args.config)
+        if not isinstance(values, dict):
             raise ParseError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(values) - set(options))
         if unknown:
             raise ParseError(
                 "unknown config keys for this command: %s" % ", ".join(unknown)
             )
-        resolved.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
-
-
-def _require(resolved, *keys):
-    for key in keys:
-        if resolved.get(key) is None:
-            raise ParseError(
-                "--%s is required (flag or config file)" % key.replace("_", "-")
-            )
-
-
-def _typed(cfg, **kinds):
-    """A copy of cfg with each named value coerced by its type.
-
-    None stays None; a malformed value raises ParseError.
-    """
-    out = dict(cfg)
-    for key, kind in kinds.items():
-        if out[key] is None:
-            continue
-        try:
-            out[key] = kind(out[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(
-                "invalid value for %s: %r" % (key, out[key])
-            ) from None
-    return out
-
-
-def _float_list(value, name):
-    if isinstance(value, str):
-        value = [tok for tok in value.split(",") if tok.strip()]
+    for name, (_, default, _) in options.items():
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+        if default is REQUIRED and values.get(name) is None:
+            raise ParseError("--%s is required (flag or config file)"
+                             % name.replace("_", "-"))
     try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise ParseError("%s must be a comma-separated list of numbers" % name)
-    if not out:
-        raise ParseError("%s must be non-empty" % name)
-    return out
-
-
-def _int_list(value, name):
-    try:
-        return [int(v) for v in _float_list(value, name)]
-    except (ValueError, OverflowError):
-        raise ParseError("%s must hold finite integers" % name) from None
+        return resolve_options(options, values)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0,
@@ -159,14 +122,8 @@ def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0,
     return path
 
 
-SYNTH_DEFAULTS = {"kind": "pa", "n": None, "m": None, "seed": 0, "out": None}
-
-
-def cmd_synth(args):
+def cmd_synth(args, cfg):
     t0 = time.time()
-    cfg = _resolve(args, SYNTH_DEFAULTS)
-    _require(cfg, "n", "m", "out")
-    cfg = _typed(cfg, kind=SynthKind, n=int, m=int, seed=int)
     spec = SynthSpec(
         kind=cfg["kind"],
         node_count=cfg["n"],
@@ -187,20 +144,8 @@ def cmd_synth(args):
     return 0
 
 
-SIMULATE_DEFAULTS = {
-    "dynamics": "sis",
-    "seed": 0,
-    "tol": 1e-6,
-    "max_steps": 1000,
-    "out": None,
-}
-
-
-def cmd_simulate(args):
+def cmd_simulate(args, cfg):
     t0 = time.time()
-    cfg = _resolve(args, SIMULATE_DEFAULTS)
-    _require(cfg, "out")
-    cfg = _typed(cfg, dynamics=DynamicsKind, seed=int, tol=float, max_steps=int)
     net = load_edge_list(args.graph)
     kind = cfg["dynamics"]
     spec = sample_dynamics_params(kind, net.node_count, cfg["seed"])
@@ -218,11 +163,6 @@ def cmd_simulate(args):
         % (steady.converged, steady.steps, format_float(steady.residual))
     )
     return 0
-
-
-TRAIN_DEFAULTS = dict(
-    {f.name: f.default for f in dataclasses.fields(TrainConfig)}, out=None
-)
 
 
 def _load_state_for(net, path, warnings):
@@ -250,10 +190,8 @@ def _load_state_for(net, path, warnings):
     return values
 
 
-def cmd_train(args):
+def cmd_train(args, cfg):
     t0 = time.time()
-    cfg = _resolve(args, TRAIN_DEFAULTS)
-    _require(cfg, "out")
     train_cfg = config_from_dict(cfg)
     mode = train_cfg.mode
     net = load_edge_list(args.graph)
@@ -294,13 +232,8 @@ def cmd_train(args):
     return 0
 
 
-INFER_DEFAULTS = {"out": None}
-
-
-def cmd_infer(args):
+def cmd_infer(args, cfg):
     t0 = time.time()
-    cfg = _resolve(args, INFER_DEFAULTS)
-    _require(cfg, "out")
     net = load_edge_list(args.graph)
     warnings = []
     values = _load_state_for(net, args.steady_state, warnings)
@@ -327,22 +260,8 @@ def cmd_infer(args):
     return 0
 
 
-EVALUATE_DEFAULTS = {
-    "steady_state": None,
-    "pair_budget": None,
-    "seed": 0,
-    "bins": 10,
-    "samples": 50,
-    "top_k": 5,
-    "out": None,
-}
-
-
-def cmd_evaluate(args):
+def cmd_evaluate(args, cfg):
     t0 = time.time()
-    cfg = _resolve(args, EVALUATE_DEFAULTS)
-    _require(cfg, "out")
-    cfg = _typed(cfg, pair_budget=int, seed=int, bins=int, samples=int, top_k=int)
     net = load_edge_list(args.graph)
     ordering = load_ordering(args.ordering, net)
     fm = structural_edge_features(net)
@@ -414,22 +333,10 @@ def cmd_evaluate(args):
     return 0
 
 
-THEORY_DEFAULTS = {
-    "p_grid": "0.7,0.8,0.9",
-    "m_grid": "100,400",
-    "trials": 500,
-    "seed": 0,
-    "out": None,
-}
-
-
-def cmd_theory_check(args):
+def cmd_theory_check(args, cfg):
     t0 = time.time()
-    cfg = _resolve(args, THEORY_DEFAULTS)
-    _require(cfg, "out")
-    cfg = _typed(cfg, trials=int, seed=int)
-    ps = _float_list(cfg["p_grid"], "p_grid")
-    ms = _int_list(cfg["m_grid"], "m_grid")
+    ps = cfg["p_grid"]
+    ms = cfg["m_grid"]
     trials = cfg["trials"]
     seed = cfg["seed"]
     rows = []
@@ -459,20 +366,8 @@ def cmd_theory_check(args):
     return 0
 
 
-PATHDEP_DEFAULTS = {
-    "n": 4,
-    "dynamics": "sis",
-    "duration": 1.0,
-    "seed": 0,
-    "out": None,
-}
-
-
-def cmd_pathdep(args):
+def cmd_pathdep(args, cfg):
     t0 = time.time()
-    cfg = _resolve(args, PATHDEP_DEFAULTS)
-    _require(cfg, "out")
-    cfg = _typed(cfg, dynamics=DynamicsKind, seed=int, duration=float, n=int)
     report = path_dependence_demo(
         kind=cfg["dynamics"],
         seed=cfg["seed"],
@@ -490,6 +385,71 @@ def cmd_pathdep(args):
     return 0
 
 
+REQUIRED = object()
+SEED = (integer, 0, "random seed")
+OUT = (str, REQUIRED, "primary output path")
+
+# One table per command: name -> (kind, default, help). A kind is a
+# coercer, an Enum class, or a tuple of choices; a REQUIRED option has
+# no default and must come from a flag or the config file.
+OPTIONS = {
+    "synth": {
+        "kind": (SynthKind, "pa", "graph generator"),
+        "n": (integer, REQUIRED, "node count"),
+        "m": (integer, REQUIRED, "edges per new node"),
+        "seed": SEED,
+        "out": OUT,
+    },
+    "simulate": {
+        "dynamics": (DynamicsKind, "sis", "dynamical process"),
+        "seed": SEED,
+        "tol": (finite_float, 1e-6, "convergence tolerance"),
+        "max_steps": (integer, 1000, "step limit"),
+        "out": OUT,
+    },
+    "train": dict(TRAIN_OPTIONS, out=OUT),
+    "infer": {"out": OUT},
+    "evaluate": {
+        "steady_state": (str, None, "steady state to add to the correlations"),
+        "pair_budget": (integer, None, "score this many sampled pairs"),
+        "seed": SEED,
+        "bins": (integer, 10, "bins of the trend"),
+        "samples": (integer, 50, "points per growth curve"),
+        "top_k": (integer, 5, "hubs in the radar"),
+        "out": OUT,
+    },
+    "theory-check": {
+        "p_grid": (tuple_of(finite_float), (0.7, 0.8, 0.9),
+                   "comma-separated accuracies in (0.5, 1]"),
+        "m_grid": (tuple_of(integer), (100, 400), "comma-separated edge counts"),
+        "trials": (integer, 500, "Monte Carlo trials per cell"),
+        "seed": SEED,
+        "out": OUT,
+    },
+    "pathdep": {
+        "n": (integer, 4, "node count (>= 4)"),
+        "dynamics": (DynamicsKind, "sis", "dynamical process"),
+        "duration": (finite_float, 1.0, "duration of each stage"),
+        "seed": SEED,
+        "out": OUT,
+    },
+}
+
+# (name, handler, positionals, help) of each command.
+COMMANDS = (
+    ("synth", cmd_synth, (), "generate a synthetic temporal network"),
+    ("simulate", cmd_simulate, ("graph",), "run dynamics to a steady state"),
+    ("train", cmd_train, ("graph", "steady_state"), "fit the precedence model"),
+    ("infer", cmd_infer, ("graph", "steady_state", "model"),
+     "score and order all edges"),
+    ("evaluate", cmd_evaluate, ("ordering", "graph"),
+     "score an ordering against truth"),
+    ("theory-check", cmd_theory_check, (),
+     "compare closed-form and Monte Carlo error"),
+    ("pathdep", cmd_pathdep, (), "demonstrate order dependence of the state"),
+)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="netchron",
@@ -500,86 +460,24 @@ def _build_parser():
         "--version", action="version", version="netchron %s" % __version__
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, func, positionals, summary in COMMANDS:
+        p = sub.add_parser(command, help=summary)
+        for name in positionals:
+            p.add_argument(name)
         p.add_argument("--config", help="flat-key JSON config file")
-        p.add_argument("--out", help="primary output path")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-
-    p = sub.add_parser("synth", help="generate a synthetic temporal network")
-    p.add_argument("--kind", choices=[k.value for k in SynthKind])
-    p.add_argument("--n", type=int, help="node count")
-    p.add_argument("--m", type=int, help="edges per new node")
-    add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("simulate", help="run dynamics to a steady state")
-    p.add_argument("graph", help="edge-list file")
-    p.add_argument("--dynamics", choices=[k.value for k in DynamicsKind])
-    p.add_argument("--tol", type=float, help="convergence tolerance")
-    p.add_argument("--max-steps", type=int, dest="max_steps")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("train", help="fit the precedence model")
-    p.add_argument("graph")
-    p.add_argument("steady_state")
-    p.add_argument("--mode", choices=[m.value for m in FeatureMode])
-    p.add_argument("--label-fraction", type=float, dest="label_fraction")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--l2-coeff", type=float, dest="l2_coeff")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--pair-budget", type=int, dest="pair_budget")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--embedding-dims", dest="embedding_dims",
-                   help="comma-separated layer widths, first must be 4")
-    p.add_argument("--activation", choices=["tanh", "relu"])
-    p.add_argument("--neighbor-norm", choices=["mean", "symmetric"],
-                   dest="neighbor_norm")
-    p.add_argument("--scorer-activation", choices=["tanh", "relu"],
-                   dest="scorer_activation")
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("infer", help="score and order all edges")
-    p.add_argument("graph")
-    p.add_argument("steady_state")
-    p.add_argument("model")
-    add_common(p)
-    p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("evaluate", help="score an ordering against truth")
-    p.add_argument("ordering")
-    p.add_argument("graph")
-    p.add_argument("--steady-state", dest="steady_state",
-                   help="include state features in correlations")
-    p.add_argument("--pair-budget", type=int, dest="pair_budget")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--top-k", type=int, dest="top_k")
-    add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("theory-check",
-                       help="compare closed-form and Monte Carlo error")
-    p.add_argument("--p-grid", dest="p_grid",
-                   help="comma-separated accuracies in (0.5, 1]")
-    p.add_argument("--m-grid", dest="m_grid",
-                   help="comma-separated edge counts")
-    p.add_argument("--trials", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_theory_check)
-
-    p = sub.add_parser("pathdep",
-                       help="demonstrate order dependence of the state")
-    p.add_argument("--n", type=int, help="node count (>= 4)")
-    p.add_argument("--dynamics", choices=[k.value for k in DynamicsKind])
-    p.add_argument("--duration", type=float)
-    add_common(p)
-    p.set_defaults(func=cmd_pathdep)
-
+        for name, (kind, default, text) in OPTIONS[command].items():
+            choices = kind if isinstance(kind, tuple) else None
+            if isinstance(kind, type) and issubclass(kind, Enum):
+                choices = tuple(k.value for k in kind)
+            if default is REQUIRED:
+                text += " (required)"
+            elif isinstance(default, tuple):
+                text += " (default %s)" % ",".join(map(str, default))
+            elif default is not None:
+                text += " (default %s)" % getattr(default, "value", default)
+            p.add_argument("--" + name.replace("_", "-"), help=text,
+                           type=None if choices else kind, choices=choices)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -587,7 +485,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except DataError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3

@@ -34,6 +34,7 @@ from .coupling import (
     PropagationWeights,
 )
 from .errors import (
+    BadDims,
     DimensionMismatch,
     EmptyPairs,
     FeatureSchemaMismatch,
@@ -53,7 +54,19 @@ from .features import (
     structural_edge_features,
 )
 from .graph import node_struct_stats
-from .serialize import dump_json, load_json
+from .serialize import (dump_json, finite_float, integer, load_json,
+                        resolve_options, tuple_of)
+
+
+def _option(default, kind, text):
+    """A field whose option kind and help text ride in its metadata."""
+    return dataclasses.field(
+        default=default, metadata={"kind": kind, "help": text}
+    )
+
+
+def float_or_none(value):
+    return None if value is None else finite_float(value)
 
 
 @dataclass(frozen=True)
@@ -63,23 +76,28 @@ class TrainConfig:
     label_fraction picks ceil(fraction * M) supervised edges out of
     the network's labeled set; None uses the labeled set as is.
     embedding_dims starts with the 4-wide node input; mode STATE_ONLY
-    disables the propagation branch entirely.
+    disables the propagation branch entirely. Each field's metadata
+    holds its option kind and help (see TRAIN_OPTIONS).
     """
 
-    learning_rate: float = 1e-3
-    l2_coeff: float = 1e-4
-    epochs: int = 200
-    batch_size: int = 256
-    pair_budget: int = 100_000
-    label_fraction: float | None = 0.3
-    seed: int = 0
-    mode: FeatureMode = FeatureMode.BOTH
-    hidden: int = 64
-    embedding_dims: tuple = (4, 32, 32)
-    activation: str = "tanh"
-    neighbor_norm: str = "mean"
-    scorer_activation: str = "tanh"
-    val_fraction: float = 0.1
+    learning_rate: float = _option(1e-3, finite_float, "Adam step size")
+    l2_coeff: float = _option(1e-4, finite_float, "L2 penalty on the scorer")
+    epochs: int = _option(200, integer, "training epochs")
+    batch_size: int = _option(256, integer, "pairs per mini-batch")
+    pair_budget: int = _option(100_000, integer, "training pairs sampled at most")
+    label_fraction: float | None = _option(
+        0.3, float_or_none, "share of edges supervised (null: every labeled edge)"
+    )
+    seed: int = _option(0, integer, "random seed")
+    mode: FeatureMode = _option(FeatureMode.BOTH, FeatureMode, "feature blocks")
+    hidden: int = _option(64, integer, "scorer hidden width")
+    embedding_dims: tuple = _option(
+        (4, 32, 32), tuple_of(integer), "comma-separated layer widths, first 4"
+    )
+    activation: str = _option("tanh", ACTIVATIONS, "propagation activation")
+    neighbor_norm: str = _option("mean", NEIGHBOR_NORMS, "neighbour normalization")
+    scorer_activation: str = _option("tanh", ACTIVATIONS, "scorer activation")
+    val_fraction: float = _option(0.1, finite_float, "share of pairs held out")
 
     def validated(self):
         if self.learning_rate <= 0 or self.l2_coeff < 0:
@@ -90,45 +108,34 @@ class TrainConfig:
             raise ValueError("label_fraction must lie in (0, 1) or be None")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
-        if self.scorer_activation not in ("tanh", "relu"):
-            raise ValueError("scorer_activation must be tanh or relu")
+        for f in dataclasses.fields(self):
+            choices, value = f.metadata["kind"], getattr(self, f.name)
+            if isinstance(choices, tuple) and value not in choices:
+                raise ValueError("%s must be one of %s, got %r"
+                                 % (f.name, ", ".join(choices), value))
+        _check_dims(self.embedding_dims)
         FeatureMode(self.mode)
         return self
 
 
-def _int_tuple(value):
-    if isinstance(value, str):
-        value = [tok for tok in value.split(",") if tok.strip()]
-    out = tuple(int(float(v)) for v in value)
-    if not out:
-        raise ValueError("a tuple field must be non-empty")
-    return out
-
-
-# Coercion of plain (flag or JSON) values by declared field type.
-_COERCE = {
-    "float": float,
-    "float | None": lambda v: None if v is None else float(v),
-    "int": int,
-    "str": str,
-    "tuple": _int_tuple,
-    "FeatureMode": FeatureMode,
+# The train command's options: name -> (kind, default, help).
+TRAIN_OPTIONS = {
+    f.name: (f.metadata["kind"], f.default, f.metadata["help"])
+    for f in dataclasses.fields(TrainConfig)
 }
 
 
 def config_from_dict(raw):
     """Validated TrainConfig from plain values, e.g. CLI flags or JSON.
 
-    Each field is coerced by its declared type (tuples also accept a
-    comma-separated string); absent fields keep their defaults and other
-    keys are ignored. Any malformed or invalid value raises ParseError.
+    Each field is coerced by its TRAIN_OPTIONS kind (tuples also accept
+    a comma-separated string); absent fields keep their defaults and
+    other keys are ignored. Any malformed or invalid value, in any
+    mode, raises ParseError.
     """
     try:
-        return TrainConfig(**{
-            f.name: _COERCE[f.type](raw.get(f.name, f.default))
-            for f in dataclasses.fields(TrainConfig)
-        }).validated()
-    except (TypeError, ValueError) as exc:
+        return TrainConfig(**resolve_options(TRAIN_OPTIONS, raw)).validated()
+    except (TypeError, ValueError, BadDims) as exc:
         raise ParseError("invalid training config: %s" % exc) from None
 
 

@@ -3,11 +3,13 @@
 Every file the package writes goes through these so that reruns with
 identical inputs produce byte-identical outputs: floats via repr
 (shortest round-trip form), strict JSON (no NaN or infinity) with
-sorted keys and a trailing newline.
+sorted keys and a trailing newline. The option coercers read plain
+values (flag text or JSON) back under the same rules.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -63,3 +65,57 @@ def sha256_file(path):
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def finite_float(value):
+    """A finite float from a number or a decimal string; a bool, NaN or
+    infinity raises ValueError."""
+    number = float(value)
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError("not a finite number: %r" % (value,))
+    return number
+
+
+def integer(value):
+    """An int from an int, an integral float (12.0, 1e3) or a decimal
+    string; a bool or a fraction raises ValueError, never truncated."""
+    digits = value.strip().lstrip("+-") if isinstance(value, str) else ""
+    if type(value) is int or digits.isdecimal():
+        return int(value)
+    number = finite_float(value)
+    if not number.is_integer():
+        raise ValueError("not an integer: %r" % (value,))
+    return int(number)
+
+
+def tuple_of(item):
+    """A coercer of a list or a comma-separated string to a non-empty
+    tuple of item(v) values."""
+
+    def coerce(value):
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok.strip()]
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError("not a non-empty list: %r" % (value,))
+        return tuple(item(v) for v in value)
+
+    coerce.__name__ = "%s list" % item.__name__
+    return coerce
+
+
+def resolve_options(options, values):
+    """Each option of a name -> (kind, default, help) table, coerced by
+    its kind from values or else its default. A choice tuple passes the
+    value through for its holder to check; None stays where the default
+    is None. A malformed value raises ValueError naming its option."""
+    out = {}
+    for name, (kind, default, _) in options.items():
+        value = values.get(name, default)
+        if isinstance(kind, tuple) or (value is None and default is None):
+            out[name] = value
+            continue
+        try:
+            out[name] = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("invalid value for %s: %r" % (name, value)) from None
+    return out

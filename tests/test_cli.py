@@ -3,7 +3,9 @@
 Commands run in-process through main(argv); files land in tmp_path.
 """
 
+import argparse
 import dataclasses
+import enum
 import json
 import os
 import subprocess
@@ -14,10 +16,10 @@ import numpy as np
 import pytest
 
 import netchron
-from netchron.cli import TRAIN_DEFAULTS, main
+from netchron.cli import OPTIONS, _build_parser, main
 from netchron.datasets import load_edge_list, write_edge_list
 from netchron.dynamics import load_steady_state
-from netchron.errors import NumericalError
+from netchron.errors import NumericalError, ParseError
 from netchron.features import STATE_COLUMNS, FeatureMode
 from netchron.graph import build_network
 from netchron.ordering import ground_truth_ordering, load_ordering, write_ordering
@@ -28,7 +30,14 @@ from netchron.ranker import (
     load_model,
     save_model,
 )
-from netchron.serialize import dump_json, load_json, sha256_file
+from netchron.serialize import (
+    dump_json,
+    finite_float,
+    integer,
+    load_json,
+    sha256_file,
+    tuple_of,
+)
 
 
 def run(*argv):
@@ -238,7 +247,7 @@ class TestTrain:
 
     def test_defaults_are_the_train_config_fields(self):
         fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        assert set(TRAIN_DEFAULTS) == fields | {"out"}
+        assert set(OPTIONS["train"]) == fields | {"out"}
 
     @pytest.mark.parametrize("flag, value", [
         ("--label-fraction", 1.5),
@@ -741,3 +750,284 @@ class TestNumpyOnlyRuntime:
         )
         assert done.returncode == 0, done.stderr
         assert "heavy modules: []" in done.stdout
+
+
+class TestOptionCoercers:
+    @pytest.mark.parametrize("value, expected", [
+        (12, 12), (12.0, 12), (1e3, 1000), ("12", 12), (" 7 ", 7),
+        ("12.0", 12), ("1e3", 1000), (-5, -5),
+    ])
+    def test_integer_accepts_integral_values(self, value, expected):
+        out = integer(value)
+        assert out == expected and type(out) is int
+
+    @pytest.mark.parametrize("value", [
+        True, False, 4.5, "4.5", float("nan"), float("inf"), "1e999", "x",
+        "", None, [1],
+    ])
+    def test_integer_rejects_without_truncating(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            integer(value)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), "nan", "inf", "-Infinity",
+        "1e999", True, "x", None,
+    ])
+    def test_finite_float_rejects_non_finite_and_bool(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            finite_float(value)
+
+    def test_list_coercer(self):
+        ints = tuple_of(integer)
+        assert ints("4,,8") == ints([4, 8.0]) == (4, 8)
+        for bad in ("", [], "4,4.5", [4, True], 5):
+            with pytest.raises((TypeError, ValueError)):
+                ints(bad)
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("config, needle", [
+        ('{"n": 60.9, "m": 2}', "invalid value for n: 60.9"),
+        ('{"n": 60, "m": true}', "invalid value for m: True"),
+        ('{"n": "60.5", "m": 2}', "invalid value for n: '60.5'"),
+    ])
+    def test_non_integral_config_value_exits_3(self, tmp_path, capsys,
+                                               config, needle):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "g.tsv"
+        assert run("synth", "--config", cfg, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: %s\n" % needle
+        assert not out.exists()
+
+    def test_integral_float_config_value_is_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n": 60.0, "m": 2, "seed": "1e0"}\n')
+        out = tmp_path / "g.tsv"
+        assert run("synth", "--config", cfg, "--out", out) == 0
+        assert load_edge_list(out).node_count == 60
+        assert load_json(str(out) + ".manifest.json")["config"]["seed"] == 1
+
+    def test_fractional_epochs_exit_3(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"epochs": 1.7}\n')
+        model = tmp_path / "m.json"
+        assert run("train", graph, state, "--config", cfg, "--out", model) == 3
+        assert "invalid value for epochs: 1.7" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "4.5"), ("--m", "true"),
+    ])
+    def test_non_integral_flag_exits_2(self, tmp_path, flag, value):
+        argv = {"--n": "30", "--m": "2"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            run("synth", *[t for kv in argv.items() for t in kv],
+                "--out", tmp_path / "g.tsv")
+        assert exc.value.code == 2
+        assert not (tmp_path / "g.tsv").exists()
+
+    def test_fractional_embedding_dims_flag_exits_2(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        with pytest.raises(SystemExit) as exc:
+            run("train", graph, state, "--embedding-dims", "4,4.5",
+                "--out", tmp_path / "m.json")
+        assert exc.value.code == 2
+        assert "--embedding-dims" in capsys.readouterr().err
+
+
+class TestFiniteFloats:
+    @pytest.mark.parametrize("config", [
+        '{"tol": NaN}', '{"tol": "nan"}', '{"tol": Infinity}',
+    ])
+    def test_simulate_non_finite_tol_writes_nothing(self, workspace, capsys,
+                                                    config):
+        tmp_path, graph, _ = workspace
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "s.csv"
+        assert run("simulate", graph, "--config", cfg, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid value for tol: ")
+        assert sorted(p.name for p in tmp_path.glob("s.csv*")) == []
+
+    @pytest.mark.parametrize("config", [
+        '{"learning_rate": NaN}', '{"l2_coeff": Infinity}',
+        '{"val_fraction": -Infinity}', '{"label_fraction": NaN}',
+    ])
+    def test_train_non_finite_value_exits_3_before_training(
+            self, workspace, capsys, config):
+        tmp_path, graph, state = workspace
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config + "\n")
+        model = tmp_path / "m.json"
+        assert run("train", graph, state, "--config", cfg, "--out", model) == 3
+        assert "invalid value for" in capsys.readouterr().err
+        assert list(tmp_path.glob("m.json*")) == []
+
+    def test_pathdep_infinite_duration_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"duration": Infinity}\n')
+        out = tmp_path / "p.json"
+        assert run("pathdep", "--config", cfg, "--out", out) == 3
+        assert "invalid value for duration: inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "GRAPH", "--tol", "nan"),
+        ("train", "GRAPH", "STATE", "--learning-rate", "nan"),
+        ("train", "GRAPH", "STATE", "--l2-coeff", "inf"),
+        ("pathdep", "--duration", "inf"),
+    ])
+    def test_non_finite_flag_exits_2(self, workspace, argv):
+        tmp_path, graph, state = workspace
+        out = tmp_path / "out.file"
+        names = {"GRAPH": graph, "STATE": state}
+        with pytest.raises(SystemExit) as exc:
+            run(*[names.get(a, a) for a in argv], "--out", out)
+        assert exc.value.code == 2
+        assert list(tmp_path.glob("out.file*")) == []
+
+
+class TestTrainConfigInEveryMode:
+    @pytest.mark.parametrize("config, needle", [
+        ('{"activation": "sigmoid", "neighbor_norm": "bogus", "mode": "state"}',
+         "activation must be one of tanh, relu, got 'sigmoid'"),
+        ('{"neighbor_norm": "bogus", "mode": "state"}',
+         "neighbor_norm must be one of mean, symmetric, got 'bogus'"),
+        ('{"scorer_activation": "gelu"}', "scorer_activation must be one of"),
+        ('{"embedding_dims": [9, 0], "mode": "state"}',
+         "dimensions must be positive"),
+    ])
+    def test_invalid_config_exits_3(self, workspace, capsys, config, needle):
+        tmp_path, graph, state = workspace
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config + "\n")
+        model = tmp_path / "m.json"
+        assert run("train", graph, state, "--config", cfg, "--out", model) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid training config: ")
+        assert needle in err and err.count("\n") == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("activation", "sigmoid"),
+        ("neighbor_norm", "bogus"),
+        ("embedding_dims", [9, 0]),
+        ("epochs", 1.5),
+    ])
+    def test_checkpoint_with_invalid_config_is_rejected(self, workspace,
+                                                         capsys, key, value):
+        tmp_path, graph, state = workspace
+        model = tmp_path / "m.json"
+        assert run("train", graph, state, "--mode", "state", "--epochs", 1,
+                   "--hidden", 4, "--out", model) == 0
+        payload = load_json(model)
+        payload["config"][key] = value
+        dump_json(payload, model)
+        with pytest.raises(ParseError, match="invalid training config"):
+            load_model(model)
+        out = tmp_path / "o.csv"
+        assert run("infer", graph, state, model, "--out", out) == 3
+        assert "invalid training config" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _subparsers():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _flag_text(value):
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+class TestCliSurface:
+    def test_every_option_dest_is_a_config_key(self):
+        parsers = _subparsers()
+        assert set(parsers) == set(OPTIONS)
+        for command, p in parsers.items():
+            dests = {a.dest for a in p._actions
+                     if a.option_strings} - {"config", "help", "version"}
+            assert dests == set(OPTIONS[command]), command
+
+    def test_infer_has_no_seed(self, tmp_path):
+        net, graph, state, model_path = separable_toy(tmp_path)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("infer", graph, state, model_path, "--seed", 5, "--out", out)
+        assert exc.value.code == 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seed": 5}\n')
+        assert run("infer", graph, state, model_path, "--config", cfg,
+                   "--out", out) == 3
+        assert not out.exists()
+
+    def test_flag_and_config_file_resolve_alike(self, workspace):
+        tmp_path, graph, state = workspace
+        model = tmp_path / "model.json"
+        assert run("train", graph, state, "--epochs", 1, "--hidden", 4,
+                   "--embedding-dims", "4,3", "--out", model) == 0
+        ordering = tmp_path / "ordering.csv"
+        assert run("infer", graph, state, model, "--out", ordering) == 0
+        cases = {
+            "synth": ((), {"kind": "er", "n": 30, "m": 2, "seed": 3}),
+            "simulate": ((graph,), {"dynamics": "gene", "seed": 2,
+                                    "tol": 1e-5, "max_steps": 50}),
+            "train": ((graph, state), {
+                "learning_rate": 0.01, "l2_coeff": 0.001, "epochs": 1,
+                "batch_size": 64, "pair_budget": 500, "label_fraction": 0.5,
+                "seed": 2, "mode": "both", "hidden": 4,
+                "embedding_dims": [4, 3], "activation": "relu",
+                "neighbor_norm": "symmetric", "scorer_activation": "relu",
+                "val_fraction": 0.2,
+            }),
+            "infer": ((graph, state, model), {}),
+            "evaluate": ((ordering, graph), {
+                "steady_state": str(state), "pair_budget": 40, "seed": 1,
+                "bins": 4, "samples": 5, "top_k": 3,
+            }),
+            "theory-check": ((), {"p_grid": [0.8, 0.9], "m_grid": [20, 40],
+                                  "trials": 5, "seed": 1}),
+            "pathdep": ((), {"n": 5, "dynamics": "gene", "duration": 0.5,
+                             "seed": 1}),
+        }
+        assert set(cases) == set(OPTIONS)
+        for command, (positionals, values) in cases.items():
+            assert set(values) | {"out"} == set(OPTIONS[command]), command
+            out = tmp_path / ("%s.out" % command)
+            flags = [t for k, v in values.items()
+                     for t in (_flag(k), _flag_text(v))]
+            assert run(command, *positionals, *flags, "--out", out) == 0
+            by_flag = (load_json(str(out) + ".manifest.json")["config"],
+                       out.read_bytes())
+            cfg = tmp_path / ("%s.json" % command)
+            cfg.write_text(json.dumps(dict(values, out=str(out))))
+            assert run(command, *positionals, "--config", cfg) == 0
+            by_file = (load_json(str(out) + ".manifest.json")["config"],
+                       out.read_bytes())
+            assert by_flag == by_file, command
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_every_option_and_its_choices(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name, (kind, _, _) in OPTIONS[command].items():
+            assert _flag(name) in text, name
+            if isinstance(kind, type) and issubclass(kind, enum.Enum):
+                kind = tuple(k.value for k in kind)
+            if isinstance(kind, tuple):
+                assert "%s {%s}" % (_flag(name), ",".join(kind)) in text

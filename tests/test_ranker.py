@@ -14,6 +14,7 @@ import pytest
 from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
 from netchron.dynamics import DynamicsKind, DynamicsSpec, simulate
 from netchron.errors import (
+    BadDims,
     DimensionMismatch,
     FeatureSchemaMismatch,
     InsufficientLabels,
@@ -537,6 +538,38 @@ class TestConfigFromDict:
     def test_invalid_values_raise_parse_error(self, raw):
         with pytest.raises(ParseError):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [
+        {"epochs": 1.7},
+        {"epochs": True},
+        {"hidden": "4.5"},
+        {"embedding_dims": "4,4.5"},
+        {"embedding_dims": [4, 32.5]},
+        {"learning_rate": float("nan")},
+        {"l2_coeff": float("inf")},
+        {"label_fraction": float("nan")},
+        {"activation": "sigmoid", "mode": "state"},
+        {"neighbor_norm": "bogus", "mode": "state"},
+        {"embedding_dims": [9, 0], "mode": "state"},
+    ])
+    def test_no_truncation_no_non_finite_and_every_mode_checked(self, raw):
+        with pytest.raises(ParseError, match="invalid training config"):
+            config_from_dict(raw)
+
+    def test_integral_floats_are_integers(self):
+        cfg = config_from_dict({"epochs": 12.0, "batch_size": "1e2",
+                                "embedding_dims": [4.0, 8]})
+        assert (cfg.epochs, cfg.batch_size, cfg.embedding_dims) == (12, 100, (4, 8))
+        assert type(cfg.epochs) is int
+
+    def test_validated_checks_the_propagation_fields_in_state_mode(self):
+        state = dict(mode=FeatureMode.STATE_ONLY)
+        with pytest.raises(ValueError, match="activation"):
+            TrainConfig(activation="sigmoid", **state).validated()
+        with pytest.raises(ValueError, match="neighbor_norm"):
+            TrainConfig(neighbor_norm="bogus", **state).validated()
+        with pytest.raises(BadDims):
+            TrainConfig(embedding_dims=(9, 0), **state).validated()
 
 
 class TestPrepareInputs:
