@@ -74,6 +74,7 @@ from .ranker import (
     CpnnModel,
     TrainConfig,
     TrainInputs,
+    build_model,
     init_cpnn,
     load_model,
     loss,

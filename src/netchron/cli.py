@@ -66,8 +66,8 @@ from .ranker import (
     save_model,
     train,
 )
-from .serialize import (dump_json, finite_float, format_float, integer,
-                        load_json, resolve_options, sha256_file, tuple_of)
+from .serialize import (dump_json, finite_float, format_float, integer, load_json,
+                        path_str, resolve_options, sha256_file, tuple_of)
 
 
 def _resolve(args):
@@ -387,7 +387,7 @@ def cmd_pathdep(args, cfg):
 
 REQUIRED = object()
 SEED = (integer, 0, "random seed")
-OUT = (str, REQUIRED, "primary output path")
+OUT = (path_str, REQUIRED, "primary output path")
 
 # One table per command: name -> (kind, default, help). A kind is a
 # coercer, an Enum class, or a tuple of choices; a REQUIRED option has
@@ -410,7 +410,7 @@ OPTIONS = {
     "train": dict(TRAIN_OPTIONS, out=OUT),
     "infer": {"out": OUT},
     "evaluate": {
-        "steady_state": (str, None, "steady state to add to the correlations"),
+        "steady_state": (path_str, None, "steady state to add to the correlations"),
         "pair_budget": (integer, None, "score this many sampled pairs"),
         "seed": SEED,
         "bins": (integer, 10, "bins of the trend"),

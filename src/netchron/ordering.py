@@ -28,6 +28,8 @@ from .errors import (
 )
 from .serialize import format_float
 
+_INT64 = range(-2**63, 2**63)
+
 
 @dataclass(frozen=True, eq=False)
 class GlobalOrdering:
@@ -200,13 +202,12 @@ def load_ordering(path, net):
                     "%s:%d: expected 5 fields, got %d" % (path, lineno, len(parts))
                 )
             try:
-                k = int(parts[0])
-                u = int(parts[1])
-                v = int(parts[2])
+                k, u, v, rank = (int(parts[j]) for j in (0, 1, 2, 4))
                 score = float(parts[3])
-                rank = int(parts[4])
             except ValueError as exc:
                 raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
+            if not all(x in _INT64 for x in (k, u, v, rank)):
+                raise ParseError("%s:%d: integer field outside int64" % (path, lineno))
             if not math.isfinite(score):
                 raise ParseError(
                     "%s:%d: score %s is not finite" % (path, lineno, parts[3])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,21 +160,20 @@ class ScorerWeights:
 
 @dataclass(frozen=True, eq=False)
 class CpnnModel:
-    """Trained scorer plus (optionally) the coupled propagation weights."""
+    """Trained scorer and optional propagation weights; config is the architecture."""
 
     scorer: ScorerWeights
     propagation: PropagationWeights | None
     feature_columns: tuple
-    mode: FeatureMode
     config: TrainConfig
+
+    @property
+    def mode(self):
+        return FeatureMode(self.config.mode)
 
     @property
     def input_dim(self):
         return self.scorer.input_dim
-
-    @property
-    def hidden(self):
-        return self.scorer.hidden
 
     def params(self):
         """All trainable arrays keyed by name (b_out as a 0-d array)."""
@@ -191,30 +190,31 @@ class CpnnModel:
         return out
 
     def with_params(self, params):
-        """Rebuild the model from a params dict (shapes must match)."""
-        scorer = ScorerWeights(
-            w_hidden=np.asarray(params["scorer.w_hidden"], dtype=np.float64),
-            b_hidden=np.asarray(params["scorer.b_hidden"], dtype=np.float64),
-            w_out=np.asarray(params["scorer.w_out"], dtype=np.float64),
-            b_out=float(np.asarray(params["scorer.b_out"])),
-            activation=self.scorer.activation,
+        """The same model holding a params() dict's arrays."""
+        return build_model(self.config, self.feature_columns, params)
+
+
+def build_model(config, feature_columns, params):
+    """The model config describes, holding a params() dict's arrays as
+    given; it is coupled when params holds prop.* arrays."""
+    scorer = ScorerWeights(
+        w_hidden=params["scorer.w_hidden"],
+        b_hidden=params["scorer.b_hidden"],
+        w_out=params["scorer.w_out"],
+        b_out=float(params["scorer.b_out"]),
+        activation=config.scorer_activation,
+    )
+    propagation = None
+    if "prop.self.0" in params:
+        layers = range(len(config.embedding_dims) - 1)
+        propagation = PropagationWeights(
+            w_self=tuple(params["prop.self.%d" % l] for l in layers),
+            w_neigh=tuple(params["prop.neigh.%d" % l] for l in layers),
+            dims=config.embedding_dims,
+            activation=config.activation,
+            neighbor_norm=config.neighbor_norm,
         )
-        prop = self.propagation
-        if prop is not None:
-            prop = PropagationWeights(
-                w_self=tuple(
-                    np.asarray(params["prop.self.%d" % l], dtype=np.float64)
-                    for l in range(prop.layer_count)
-                ),
-                w_neigh=tuple(
-                    np.asarray(params["prop.neigh.%d" % l], dtype=np.float64)
-                    for l in range(prop.layer_count)
-                ),
-                dims=prop.dims,
-                activation=prop.activation,
-                neighbor_norm=prop.neighbor_norm,
-            )
-        return replace(self, scorer=scorer, propagation=prop)
+    return CpnnModel(scorer, propagation, tuple(feature_columns), config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,30 +266,20 @@ def init_cpnn(input_dim, config, feature_columns=(), coupling=None):
     """
     config = config.validated()
     rng = np.random.default_rng(config.seed + 1)
-    scorer = ScorerWeights(
-        w_hidden=glorot_uniform(rng, input_dim, config.hidden),
-        b_hidden=np.zeros(config.hidden),
-        w_out=glorot_uniform(rng, config.hidden, 1)[:, 0],
-        b_out=0.0,
-        activation=config.scorer_activation,
-    )
+    params = {
+        "scorer.w_hidden": glorot_uniform(rng, input_dim, config.hidden),
+        "scorer.b_hidden": np.zeros(config.hidden),
+        "scorer.w_out": glorot_uniform(rng, config.hidden, 1)[:, 0],
+        "scorer.b_out": 0.0,
+    }
     if coupling is None:
         coupling = FeatureMode(config.mode) is not FeatureMode.STATE_ONLY
-    propagation = None
     if coupling:
-        propagation = init_propagation(
-            config.embedding_dims,
-            seed=config.seed + 2,
-            activation=config.activation,
-            neighbor_norm=config.neighbor_norm,
-        )
-    return CpnnModel(
-        scorer=scorer,
-        propagation=propagation,
-        feature_columns=tuple(feature_columns),
-        mode=FeatureMode(config.mode),
-        config=config,
-    )
+        prop = init_propagation(config.embedding_dims, seed=config.seed + 2)
+        for l in range(prop.layer_count):
+            params["prop.self.%d" % l] = prop.w_self[l]
+            params["prop.neigh.%d" % l] = prop.w_neigh[l]
+    return build_model(config, feature_columns, params)
 
 
 def _scorer_forward(scorer, feats):
@@ -392,7 +382,9 @@ def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
     """
     static = inputs.static.values
     cache = {"edge_rows": edge_rows}
-    if model.propagation is not None and inputs.node_inputs is not None:
+    if model.propagation is not None:
+        if inputs.node_inputs is None:
+            raise DimensionMismatch("a coupled model needs node inputs")
         emb, stages = propagate(
             net, inputs.node_inputs, model.propagation, return_cache=True,
             first_mix=first_mix,
@@ -449,7 +441,7 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
     """
     d, y, cache = _pair_logits(model, inputs, pairs, net=net,
                                first_mix=first_mix)
-    coupled = model.propagation is not None and inputs.node_inputs is not None
+    coupled = model.propagation is not None
     ce = float(np.sum(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
 
     eta = model.config.l2_coeff
@@ -510,6 +502,11 @@ class TrainResult:
     val_pairs: int
 
 
+def _check_rows(net, inputs):
+    if not np.array_equal(inputs.static.edges, net.endpoints):
+        raise RowMismatch("static features describe a different edge list")
+
+
 def train(net, inputs, config):
     """Mini-batch moment-estimate training; returns the best-validation model.
 
@@ -520,8 +517,7 @@ def train(net, inputs, config):
     epoch wins.
     """
     config = config.validated()
-    if not np.array_equal(inputs.static.edges, net.endpoints):
-        raise RowMismatch("static features describe a different edge list")
+    _check_rows(net, inputs)
     train_arr, val_arr = make_pairs(
         net, config.label_fraction, config.pair_budget, config.seed,
         val_fraction=config.val_fraction,
@@ -532,13 +528,12 @@ def train(net, inputs, config):
         FeatureMode(config.mode) is not FeatureMode.STATE_ONLY
         and inputs.node_inputs is not None
     )
+    first_mix = None
     if coupling:
         input_dim += 4 * config.embedding_dims[-1]
         columns = columns + coupled_column_names(config.embedding_dims[-1])
-    model = init_cpnn(input_dim, config, feature_columns=columns, coupling=coupling)
-    first_mix = None
-    if coupling:
         first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)
+    model = init_cpnn(input_dim, config, feature_columns=columns, coupling=coupling)
 
     # Every parameter lives in one flat vector; the model's arrays are
     # views into it, and Adam updates it in place.
@@ -630,11 +625,12 @@ def train(net, inputs, config):
 def predict_scores(model, net, inputs):
     """Scores for every edge of the network under a trained model.
 
-    The inputs must give the model its recorded column schema (when it
-    has one) and its input width.
+    The inputs must describe the network's edge rows and give the model
+    its recorded column schema (when it has one) and its input width.
     """
+    _check_rows(net, inputs)
     columns = inputs.static.columns
-    if model.propagation is not None and inputs.node_inputs is not None:
+    if model.propagation is not None:
         columns = columns + coupled_column_names(model.propagation.output_dim)
     if model.feature_columns and columns != tuple(model.feature_columns):
         raise FeatureSchemaMismatch(
@@ -652,45 +648,33 @@ def predict_scores(model, net, inputs):
 
 def save_model(model, path):
     """JSON checkpoint: dims, weights, config, and the column schema."""
+    config = model.config
     payload = {
         "format": "netchron-cpnn",
         "version": 1,
         "mode": model.mode.value,
         "feature_columns": list(model.feature_columns),
         "input_dim": int(model.input_dim),
-        "hidden": int(model.hidden),
+        "hidden": config.hidden,
         "scorer": {
-            "activation": model.scorer.activation,
+            "activation": config.scorer_activation,
             "w_hidden": model.scorer.w_hidden.tolist(),
             "b_hidden": model.scorer.b_hidden.tolist(),
             "w_out": model.scorer.w_out.tolist(),
             "b_out": float(model.scorer.b_out),
         },
         "propagation": None,
-        "config": dataclasses.asdict(model.config),
+        "config": dataclasses.asdict(config),
     }
     if model.propagation is not None:
         payload["propagation"] = {
-            "dims": list(model.propagation.dims),
-            "activation": model.propagation.activation,
-            "neighbor_norm": model.propagation.neighbor_norm,
+            "dims": list(config.embedding_dims),
+            "activation": config.activation,
+            "neighbor_norm": config.neighbor_norm,
             "w_self": [w.tolist() for w in model.propagation.w_self],
             "w_neigh": [w.tolist() for w in model.propagation.w_neigh],
         }
     dump_json(payload, path)
-
-
-def _count(value, name):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ParseError("%s must be a positive integer, got %r" % (name, value))
-    return value
-
-
-def _choice(value, allowed, name):
-    if value not in allowed:
-        raise ParseError("%s must be one of %s, got %r"
-                         % (name, ", ".join(allowed), value))
-    return value
 
 
 def _weights(value, shape, name):
@@ -706,61 +690,56 @@ def _weights(value, shape, name):
     return arr
 
 
-def _layer_weights(values, dims, name):
-    if len(values) != len(dims) - 1:
-        raise ParseError("%s has %d layers, dims give %d"
-                         % (name, len(values), len(dims) - 1))
-    return tuple(
-        _weights(w, (dims[l], dims[l + 1]), "%s[%d]" % (name, l))
-        for l, w in enumerate(values)
-    )
-
-
 def _model_from_payload(payload):
-    input_dim = _count(payload["input_dim"], "input_dim")
-    hidden = _count(payload["hidden"], "hidden")
-    sc = payload["scorer"]
-    scorer = ScorerWeights(
-        w_hidden=_weights(sc["w_hidden"], (input_dim, hidden), "scorer.w_hidden"),
-        b_hidden=_weights(sc["b_hidden"], (hidden,), "scorer.b_hidden"),
-        w_out=_weights(sc["w_out"], (hidden,), "scorer.w_out"),
-        b_out=float(_weights(sc["b_out"], (), "scorer.b_out")),
-        activation=_choice(sc["activation"], ACTIVATIONS, "scorer.activation"),
-    )
-    propagation = None
-    prop = payload["propagation"]
+    if not isinstance(payload["config"], dict):
+        raise ParseError("config must be a JSON object")
+    config = config_from_dict(payload["config"])
+    sc, prop = payload["scorer"], payload["propagation"]
+    repeated = [
+        ("mode", payload["mode"], config.mode.value),
+        ("hidden", payload["hidden"], config.hidden),
+        ("scorer.activation", sc["activation"], config.scorer_activation),
+    ]
     if prop is not None:
-        dims = _check_dims(_count(d, "propagation.dims") for d in prop["dims"])
-        propagation = PropagationWeights(
-            w_self=_layer_weights(prop["w_self"], dims, "propagation.w_self"),
-            w_neigh=_layer_weights(prop["w_neigh"], dims, "propagation.w_neigh"),
-            dims=dims,
-            activation=_choice(prop["activation"], ACTIVATIONS,
-                               "propagation.activation"),
-            neighbor_norm=_choice(prop["neighbor_norm"], NEIGHBOR_NORMS,
-                                  "propagation.neighbor_norm"),
-        )
+        repeated += [
+            ("propagation.dims", prop["dims"], list(config.embedding_dims)),
+            ("propagation.activation", prop["activation"], config.activation),
+            ("propagation.neighbor_norm", prop["neighbor_norm"],
+             config.neighbor_norm),
+        ]
+    for key, value, expected in repeated:
+        if value != expected:
+            raise ParseError("%s is %r but the config gives %r"
+                             % (key, value, expected))
+    input_dim, hidden = integer(payload["input_dim"]), config.hidden
+    shapes = {"w_hidden": (input_dim, hidden), "b_hidden": (hidden,),
+              "w_out": (hidden,), "b_out": ()}
+    params = {"scorer." + k: _weights(sc[k], shape, "scorer." + k)
+              for k, shape in shapes.items()}
+    if prop is not None:
+        dims = config.embedding_dims
+        for name in ("self", "neigh"):
+            layers = prop["w_" + name]
+            if len(layers) != len(dims) - 1:
+                raise ParseError("propagation.w_%s has %d layers, dims give %d"
+                                 % (name, len(layers), len(dims) - 1))
+            for l, w in enumerate(layers):
+                params["prop.%s.%d" % (name, l)] = _weights(
+                    w, (dims[l], dims[l + 1]), "propagation.w_%s[%d]" % (name, l))
     columns = payload["feature_columns"]
     if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
         raise ParseError("feature_columns must be a list of names")
-    if not isinstance(payload["config"], dict):
-        raise ParseError("config must be a JSON object")
-    return CpnnModel(
-        scorer=scorer,
-        propagation=propagation,
-        feature_columns=tuple(columns),
-        mode=FeatureMode(payload["mode"]),
-        config=config_from_dict(payload["config"]),
-    )
+    return build_model(config, columns, params)
 
 
 def load_model(path):
     """Read a save_model checkpoint back.
 
-    A file of another format raises FeatureSchemaMismatch. A missing
-    key, a malformed value, a non-numeric or non-finite weight, or a
-    weight whose shape disagrees with input_dim, hidden or the
-    propagation dims raises ParseError.
+    The config is the architecture. A file of another format raises
+    FeatureSchemaMismatch. A missing key, a malformed value, a key that
+    repeats the config with another value, a non-numeric or non-finite
+    weight, or a weight whose shape disagrees with input_dim and the
+    config's widths raises ParseError.
     """
     payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "netchron-cpnn":

@@ -88,6 +88,13 @@ def integer(value):
     return int(number)
 
 
+def path_str(value):
+    """A file path, which a config file must give as a string."""
+    if not isinstance(value, str):
+        raise ValueError("not a path: %r" % (value,))
+    return value
+
+
 def tuple_of(item):
     """A coercer of a list or a comma-separated string to a non-empty
     tuple of item(v) values."""

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import netchron
-from netchron.cli import OPTIONS, _build_parser, main
+from netchron.cli import COMMANDS, OPTIONS, _build_parser, main
 from netchron.datasets import load_edge_list, write_edge_list
 from netchron.dynamics import load_steady_state
 from netchron.errors import NumericalError, ParseError
@@ -302,7 +302,6 @@ def separable_toy(tmp_path):
         ),
         propagation=None,
         feature_columns=STATE_COLUMNS,
-        mode=FeatureMode.STATE_ONLY,
         config=TrainConfig(mode=FeatureMode.STATE_ONLY, hidden=1),
     )
     model_path = tmp_path / "toy_model.json"
@@ -494,6 +493,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "cover" in err or "match" in err
 
+    def test_rank_outside_int64_exits_3(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        net = load_edge_list(graph)
+        ordering_path = tmp_path / "truth.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, ordering_path)
+        rows = ordering_path.read_text().splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:4] + [str(10**30)])
+        ordering_path.write_text("\n".join(rows) + "\n")
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", ordering_path, graph, "--out", report_path) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: %s:2: integer field outside int64\n" % ordering_path
+        assert not report_path.exists()
+
     def test_manifest_chains_infer_digest(self, tmp_path):
         net, graph, state, model_path = separable_toy(tmp_path)
         ordering = tmp_path / "ordering.csv"
@@ -594,6 +607,36 @@ class TestConfigCoercion:
         assert run("simulate", graph, "--config", cfg, "--out", out) == 3
         assert "invalid value for max_steps" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestPathOptions:
+    """A config file must give every path as a string."""
+
+    @pytest.mark.parametrize("command, positionals", [
+        (name, positionals) for name, _, positionals, _ in COMMANDS
+    ])
+    def test_non_string_out_exits_3_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, command, positionals):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text('{"out": 5}\n')
+        required = ["--n", 30, "--m", 2] if command == "synth" else []
+        assert run(command, *positionals, *required, "--config", "c.json") == 3
+        assert capsys.readouterr().err == "data error: invalid value for out: 5\n"
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_non_string_steady_state_exits_3(self, workspace, monkeypatch, capsys):
+        tmp_path, graph, _ = workspace
+        net = load_edge_list(graph)
+        ordering_path = tmp_path / "truth.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, ordering_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text('{"steady_state": 7}\n')
+        before = sorted(os.listdir(tmp_path))
+        assert run("evaluate", ordering_path, graph, "--config", "c.json",
+                   "--out", "report.json") == 3
+        err = capsys.readouterr().err
+        assert err == "data error: invalid value for steady_state: 7\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 def _set_w_out_entry(payload):

@@ -245,6 +245,20 @@ class TestOrderingIO:
         with pytest.raises(ParseError, match="not finite"):
             load_ordering(path, net)
 
+    @pytest.mark.parametrize("field", [0, 1, 2, 4])
+    @pytest.mark.parametrize("value", [str(10**30), str(2**63), str(-2**63 - 1)])
+    def test_load_rejects_integer_outside_int64(self, tmp_path, field, value):
+        net = chain_net(3)
+        path = tmp_path / "o.csv"
+        write_ordering(ground_truth_ordering(net.alpha), net, path)
+        rows = path.read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[field] = value
+        rows[2] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=":3: integer field outside int64"):
+            load_ordering(path, net)
+
     def test_load_rejects_inconsistent_rank_column(self, tmp_path):
         net = chain_net(4)
         path = tmp_path / "o.csv"

@@ -51,12 +51,12 @@ def tiny_model(w_hidden, b_hidden, w_out, b_out, l2=0.0, activation="tanh"):
         b_out=float(b_out),
         activation=activation,
     )
-    config = TrainConfig(l2_coeff=l2, hidden=scorer.hidden)
+    config = TrainConfig(l2_coeff=l2, hidden=scorer.hidden,
+                         mode=FeatureMode.STATE_ONLY, scorer_activation=activation)
     return CpnnModel(
         scorer=scorer,
         propagation=None,
         feature_columns=(),
-        mode=FeatureMode.STATE_ONLY,
         config=config,
     )
 
@@ -139,11 +139,30 @@ class TestScore:
             scorer=model.scorer,
             propagation=None,
             feature_columns=("a", "b"),
-            mode=FeatureMode.STATE_ONLY,
             config=model.config,
         )
         with pytest.raises(FeatureSchemaMismatch):
             score_rows(model, np.ones((1, 2)), columns=("a", "c"))
+
+    def test_inputs_of_another_graph_raise(self):
+        small, _ = pa_instance(node_count=30, mode=FeatureMode.STATE_ONLY)
+        big, inputs = pa_instance(node_count=60, mode=FeatureMode.STATE_ONLY)
+        assert (small.edge_count, big.edge_count) == (57, 117)
+        cfg = TrainConfig(mode=FeatureMode.STATE_ONLY, hidden=4)
+        model = init_cpnn(7, cfg, feature_columns=inputs.static.columns)
+        assert predict_scores(model, big, inputs).shape == (117,)
+        with pytest.raises(RowMismatch):
+            predict_scores(model, small, inputs)
+
+    def test_coupled_model_without_node_inputs_raises(self):
+        net, inputs = pa_instance(node_count=20)
+        cfg = TrainConfig(hidden=4, embedding_dims=(4, 3))
+        model = init_cpnn(inputs.static.values.shape[1] + 4 * 3, cfg)
+        bare = TrainInputs(static=inputs.static)
+        with pytest.raises(DimensionMismatch, match="needs node inputs"):
+            loss(model, bare, np.array([[0, 1, 1]]), net=net)
+        with pytest.raises(DimensionMismatch, match="needs node inputs"):
+            predict_scores(model, net, bare)
 
     def test_each_edge_scored_independently(self):
         rng = np.random.default_rng(0)
