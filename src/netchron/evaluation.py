@@ -78,18 +78,62 @@ def _tie_groups(t):
     return order, pos, starts[group][pos], ends[group][pos]
 
 
+def _subsample(rng, total, budget):
+    """np.sort(rng.choice(total, budget, replace=False)) in O(budget) memory.
+
+    Equal to it bit for bit, and leaves rng in the same state. Where
+    numpy draws by Floyd's algorithm (total <= 10 000 or budget <=
+    total // 50), this is that call. Otherwise numpy tail-shuffles
+    arange(total): step n swaps position p = total - 1 - n with a
+    uniform target in [0, p], and position p then holds the value the
+    target held. This replays those draws and finds each such value by
+    following the earlier writes to its target, without the population
+    array. (Its keys need total * budget < 2**63; beyond that, numpy's
+    call runs.)
+    """
+    if total <= 10_000 or budget <= total // 50 or total * budget >= 2**63:
+        return np.sort(rng.choice(total, size=budget, replace=False))
+    # Step n draws its target from [0, p]; the swap writes the target,
+    # and the key target * budget + n orders the writes by position,
+    # then step.
+    p = np.arange(total - 1, total - 1 - budget, -1)
+    keys = rng.integers(0, p, endpoint=True)
+    keys *= budget
+    keys += np.subtract(total - 1, p, out=p)
+    del p
+    keys.sort()
+    value = keys // budget
+    # A write whose target an earlier step wrote takes that step's
+    # value: the one its own position p_m held before step m.
+    hop = np.flatnonzero(value[1:] == value[:-1]) + 1
+    m = keys[hop - 1] % budget
+    while hop.size:
+        p = total - 1 - m
+        last = np.searchsorted(keys, p * budget + m) - 1
+        found = (last >= 0) & (keys[last] >= p * budget)
+        value[hop[~found]] = p[~found]
+        hop = hop[found]
+        m = keys[last[found]] % budget
+    value.sort()
+    return value
+
+
 def _distinct_time_pairs(edges, alpha, rng, budget=None):
     """Randomly oriented pairs of the given edges with distinct times.
 
     Pairs are indexed in upper-triangle order over positions in
     `edges` (row i, then column j > i), skipping pairs with equal
     formation times. When their number exceeds `budget`, a uniform
-    subsample of that many indices is drawn from rng; otherwise all are
-    kept. Each index is then unranked to its (row, column) pair without
-    enumerating the others, and each pair is swapped with probability
-    1/2, drawn from rng after the subsample. Time and memory are
-    O(L log L + n) for L edges and n pairs returned. Returns an (n, 3)
-    int array of (a, b, y), y = 1 when edge a formed first; n may be 0.
+    subsample of that many indices is drawn from rng exactly as
+    np.sort(rng.choice(total, budget, replace=False)) draws it, by
+    _subsample in one of two regimes: numpy's Floyd sampler, or a
+    replay of numpy's tail shuffle without its population array. Within
+    the budget all are kept. Each index is then unranked to its
+    (row, column) pair without enumerating the others, and each pair is
+    swapped with probability 1/2, drawn from rng after the subsample.
+    Time is O(L log L + n log n) and memory O(L + n) for L edges and n
+    pairs returned. Returns an (n, 3) int array of (a, b, y), y = 1
+    when edge a formed first; n may be 0.
     """
     if budget is not None and budget < 1:
         raise EmptyInput("pair budget must be >= 1, got %r" % (budget,))
@@ -103,7 +147,7 @@ def _distinct_time_pairs(edges, alpha, rng, budget=None):
     if budget is None or total <= budget:
         k = np.arange(total)
     else:
-        k = np.sort(rng.choice(total, size=budget, replace=False))
+        k = _subsample(rng, total, budget)
     i = np.searchsorted(row_end, k, side="right")
     k -= (row_end - partners)[i]
     # Row i's k-th partner is column i + 1 + k + c, where c counts the
@@ -115,12 +159,19 @@ def _distinct_time_pairs(edges, alpha, rng, budget=None):
     base = start * width + (rows - pos + size)
     j = np.searchsorted(base[order], base[i] + k, side="right")
     j += k
-    j += i - pos[i]
-    a, b = edges[i], edges[j]
-    del i, j, k  # free the index arrays before the orientation draws
-    flip = rng.random(a.size) < 0.5
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
-    return np.column_stack([a, b, (alpha[a] < alpha[b]).astype(np.int64)])
+    del k
+    j += i
+    j -= pos[i]
+    out = np.empty((j.size, 3), dtype=np.int64)
+    out[:, 0] = edges[i]
+    del i
+    out[:, 1] = edges[j]
+    del j
+    flip = rng.random(out.shape[0]) < 0.5
+    out[flip, :2] = out[flip, 1::-1]
+    del flip
+    out[:, 2] = alpha[out[:, 0]] < alpha[out[:, 1]]
+    return out
 
 
 def make_eval_pairs(net, budget=None, seed=0):

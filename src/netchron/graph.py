@@ -255,32 +255,47 @@ def _degree_rank(net):
     return rank
 
 
-def _top_wedges(net, rank):
+# Candidate wedges one block of the triangle listing may hold.
+_WEDGE_BLOCK = 1 << 12
+
+
+def _top_wedges(net, rank, block=math.inf):
     """Every wedge far - middle - top whose middle and far end rank below its top.
 
-    Returns (middle, top, far, edge_top, edge_far): node ids, and the
-    indices of the edges (middle, top) and (middle, far). Each wedge is
-    listed from the lower-ranked end of its edge to the top, which
-    bounds the work by the sum over edges of the smaller endpoint
+    Yields blocks of (middle, top, far, edge_top, edge_far): node ids,
+    and the indices of the edges (middle, top) and (middle, far). Each
+    block lists the wedges of consecutive (middle, top) adjacency
+    entries, in order: at most `block` candidate wedges, or one entry's
+    when that alone is more; the default yields a single block. Each
+    wedge is listed from the lower-ranked end of its edge to the top,
+    which bounds the work by the sum over edges of the smaller endpoint
     degree (Chiba & Nishizeki 1985, SIAM J. Comput. 14:210).
     """
-    rows = np.repeat(np.arange(net.node_count), net.degrees)
-    up = np.flatnonzero(rank[rows] < rank[net.adj_indices])
-    middle = rows[up]
-    size = net.degrees[middle]
-    first = net.adj_indptr[middle] - (np.cumsum(size) - size)
-    side = np.repeat(first, size) + np.arange(int(size.sum()))
-    up = np.repeat(up, size)
-    keep = rank[net.adj_indices[side]] < rank[net.adj_indices[up]]
-    up = up[keep]
-    side = side[keep]
-    return (
-        rows[up],
-        net.adj_indices[up],
-        net.adj_indices[side],
-        net.adj_edges[up],
-        net.adj_edges[side],
-    )
+    up = np.flatnonzero(np.repeat(rank, net.degrees) < rank[net.adj_indices])
+    middle = np.searchsorted(net.adj_indptr, up, side="right") - 1
+    ends = np.cumsum(net.degrees[middle])
+    lo = 0
+    while True:
+        done = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, done + block, side="right")), lo + 1)
+        mid = middle[lo:hi]
+        size = net.degrees[mid]
+        first = net.adj_indptr[mid] - (np.cumsum(size) - size)
+        side = np.repeat(first, size) + np.arange(int(size.sum()))
+        top = np.repeat(up[lo:hi], size)
+        keep = rank[net.adj_indices[side]] < rank[net.adj_indices[top]]
+        top = top[keep]
+        side = side[keep]
+        yield (
+            np.repeat(mid, size)[keep],
+            net.adj_indices[top],
+            net.adj_indices[side],
+            net.adj_edges[top],
+            net.adj_edges[side],
+        )
+        lo = hi
+        if lo >= up.size:
+            return
 
 
 class Triangles(NamedTuple):
@@ -295,23 +310,26 @@ def triangles(net):
     """List every triangle once, from the wedges of its lowest-ranked node.
 
     A top wedge whose middle ranks below its far end is closed when the
-    key of (far, top) is among the sorted edge keys.
+    key of (far, top) is among the sorted edge keys. Wedges are listed
+    and closed in blocks (see _top_wedges), so memory stays O(M) plus
+    one block.
     """
     n = net.node_count
     rank = _degree_rank(net)
-    wedges = _top_wedges(net, rank)
-    lowest = rank[wedges[0]] < rank[wedges[2]]
-    middle, top, far, edge_top, edge_far = (a[lowest] for a in wedges)
-    wanted = np.minimum(far, top) * n + np.maximum(far, top)
     keys = net.endpoints[:, 0] * n + net.endpoints[:, 1]
     by_key = np.argsort(keys)
-    slot = np.minimum(np.searchsorted(keys[by_key], wanted), keys.size - 1)
-    closing = by_key[slot]
-    hit = keys[closing] == wanted
-    return Triangles(
-        nodes=np.column_stack([middle[hit], far[hit], top[hit]]),
-        edges=np.column_stack([closing[hit], edge_top[hit], edge_far[hit]]),
-    )
+    sorted_keys = keys[by_key]
+    nodes, edges = [], []
+    for wedges in _top_wedges(net, rank, _WEDGE_BLOCK):
+        lowest = rank[wedges[0]] < rank[wedges[2]]
+        middle, top, far, edge_top, edge_far = (a[lowest] for a in wedges)
+        wanted = np.minimum(far, top) * n + np.maximum(far, top)
+        slot = np.minimum(np.searchsorted(sorted_keys, wanted), keys.size - 1)
+        closing = by_key[slot]
+        hit = keys[closing] == wanted
+        nodes.append(np.column_stack([middle[hit], far[hit], top[hit]]))
+        edges.append(np.column_stack([closing[hit], edge_top[hit], edge_far[hit]]))
+    return Triangles(nodes=np.concatenate(nodes), edges=np.concatenate(edges))
 
 
 def triangle_counts(net):
@@ -329,7 +347,8 @@ def four_cycle_counts(net):
     counts each 4-cycle once per edge.
     """
     n = net.node_count
-    _, top, far, edge_top, edge_far = _top_wedges(net, _degree_rank(net))
+    # The default block is unbounded, so the one block is every wedge.
+    _, top, far, edge_top, edge_far = next(_top_wedges(net, _degree_rank(net)))
     _, which, count = np.unique(top * n + far, return_inverse=True, return_counts=True)
     others = (count - 1)[which]
     m = net.edge_count

@@ -57,6 +57,9 @@ from .graph import node_struct_stats
 from .serialize import (dump_json, finite_float, integer, load_json,
                         resolve_options, tuple_of)
 
+# Pairs per step of the epoch metrics' pass (see _pair_metrics).
+PAIR_CHUNK = 8192
+
 
 def _option(default, kind, text):
     """A field whose option kind and help text ride in its metadata."""
@@ -381,7 +384,7 @@ def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
     the caller has it (see coupling.propagate).
     """
     static = inputs.static.values
-    cache = {"edge_rows": edge_rows}
+    cache = {}
     if model.propagation is not None:
         if inputs.node_inputs is None:
             raise DimensionMismatch("a coupled model needs node inputs")
@@ -402,34 +405,17 @@ def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
     return z, cache
 
 
-def _edge_slots(flat, edge_count):
-    """Sorted distinct edge ids of flat and each entry's slot among them.
+def _edge_slots(pairs, edge_count):
+    """Sorted distinct edge ids of the pairs' a and b columns, and a
+    lookup from each of those ids to its slot among them.
 
-    Equal to np.unique(flat, return_inverse=True), by a bitmap over the
-    edge ids in O(edge_count + flat.size) instead of a sort.
+    rows[slot[pairs[:, :2]]] == pairs[:, :2]. A bitmap over the edge
+    ids, O(edge_count + n) instead of the sort in np.unique.
     """
     seen = np.zeros(edge_count, dtype=bool)
-    seen[flat] = True
-    rows = np.flatnonzero(seen)
-    return rows, (np.cumsum(seen) - 1)[flat]
-
-
-def _pair_logits(model, inputs, pairs, net=None, first_mix=None):
-    """Logits d = z_a - z_b and labels y of a pair set, plus the caches.
-
-    The cache also holds each pair's positions a_pos, b_pos in the
-    scored edge rows.
-    """
-    arr = _pairs_array(pairs)
-    edge_rows, inverse = _edge_slots(
-        arr[:, :2].ravel(), inputs.static.values.shape[0]
-    )
-    z, cache = _forward_scores(model, inputs, edge_rows, net=net,
-                               first_mix=first_mix)
-    a_pos = inverse[0::2]
-    b_pos = inverse[1::2]
-    cache.update(a_pos=a_pos, b_pos=b_pos)
-    return z[a_pos] - z[b_pos], arr[:, 2].astype(np.float64), cache
+    seen[pairs[:, 0]] = True
+    seen[pairs[:, 1]] = True
+    return np.flatnonzero(seen), np.cumsum(seen) - 1
 
 
 def loss(model, inputs, pairs, net=None, first_mix=None):
@@ -439,8 +425,14 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
     accumulated by reverse mode through the scorer and, when present,
     the propagation stack. first_mix is as for _forward_scores.
     """
-    d, y, cache = _pair_logits(model, inputs, pairs, net=net,
+    arr = _pairs_array(pairs)
+    edge_rows, slot = _edge_slots(arr, inputs.static.values.shape[0])
+    z, cache = _forward_scores(model, inputs, edge_rows, net=net,
                                first_mix=first_mix)
+    a_pos = slot[arr[:, 0]]
+    b_pos = slot[arr[:, 1]]
+    d = z[a_pos] - z[b_pos]
+    y = arr[:, 2].astype(np.float64)
     coupled = model.propagation is not None
     ce = float(np.sum(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
 
@@ -458,9 +450,9 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
     # every a-slot term, then every b-slot term, in pair order.
     dd = _stable_sigmoid(d) - y
     dz = np.bincount(
-        np.concatenate([cache["a_pos"], cache["b_pos"]]),
+        np.concatenate([a_pos, b_pos]),
         weights=np.concatenate([dd, -dd]),
-        minlength=cache["edge_rows"].size,
+        minlength=edge_rows.size,
     )
 
     width = inputs.static.values.shape[1]
@@ -486,11 +478,25 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
 
 
 def _pair_metrics(model, inputs, pairs, net=None, first_mix=None):
-    """Mean cross-entropy and accuracy over a pair set (no gradients)."""
-    d, y, _ = _pair_logits(model, inputs, pairs, net=net, first_mix=first_mix)
-    ce = float(np.mean(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
-    acc = float(np.mean((d > 0) == (y == 1)))
-    return ce, acc
+    """Mean cross-entropy and accuracy over a pair set (no gradients).
+
+    Each distinct edge is scored once; the pairs are then walked in
+    chunks of PAIR_CHUNK, so per-pair temporaries stay bounded.
+    """
+    arr = _pairs_array(pairs)
+    edge_rows, slot = _edge_slots(arr, inputs.static.values.shape[0])
+    z = _forward_scores(model, inputs, edge_rows, net=net,
+                        first_mix=first_mix)[0]
+    n = arr.shape[0]
+    terms = np.empty(n)
+    correct = 0
+    for lo in range(0, n, PAIR_CHUNK):
+        chunk = arr[lo:lo + PAIR_CHUNK]
+        d = z[slot[chunk[:, 0]]] - z[slot[chunk[:, 1]]]
+        y = chunk[:, 2].astype(np.float64)
+        terms[lo:lo + d.size] = y * _softplus(-d) + (1.0 - y) * _softplus(d)
+        correct += int(np.count_nonzero((d > 0) == (y == 1)))
+    return float(np.mean(terms)), correct / n
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,17 @@ def edge_index(net):
     return {(u, v): k for k, (u, v) in enumerate(net.endpoints.tolist())}
 
 
+def triangles_by_sets(net):
+    """Every triangle as a sorted node triple, in sorted order."""
+    nbrs = adjacency_sets(net)
+    return sorted(
+        (u, v, w)
+        for u, v in net.endpoints.tolist()
+        for w in nbrs[u] & nbrs[v]
+        if w > v
+    )
+
+
 def adjacency_matrix(net):
     a = np.zeros((net.node_count, net.node_count))
     for u, v in net.endpoints.tolist():

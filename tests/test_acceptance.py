@@ -135,7 +135,8 @@ def test_criterion_1_feature_oracle_equivalence():
     )
 
 
-def gradient_instance_error(seed, dims, activation, norm, scorer_act):
+def gradient_instance(seed, dims, activation, norm, scorer_act):
+    """(net, inputs, model, pairs) of one coupled gradient instance."""
     rng = np.random.default_rng(seed)
     while True:
         net = oracles.random_network(rng, max_nodes=10, min_nodes=5, edge_prob=0.4)
@@ -158,7 +159,11 @@ def gradient_instance_error(seed, dims, activation, norm, scorer_act):
     d_in = inputs.static.values.shape[1] + 4 * dims[-1]
     model = init_cpnn(d_in, cfg, coupling=True)
     pairs, _ = make_pairs(net, None, 10**6, seed=seed + 1, val_fraction=0.0)
-    pairs = pairs[:12]
+    return net, inputs, model, pairs[:12]
+
+
+def gradient_instance_error(*instance):
+    net, inputs, model, pairs = gradient_instance(*instance)
     _, grads = loss(model, inputs, pairs, net=net)
     step = 1e-5
     worst = 0.0
@@ -190,6 +195,35 @@ def test_criterion_2_gradient_correctness():
         ok,
         "%d instances, worst relative error %.2e, %.1fs"
         % (len(GRADIENT_INSTANCES), worst, elapsed),
+    )
+
+
+def test_criterion_2_scorer_b_out_gradient():
+    # params() hands b_out out as a fresh 0-d array, so criterion 2's
+    # loop perturbs a copy of it; perturb it through with_params here.
+    # b_out shifts both scores of a pair, so its gradient is 0 (the L2
+    # term's is too, at its initial value 0).
+    step = 1e-5
+    worst_grad = worst_fd = 0.0
+    for instance in GRADIENT_INSTANCES:
+        net, inputs, model, pairs = gradient_instance(*instance)
+        _, grads = loss(model, inputs, pairs, net=net)
+        worst_grad = max(worst_grad, abs(float(grads["scorer.b_out"])))
+
+        def loss_at(b_out):
+            params = dict(model.params(), **{"scorer.b_out": np.asarray(b_out)})
+            return loss(model.with_params(params), inputs, pairs, net=net)[0]
+
+        b_out = model.scorer.b_out
+        fd = (loss_at(b_out + step) - loss_at(b_out - step)) / (2.0 * step)
+        worst_fd = max(worst_fd, abs(fd))
+    ok = worst_grad <= 1e-12 and worst_fd <= 1e-8
+    verdict(
+        2,
+        "scorer.b_out gradient",
+        ok,
+        "%d instances, worst |analytic| %.2e, worst |central difference| %.2e"
+        % (len(GRADIENT_INSTANCES), worst_grad, worst_fd),
     )
 
 

@@ -22,6 +22,7 @@ from netchron.evaluation import (
     _distinct_time_pairs,
     _edge_ranks,
     _hub_curve,
+    _subsample,
     all_pairs_accuracy,
     binned_trend,
     degree_gini,
@@ -188,6 +189,91 @@ class TestPairSampler:
             _distinct_time_pairs(edges, alpha, np.random.default_rng(0), budget)))
         assert pairs[0].shape == (budget, 3)
         assert peak < 100.0
+
+
+class ChoiceBarred:
+    """A generator whose choice() fails, to show the replay drew the sample."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("numpy's sampler ran where the replay should")
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def replayed(total, budget):
+    return total > 10_000 and budget > total // 50
+
+
+class TestSubsample:
+    """_subsample against the numpy call it replaces, in both regimes."""
+
+    def check(self, total, budget, seed):
+        want_rng = np.random.default_rng(seed)
+        want = np.sort(want_rng.choice(total, size=budget, replace=False))
+        if replayed(total, budget):
+            got_rng = ChoiceBarred(seed)
+        else:
+            got_rng = np.random.default_rng(seed)
+        got = _subsample(got_rng, total, budget)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (total, budget, seed)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("regime", ["floyd", "replayed tail"])
+    def test_equals_sorted_choice_and_leaves_the_same_state(self, regime):
+        rng = np.random.default_rng(["floyd", "replayed tail"].index(regime))
+        for _ in range(300):
+            if regime == "floyd":
+                total = int(rng.integers(1, 200_000))
+                high = total if total <= 10_000 else total // 50
+                budget = int(rng.integers(1, high + 1))
+            else:
+                total = int(rng.integers(10_001, 200_000))
+                budget = int(rng.integers(total // 50 + 1, total + 1))
+                assert replayed(total, budget)
+            self.check(total, budget, int(rng.integers(2**31)))
+
+    @pytest.mark.parametrize("total", [10_000, 10_001, 123_457])
+    def test_regime_boundaries(self, total):
+        for budget in (total // 50, total // 50 + 1, total // 2, total // 2 + 1,
+                       (total + 1) // 2 - 1, total - 1, total):
+            for seed in range(3):
+                self.check(total, budget, seed)
+
+    def test_replay_follows_chains_of_earlier_writes(self):
+        # Budgets from half the population up: targets often land on
+        # positions earlier steps wrote, several links deep.
+        for seed in range(20):
+            self.check(20_001, 10_000 + 500 * seed, seed)
+
+
+class TestPairSamplerMemory:
+    @staticmethod
+    def peak(size, budget):
+        alpha = np.arange(size, dtype=float)
+        edges = np.arange(size)
+        assert replayed(size * (size - 1) // 2, budget)
+        # An untraced call first, so numpy's one-time allocations do not count.
+        _distinct_time_pairs(edges, alpha, ChoiceBarred(0), budget)
+        pairs = []
+        peak = peak_traced_mb(lambda: pairs.append(
+            _distinct_time_pairs(edges, alpha, ChoiceBarred(0), budget)))
+        assert pairs[0].shape == (budget, 3)
+        return peak
+
+    def test_peak_is_bounded_by_the_budget(self):
+        # 4.5 M pairs: numpy's tail shuffle alone holds 36 MB for them.
+        assert self.peak(3_000, 100_000) <= 12.0
+
+    def test_peak_does_not_grow_with_the_pairs(self):
+        # 4.5 M and 9.0 M pairs (3 000 and 4 243 edges), both above
+        # total // 50 of the larger, so both calls replay the shuffle.
+        small = self.peak(3_000, 200_000)
+        assert abs(self.peak(4_243, 200_000) - small) <= 0.1 * small
 
 
 class TestAllPairsAccuracy:

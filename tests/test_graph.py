@@ -1,6 +1,7 @@
 """Graph construction and native graph algorithms vs brute-force oracles."""
 
 import itertools
+import math
 import tracemalloc
 
 import networkx as nx
@@ -371,6 +372,48 @@ class TestEdgeBetweenness:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+class TestTriangles:
+    def check(self, net, found):
+        """found lists the oracle's triangles, each edge opposite its node."""
+        got = sorted(map(tuple, np.sort(found.nodes, axis=1).tolist()))
+        assert got == oracles.triangles_by_sets(net)
+        index = oracles.edge_index(net)
+        for nodes, edges in zip(found.nodes.tolist(), found.edges.tolist()):
+            for k in range(3):
+                assert edges[k] == index[tuple(sorted(nodes[:k] + nodes[k + 1:]))]
+
+    def test_matches_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            net = oracles.random_network(rng, max_nodes=16, edge_prob=0.5)
+            self.check(net, graph.triangles(net))
+        for net in networkx_cases():
+            self.check(net, graph.triangles(net))
+
+    @pytest.mark.parametrize("block", [1, 7, math.inf])
+    def test_listing_does_not_depend_on_the_block(self, monkeypatch, block):
+        net = generate_synthetic(SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 400, 4, seed=3))
+        want = graph.triangles(net)
+        monkeypatch.setattr(graph, "_WEDGE_BLOCK", block)
+        got = graph.triangles(net)
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.edges, want.edges)
+
+    def test_listing_memory_stays_bounded(self):
+        # 90 247 top wedges close 158 triangles; listing every wedge at
+        # once peaks at 7.5 MB.
+        net = generate_synthetic(SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 20000, 2, seed=1))
+        tracemalloc.start()
+        try:
+            found = graph.triangles(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.check(net, found)
+        assert found.nodes.shape == (158, 3)
+        assert peak <= 3 * 2**20
 
 
 def local_path_by_power(net):

@@ -154,13 +154,38 @@ class TestEdgeSlots:
     @pytest.mark.parametrize("m", [1, 2, 17, 400])
     def test_bitmap_equals_unique(self, m):
         rng = np.random.default_rng(m)
-        flat = rng.integers(0, m, size=3 * m + 2)
-        flat[:2] = (0, m - 1)  # a pair that touches the first and last edge
-        rows, inverse = _edge_slots(flat, m)
+        pairs = rng.integers(0, m, size=(3 * m + 2, 3))
+        pairs[0, :2] = (0, m - 1)  # a pair that touches the first and last edge
+        rows, slot = _edge_slots(pairs, m)
+        flat = pairs[:, :2].ravel()
         want_rows, want_inverse = np.unique(flat, return_inverse=True)
         assert np.array_equal(rows, want_rows)
-        assert np.array_equal(inverse, want_inverse)
-        assert np.array_equal(rows[inverse], flat)
+        assert np.array_equal(slot[flat], want_inverse)
+        assert np.array_equal(rows[slot[flat]], flat)
+
+
+class TestPairMetrics:
+    @pytest.mark.parametrize("count", [1, netchron.ranker.PAIR_CHUNK,
+                                       netchron.ranker.PAIR_CHUNK + 1])
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STATE_ONLY])
+    def test_chunked_pass_equals_one_pass(self, count, mode):
+        net = generate_synthetic(SynthSpec(
+            kind=SynthKind.PREFERENTIAL_ATTACHMENT, node_count=100,
+            edges_per_node=2, seed=5,
+        ))
+        state = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=5).values
+        inputs = prepare_inputs(net, state, mode)
+        cfg = config(mode)
+        pairs, _ = make_pairs(net, None, 10**6, seed=3, val_fraction=0.0)
+        assert pairs.shape[0] > count
+        pairs = pairs[:count]
+        width = inputs.static.values.shape[1]
+        coupled = mode is FeatureMode.BOTH
+        if coupled:
+            width += 4 * cfg.embedding_dims[-1]
+        model = netchron.ranker.init_cpnn(width, cfg, coupling=coupled)
+        got = netchron.ranker._pair_metrics(model, inputs, pairs, net=net)
+        assert got == oracles._pair_metrics_by_unique(model, inputs, pairs, net)
 
 
 def batches_per_epoch(net, cfg):
