@@ -74,7 +74,6 @@ from .ranker import (
     CpnnModel,
     TrainConfig,
     TrainInputs,
-    build_model,
     init_cpnn,
     load_model,
     loss,

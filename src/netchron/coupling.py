@@ -70,28 +70,6 @@ def glorot_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_propagation(dims, seed, activation="tanh", neighbor_norm="mean"):
-    """Glorot-uniform initialization of every layer pair."""
-    dims = _check_dims(dims)
-    if activation not in ACTIVATIONS:
-        raise BadDims("unknown activation %r" % (activation,))
-    if neighbor_norm not in NEIGHBOR_NORMS:
-        raise BadDims("unknown neighbor normalization %r" % (neighbor_norm,))
-    rng = np.random.default_rng(seed)
-    w_self = []
-    w_neigh = []
-    for d_in, d_out in zip(dims, dims[1:]):
-        w_self.append(glorot_uniform(rng, d_in, d_out))
-        w_neigh.append(glorot_uniform(rng, d_in, d_out))
-    return PropagationWeights(
-        w_self=tuple(w_self),
-        w_neigh=tuple(w_neigh),
-        dims=dims,
-        activation=activation,
-        neighbor_norm=neighbor_norm,
-    )
-
-
 def node_input_matrix(net, state_values, stats=None, zero_state=False):
     """Raw (N, 4) node inputs: degree, clustering, coreness, state.
 

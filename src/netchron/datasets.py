@@ -9,7 +9,7 @@ labeled formation order so recovered orderings can be scored exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -39,12 +39,17 @@ class SynthSpec:
     seed: int = 0
 
     def validated(self):
+        """The spec with its kind as a SynthKind; raises BadSpec if invalid."""
+        try:
+            kind = SynthKind(self.kind)
+        except ValueError:
+            raise BadSpec("unknown synthetic kind %r" % (self.kind,)) from None
         if self.edges_per_node < 1 or self.node_count < self.edges_per_node + 1:
             raise BadSpec(
                 "need node_count >= edges_per_node + 1 >= 2, got N=%d m=%d"
                 % (self.node_count, self.edges_per_node)
             )
-        return self
+        return replace(self, kind=kind)
 
 
 def load_edge_list(path):

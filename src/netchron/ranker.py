@@ -27,7 +27,6 @@ from .coupling import (
     coupled_column_names,
     coupled_edge_features,
     glorot_uniform,
-    init_propagation,
     node_input_matrix,
     propagate,
     propagate_backward,
@@ -102,6 +101,11 @@ class TrainConfig:
     scorer_activation: str = _option("tanh", ACTIVATIONS, "scorer activation")
     val_fraction: float = _option(0.1, finite_float, "share of pairs held out")
 
+    @property
+    def coupled(self):
+        """Whether the model has the propagation encoder: any mode but state."""
+        return FeatureMode(self.mode) is not FeatureMode.STATE_ONLY
+
     def validated(self):
         if self.learning_rate <= 0 or self.l2_coeff < 0:
             raise ValueError("learning_rate must be > 0 and l2_coeff >= 0")
@@ -142,82 +146,69 @@ def config_from_dict(raw):
         raise ParseError("invalid training config: %s" % exc) from None
 
 
-@dataclass(frozen=True, eq=False)
-class ScorerWeights:
-    """One-hidden-layer scorer: z = w_out . act(f W_hidden + b_hidden) + b_out."""
+def param_layout(config, input_dim):
+    """Ordered name -> shape of every trainable array of the model that
+    config describes over input_dim scorer inputs.
 
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: float
-    activation: str = "tanh"
-
-    @property
-    def input_dim(self):
-        return self.w_hidden.shape[0]
-
-    @property
-    def hidden(self):
-        return self.w_hidden.shape[1]
+    The scorer comes first, then each propagation layer's self and
+    neighbour weights; the model is coupled, and has prop.* arrays,
+    exactly when config.mode is not state. This order is the order of
+    CpnnModel.flat.
+    """
+    hidden = config.hidden
+    layout = {
+        "scorer.w_hidden": (input_dim, hidden),
+        "scorer.b_hidden": (hidden,),
+        "scorer.w_out": (hidden,),
+        "scorer.b_out": (),
+    }
+    if config.coupled:
+        dims = config.embedding_dims
+        for l in range(len(dims) - 1):
+            layout["prop.self.%d" % l] = (dims[l], dims[l + 1])
+            layout["prop.neigh.%d" % l] = (dims[l], dims[l + 1])
+    return layout
 
 
 @dataclass(frozen=True, eq=False)
 class CpnnModel:
-    """Trained scorer and optional propagation weights; config is the architecture."""
+    """The architecture (config), the scorer's input columns and width,
+    and every trainable number in one float64 vector, laid out by
+    param_layout."""
 
-    scorer: ScorerWeights
-    propagation: PropagationWeights | None
-    feature_columns: tuple
     config: TrainConfig
+    feature_columns: tuple
+    input_dim: int
+    flat: np.ndarray
 
     @property
     def mode(self):
         return FeatureMode(self.config.mode)
 
-    @property
-    def input_dim(self):
-        return self.scorer.input_dim
-
     def params(self):
-        """All trainable arrays keyed by name (b_out as a 0-d array)."""
-        out = {
-            "scorer.w_hidden": self.scorer.w_hidden,
-            "scorer.b_hidden": self.scorer.b_hidden,
-            "scorer.w_out": self.scorer.w_out,
-            "scorer.b_out": np.asarray(self.scorer.b_out, dtype=np.float64),
-        }
-        if self.propagation is not None:
-            for l in range(self.propagation.layer_count):
-                out["prop.self.%d" % l] = self.propagation.w_self[l]
-                out["prop.neigh.%d" % l] = self.propagation.w_neigh[l]
+        """Every trainable array by name, as a view into flat (b_out 0-d)."""
+        out = {}
+        offset = 0
+        for name, shape in param_layout(self.config, self.input_dim).items():
+            size = math.prod(shape)
+            out[name] = self.flat[offset:offset + size].reshape(shape)
+            offset += size
         return out
 
-    def with_params(self, params):
-        """The same model holding a params() dict's arrays."""
-        return build_model(self.config, self.feature_columns, params)
-
-
-def build_model(config, feature_columns, params):
-    """The model config describes, holding a params() dict's arrays as
-    given; it is coupled when params holds prop.* arrays."""
-    scorer = ScorerWeights(
-        w_hidden=params["scorer.w_hidden"],
-        b_hidden=params["scorer.b_hidden"],
-        w_out=params["scorer.w_out"],
-        b_out=float(params["scorer.b_out"]),
-        activation=config.scorer_activation,
-    )
-    propagation = None
-    if "prop.self.0" in params:
-        layers = range(len(config.embedding_dims) - 1)
-        propagation = PropagationWeights(
+    @property
+    def propagation(self):
+        """The encoder's weights as views into flat; None unless coupled."""
+        if not self.config.coupled:
+            return None
+        params = self.params()
+        layers = range(len(self.config.embedding_dims) - 1)
+        return PropagationWeights(
             w_self=tuple(params["prop.self.%d" % l] for l in layers),
             w_neigh=tuple(params["prop.neigh.%d" % l] for l in layers),
-            dims=config.embedding_dims,
-            activation=config.activation,
-            neighbor_norm=config.neighbor_norm,
+            dims=self.config.embedding_dims,
+            activation=self.config.activation,
+            neighbor_norm=self.config.neighbor_norm,
         )
-    return CpnnModel(scorer, propagation, tuple(feature_columns), config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,49 +252,46 @@ def prepare_inputs(net, state_values, mode=FeatureMode.BOTH):
     return TrainInputs(static=static, node_inputs=node_inputs)
 
 
-def init_cpnn(input_dim, config, feature_columns=(), coupling=None):
-    """Fresh model: Glorot scorer weights, zero biases, propagation branch.
+def init_cpnn(input_dim, config, feature_columns=()):
+    """Fresh model: Glorot weights, zero biases.
 
-    coupling=None derives the propagation branch from the mode; pass
-    False to train a scorer on static features alone.
+    The scorer draws from seed + 1, then the propagation layers, in
+    layout order, from seed + 2.
     """
     config = config.validated()
+    size = sum(math.prod(shape) for shape in param_layout(config, input_dim).values())
+    model = CpnnModel(config, tuple(feature_columns), int(input_dim), np.zeros(size))
+    params = model.params()
     rng = np.random.default_rng(config.seed + 1)
-    params = {
-        "scorer.w_hidden": glorot_uniform(rng, input_dim, config.hidden),
-        "scorer.b_hidden": np.zeros(config.hidden),
-        "scorer.w_out": glorot_uniform(rng, config.hidden, 1)[:, 0],
-        "scorer.b_out": 0.0,
-    }
-    if coupling is None:
-        coupling = FeatureMode(config.mode) is not FeatureMode.STATE_ONLY
-    if coupling:
-        prop = init_propagation(config.embedding_dims, seed=config.seed + 2)
-        for l in range(prop.layer_count):
-            params["prop.self.%d" % l] = prop.w_self[l]
-            params["prop.neigh.%d" % l] = prop.w_neigh[l]
-    return build_model(config, feature_columns, params)
+    params["scorer.w_hidden"][...] = glorot_uniform(rng, input_dim, config.hidden)
+    params["scorer.w_out"][...] = glorot_uniform(rng, config.hidden, 1)[:, 0]
+    rng = np.random.default_rng(config.seed + 2)
+    for name, w in params.items():
+        if name.startswith("prop."):
+            w[...] = glorot_uniform(rng, *w.shape)
+    return model
 
 
-def _scorer_forward(scorer, feats):
-    pre = feats @ scorer.w_hidden + scorer.b_hidden
-    if scorer.activation == "tanh":
+def _scorer_forward(params, activation, feats):
+    """z = w_out . act(feats W_hidden + b_hidden) + b_out, with pre and act."""
+    pre = feats @ params["scorer.w_hidden"] + params["scorer.b_hidden"]
+    if activation == "tanh":
         act = np.tanh(pre)
     else:
         act = np.maximum(pre, 0.0)
-    z = act @ scorer.w_out + scorer.b_out
+    z = act @ params["scorer.w_out"] + params["scorer.b_out"]
     return z, pre, act
 
 
-def _scorer_backward(scorer, feats, pre, act, dz, grad_from=None):
+def _scorer_backward(params, activation, feats, pre, act, dz, grad_from=None):
     """Scorer weight gradients, plus dLoss/dfeats[:, grad_from:].
 
     grad_from=None skips the feature gradient (the last item is None).
     """
     d_w_out = act.T @ dz
     d_b_out = np.asarray(dz.sum(), dtype=np.float64)
-    d_pre = dz[:, None] * scorer.w_out
-    if scorer.activation == "tanh":
+    d_pre = dz[:, None] * params["scorer.w_out"]
+    if activation == "tanh":
         slope = np.multiply(act, act)
         np.subtract(1.0, slope, out=slope)
         d_pre *= slope
@@ -313,7 +301,7 @@ def _scorer_backward(scorer, feats, pre, act, dz, grad_from=None):
     d_b_hidden = d_pre.sum(axis=0)
     d_feats = None
     if grad_from is not None:
-        d_feats = d_pre @ scorer.w_hidden[grad_from:].T
+        d_feats = d_pre @ params["scorer.w_hidden"][grad_from:].T
     return d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats
 
 
@@ -384,12 +372,15 @@ def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
     the caller has it (see coupling.propagate).
     """
     static = inputs.static.values
-    cache = {}
-    if model.propagation is not None:
-        if inputs.node_inputs is None:
-            raise DimensionMismatch("a coupled model needs node inputs")
+    params = model.params()
+    cache = {"params": params}
+    if model.config.coupled:
+        if inputs.node_inputs is None or net is None:
+            raise DimensionMismatch(
+                "a coupled model needs node inputs and their network")
+        propagation = model.propagation
         emb, stages = propagate(
-            net, inputs.node_inputs, model.propagation, return_cache=True,
+            net, inputs.node_inputs, propagation, return_cache=True,
             first_mix=first_mix,
         )
         endpoints = net.endpoints[edge_rows]
@@ -397,10 +388,11 @@ def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
         feats = np.empty((edge_rows.size, width + 4 * emb.shape[1]))
         feats[:, :width] = static[edge_rows]
         coupled_edge_features(emb, endpoints, out=feats[:, width:])
-        cache.update(embeddings=emb, stages=stages, endpoints=endpoints)
+        cache.update(propagation=propagation, embeddings=emb, stages=stages,
+                     endpoints=endpoints)
     else:
         feats = static[edge_rows]
-    z, pre, act = _scorer_forward(model.scorer, feats)
+    z, pre, act = _scorer_forward(params, model.config.scorer_activation, feats)
     cache.update(feats=feats, pre=pre, act=act)
     return z, cache
 
@@ -433,16 +425,17 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
     b_pos = slot[arr[:, 1]]
     d = z[a_pos] - z[b_pos]
     y = arr[:, 2].astype(np.float64)
-    coupled = model.propagation is not None
     ce = float(np.sum(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
 
     eta = model.config.l2_coeff
-    sc = model.scorer
+    params = cache["params"]
+    scorer = {key: params["scorer." + key]
+              for key in ("w_hidden", "b_hidden", "w_out", "b_out")}
     reg = eta * (
-        float(np.sum(sc.w_hidden**2))
-        + float(np.sum(sc.w_out**2))
-        + float(np.sum(sc.b_hidden**2))
-        + sc.b_out**2
+        float(np.sum(scorer["w_hidden"]**2))
+        + float(np.sum(scorer["w_out"]**2))
+        + float(np.sum(scorer["b_hidden"]**2))
+        + float(scorer["b_out"])**2
     )
     value = ce + reg
 
@@ -457,21 +450,21 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
 
     width = inputs.static.values.shape[1]
     d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_cpl = _scorer_backward(
-        sc, cache["feats"], cache["pre"], cache["act"], dz,
-        grad_from=width if coupled else None,
+        params, model.config.scorer_activation, cache["feats"], cache["pre"],
+        cache["act"], dz, grad_from=width if model.config.coupled else None,
     )
     grads = {
-        "scorer.w_hidden": d_w_hidden + 2.0 * eta * sc.w_hidden,
-        "scorer.b_hidden": d_b_hidden + 2.0 * eta * sc.b_hidden,
-        "scorer.w_out": d_w_out + 2.0 * eta * sc.w_out,
-        "scorer.b_out": d_b_out + 2.0 * eta * np.asarray(sc.b_out),
+        "scorer.w_hidden": d_w_hidden + 2.0 * eta * scorer["w_hidden"],
+        "scorer.b_hidden": d_b_hidden + 2.0 * eta * scorer["b_hidden"],
+        "scorer.w_out": d_w_out + 2.0 * eta * scorer["w_out"],
+        "scorer.b_out": d_b_out + 2.0 * eta * scorer["b_out"],
     }
-    if coupled:
+    if model.config.coupled:
         d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl)
         g_self, g_neigh, _ = propagate_backward(
-            net, model.propagation, cache["stages"], d_emb, input_grad=False
+            net, cache["propagation"], cache["stages"], d_emb, input_grad=False
         )
-        for l in range(model.propagation.layer_count):
+        for l in range(len(g_self)):
             grads["prop.self.%d" % l] = g_self[l]
             grads["prop.neigh.%d" % l] = g_neigh[l]
     return value, grads
@@ -530,36 +523,25 @@ def train(net, inputs, config):
     )
     input_dim = inputs.static.values.shape[1]
     columns = inputs.static.columns
-    coupling = (
-        FeatureMode(config.mode) is not FeatureMode.STATE_ONLY
-        and inputs.node_inputs is not None
-    )
     first_mix = None
-    if coupling:
+    if config.coupled:
+        if inputs.node_inputs is None:
+            raise DimensionMismatch(
+                "mode %s trains a coupled model, which needs node inputs"
+                % FeatureMode(config.mode).value)
         input_dim += 4 * config.embedding_dims[-1]
         columns = columns + coupled_column_names(config.embedding_dims[-1])
         first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)
-    model = init_cpnn(input_dim, config, feature_columns=columns, coupling=coupling)
+    model = init_cpnn(input_dim, config, feature_columns=columns)
 
-    # Every parameter lives in one flat vector; the model's arrays are
-    # views into it, and Adam updates it in place.
-    start = model.params()
-    flat = np.concatenate([p.ravel() for p in start.values()])
+    # model.params() are views into model.flat; Adam updates it in place.
+    flat = model.flat
     moment1 = np.zeros_like(flat)
     moment2 = np.zeros_like(flat)
     grad = np.empty_like(flat)
     m_hat = np.empty_like(flat)
     v_hat = np.empty_like(flat)
-
-    def views_of(vector):
-        out = {}
-        offset = 0
-        for key, arr in start.items():
-            out[key] = vector[offset:offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-        return out
-
-    params = views_of(flat)
+    keys = tuple(model.params())
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     shuffler = np.random.default_rng(config.seed + 3)
@@ -573,9 +555,8 @@ def train(net, inputs, config):
         grad_sq = 0.0
         for lo in range(0, order.size, config.batch_size):
             batch = train_arr[order[lo:lo + config.batch_size]]
-            model = model.with_params(params)
             _, grads = loss(model, inputs, batch, net=net, first_mix=first_mix)
-            np.concatenate([grads[key].ravel() for key in start], out=grad)
+            np.concatenate([grads[key].ravel() for key in keys], out=grad)
             grad_sq += float(np.dot(grad, grad))
             step += 1
             # Adam, operation for operation as m = beta1 m + (1 - beta1) g,
@@ -594,7 +575,6 @@ def train(net, inputs, config):
             v_hat += eps
             m_hat /= v_hat
             flat -= m_hat
-        model = model.with_params(params)
         train_ce, train_acc = _pair_metrics(
             model, inputs, train_arr, net=net, first_mix=first_mix
         )
@@ -620,7 +600,7 @@ def train(net, inputs, config):
         best = flat.copy()
         best_epoch = config.epochs
     return TrainResult(
-        model=model.with_params(views_of(best)),
+        model=dataclasses.replace(model, flat=best),
         log=tuple(log),
         best_epoch=best_epoch,
         train_pairs=int(train_arr.shape[0]),
@@ -636,8 +616,8 @@ def predict_scores(model, net, inputs):
     """
     _check_rows(net, inputs)
     columns = inputs.static.columns
-    if model.propagation is not None:
-        columns = columns + coupled_column_names(model.propagation.output_dim)
+    if model.config.coupled:
+        columns = columns + coupled_column_names(model.config.embedding_dims[-1])
     if model.feature_columns and columns != tuple(model.feature_columns):
         raise FeatureSchemaMismatch(
             "model was trained on a different feature schema "
@@ -654,7 +634,7 @@ def predict_scores(model, net, inputs):
 
 def save_model(model, path):
     """JSON checkpoint: dims, weights, config, and the column schema."""
-    config = model.config
+    config, params = model.config, model.params()
     payload = {
         "format": "netchron-cpnn",
         "version": 1,
@@ -664,21 +644,22 @@ def save_model(model, path):
         "hidden": config.hidden,
         "scorer": {
             "activation": config.scorer_activation,
-            "w_hidden": model.scorer.w_hidden.tolist(),
-            "b_hidden": model.scorer.b_hidden.tolist(),
-            "w_out": model.scorer.w_out.tolist(),
-            "b_out": float(model.scorer.b_out),
+            "w_hidden": params["scorer.w_hidden"].tolist(),
+            "b_hidden": params["scorer.b_hidden"].tolist(),
+            "w_out": params["scorer.w_out"].tolist(),
+            "b_out": float(params["scorer.b_out"]),
         },
         "propagation": None,
         "config": dataclasses.asdict(config),
     }
-    if model.propagation is not None:
+    if config.coupled:
+        layers = range(len(config.embedding_dims) - 1)
         payload["propagation"] = {
             "dims": list(config.embedding_dims),
             "activation": config.activation,
             "neighbor_norm": config.neighbor_norm,
-            "w_self": [w.tolist() for w in model.propagation.w_self],
-            "w_neigh": [w.tolist() for w in model.propagation.w_neigh],
+            "w_self": [params["prop.self.%d" % l].tolist() for l in layers],
+            "w_neigh": [params["prop.neigh.%d" % l].tolist() for l in layers],
         }
     dump_json(payload, path)
 
@@ -717,11 +698,13 @@ def _model_from_payload(payload):
         if value != expected:
             raise ParseError("%s is %r but the config gives %r"
                              % (key, value, expected))
-    input_dim, hidden = integer(payload["input_dim"]), config.hidden
-    shapes = {"w_hidden": (input_dim, hidden), "b_hidden": (hidden,),
-              "w_out": (hidden,), "b_out": ()}
-    params = {"scorer." + k: _weights(sc[k], shape, "scorer." + k)
-              for k, shape in shapes.items()}
+    if (prop is not None) != config.coupled:
+        raise ParseError("propagation is %s but mode %s %s"
+                         % ("null" if prop is None else "given", config.mode.value,
+                            "is coupled" if config.coupled else "has none"))
+    # name in the layout -> (checkpoint value, its name in the checkpoint)
+    stored = {"scorer." + k: (sc[k], "scorer." + k)
+              for k in ("w_hidden", "b_hidden", "w_out", "b_out")}
     if prop is not None:
         dims = config.embedding_dims
         for name in ("self", "neigh"):
@@ -730,12 +713,17 @@ def _model_from_payload(payload):
                 raise ParseError("propagation.w_%s has %d layers, dims give %d"
                                  % (name, len(layers), len(dims) - 1))
             for l, w in enumerate(layers):
-                params["prop.%s.%d" % (name, l)] = _weights(
-                    w, (dims[l], dims[l + 1]), "propagation.w_%s[%d]" % (name, l))
+                stored["prop.%s.%d" % (name, l)] = (w, "propagation.w_%s[%d]"
+                                                    % (name, l))
+    input_dim = integer(payload["input_dim"])
+    flat = np.concatenate([
+        _weights(stored[name][0], shape, stored[name][1]).ravel()
+        for name, shape in param_layout(config, input_dim).items()
+    ])
     columns = payload["feature_columns"]
     if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
         raise ParseError("feature_columns must be a list of names")
-    return build_model(config, columns, params)
+    return CpnnModel(config, tuple(columns), input_dim, flat)
 
 
 def load_model(path):
@@ -743,9 +731,10 @@ def load_model(path):
 
     The config is the architecture. A file of another format raises
     FeatureSchemaMismatch. A missing key, a malformed value, a key that
-    repeats the config with another value, a non-numeric or non-finite
-    weight, or a weight whose shape disagrees with input_dim and the
-    config's widths raises ParseError.
+    repeats the config with another value, a propagation section in
+    mode state or none in another mode, a non-numeric or non-finite
+    weight, or a weight whose shape disagrees with param_layout raises
+    ParseError.
     """
     payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "netchron-cpnn":

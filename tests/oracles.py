@@ -505,15 +505,16 @@ def coupled_backward_by_add_at(embeddings, endpoints, grad_feats):
     return out
 
 
-def scorer_backward_by_outer(scorer, feats, pre, act, dz):
+def scorer_backward_by_outer(params, activation, feats, pre, act, dz):
     """Scorer gradients with np.outer and fresh temporaries, d_feats for every column."""
-    d_act = np.outer(dz, scorer.w_out)
-    if scorer.activation == "tanh":
+    d_act = np.outer(dz, params["scorer.w_out"])
+    if activation == "tanh":
         d_pre = d_act * (1.0 - act * act)
     else:
         d_pre = d_act * (pre > 0.0)
     return (feats.T @ d_pre, d_pre.sum(axis=0), act.T @ dz,
-            np.asarray(dz.sum(), dtype=np.float64), d_pre @ scorer.w_hidden.T)
+            np.asarray(dz.sum(), dtype=np.float64),
+            d_pre @ params["scorer.w_hidden"].T)
 
 
 def _loss_by_add_at(model, inputs, pairs, net):
@@ -530,16 +531,17 @@ def _loss_by_add_at(model, inputs, pairs, net):
     np.add.at(dz, a_pos, dd)
     np.add.at(dz, b_pos, -dd)
     eta = model.config.l2_coeff
-    sc = model.scorer
+    params = model.params()
     width = inputs.static.values.shape[1]
     d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_cpl = _scorer_backward(
-        sc, cache["feats"], cache["pre"], cache["act"], dz, grad_from=width
+        params, model.config.scorer_activation, cache["feats"], cache["pre"],
+        cache["act"], dz, grad_from=width,
     )
     grads = {
-        "scorer.w_hidden": d_w_hidden + 2.0 * eta * sc.w_hidden,
-        "scorer.b_hidden": d_b_hidden + 2.0 * eta * sc.b_hidden,
-        "scorer.w_out": d_w_out + 2.0 * eta * sc.w_out,
-        "scorer.b_out": d_b_out + 2.0 * eta * np.asarray(sc.b_out),
+        "scorer.w_hidden": d_w_hidden + 2.0 * eta * params["scorer.w_hidden"],
+        "scorer.b_hidden": d_b_hidden + 2.0 * eta * params["scorer.b_hidden"],
+        "scorer.w_out": d_w_out + 2.0 * eta * params["scorer.w_out"],
+        "scorer.b_out": d_b_out + 2.0 * eta * params["scorer.b_out"],
     }
     if "embeddings" in cache:
         d_emb = coupled_backward_by_add_at(
@@ -565,16 +567,21 @@ def _pair_metrics_by_unique(model, inputs, pairs, net):
     return ce, float(np.mean((d > 0) == (y == 1)))
 
 
+def write_params(model, params):
+    """Copy a params() dict's arrays into the model's own."""
+    for key, view in model.params().items():
+        view[...] = params[key]
+
+
 def train_by_key_loop(net, inputs, config):
     """ranker.train as a per-key loop: Adam over params() dicts, new arrays each step.
 
-    Every batch rebuilds the model from the dict, recomputes layer 0's
+    Every batch copies the dict into the model, recomputes layer 0's
     neighbor aggregate and the input gradient it throws away. Returns
     (best params, log, best_epoch); each log entry's grad_norm is the
     RMS over the epoch's batches of sqrt(sum over keys of sum(g ** 2)).
     """
     from netchron.coupling import coupled_column_names
-    from netchron.features import FeatureMode
     from netchron.ranker import init_cpnn, make_pairs
 
     config = config.validated()
@@ -584,14 +591,10 @@ def train_by_key_loop(net, inputs, config):
     )
     input_dim = inputs.static.values.shape[1]
     columns = inputs.static.columns
-    coupling = (
-        FeatureMode(config.mode) is not FeatureMode.STATE_ONLY
-        and inputs.node_inputs is not None
-    )
-    if coupling:
+    if config.coupled:
         input_dim += 4 * config.embedding_dims[-1]
         columns = columns + coupled_column_names(config.embedding_dims[-1])
-    model = init_cpnn(input_dim, config, feature_columns=columns, coupling=coupling)
+    model = init_cpnn(input_dim, config, feature_columns=columns)
     params = {k: v.copy() for k, v in model.params().items()}
     moment1 = {k: np.zeros_like(v) for k, v in params.items()}
     moment2 = {k: np.zeros_like(v) for k, v in params.items()}
@@ -607,7 +610,7 @@ def train_by_key_loop(net, inputs, config):
         squares = []
         for lo in range(0, order.size, config.batch_size):
             batch = train_arr[order[lo:lo + config.batch_size]]
-            model = model.with_params(params)
+            write_params(model, params)
             grads = _loss_by_add_at(model, inputs, batch, net)
             squares.append(sum(float(np.sum(g * g)) for g in grads.values()))
             step += 1
@@ -620,7 +623,7 @@ def train_by_key_loop(net, inputs, config):
                 params[key] = params[key] - config.learning_rate * m_hat / (
                     np.sqrt(v_hat) + eps
                 )
-        model = model.with_params(params)
+        write_params(model, params)
         train_ce, train_acc = _pair_metrics_by_unique(model, inputs, train_arr, net)
         entry = {
             "epoch": epoch,

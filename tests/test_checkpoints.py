@@ -1,6 +1,6 @@
 """Checkpoints from an earlier netchron: they load, rewrite byte for
 byte, and are refused when a key that repeats the config disagrees
-with it.
+with it or when their propagation weights disagree with the mode.
 
 tests/data holds two checkpoints that commit ce5d723 wrote with:
 
@@ -98,4 +98,31 @@ def test_key_that_disagrees_with_the_config_is_refused(
     err = capsys.readouterr().err
     assert err.startswith("data error: %s is " % key)
     assert "but the config gives" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, mode, message", [
+    (COUPLED, "both", "propagation is null but mode both is coupled"),
+    (COUPLED, "struct", "propagation is null but mode struct is coupled"),
+    (STATE, "state", "propagation is given but mode state has none"),
+])
+def test_propagation_that_disagrees_with_the_mode_is_refused(
+        tmp_path, capsys, graph_and_state, name, mode, message):
+    payload = load_json(os.path.join(DATA, name))
+    payload["mode"] = payload["config"]["mode"] = mode
+    if payload["propagation"] is None:
+        coupled = load_json(os.path.join(DATA, COUPLED))
+        payload["propagation"] = coupled["propagation"]
+        payload["config"]["embedding_dims"] = coupled["config"]["embedding_dims"]
+    else:
+        payload["propagation"] = None
+    edited = tmp_path / "model.json"
+    dump_json(payload, edited)
+    with pytest.raises(ParseError, match="^%s$" % message):
+        load_model(edited)
+
+    graph, state = graph_and_state
+    out = tmp_path / "ordering.csv"
+    assert run("infer", graph, state, edited, "--out", out) == 3
+    assert capsys.readouterr().err == "data error: %s\n" % message
     assert not out.exists()

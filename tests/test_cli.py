@@ -24,9 +24,8 @@ from netchron.features import STATE_COLUMNS, FeatureMode
 from netchron.graph import build_network
 from netchron.ordering import ground_truth_ordering, load_ordering, write_ordering
 from netchron.ranker import (
-    CpnnModel,
-    ScorerWeights,
     TrainConfig,
+    init_cpnn,
     load_model,
     save_model,
 )
@@ -291,19 +290,12 @@ def separable_toy(tmp_path):
             fh.write("%d,%s\n" % (node, float(node)))
     # linear scorer reading the state-sum column, descending in time
     sum_col = STATE_COLUMNS.index("state_sum")
-    w_hidden = np.zeros((7, 1))
-    w_hidden[sum_col, 0] = -1.0
-    model = CpnnModel(
-        scorer=ScorerWeights(
-            w_hidden=w_hidden,
-            b_hidden=np.zeros(1),
-            w_out=np.ones(1),
-            b_out=0.0,
-        ),
-        propagation=None,
-        feature_columns=STATE_COLUMNS,
-        config=TrainConfig(mode=FeatureMode.STATE_ONLY, hidden=1),
-    )
+    model = init_cpnn(7, TrainConfig(mode=FeatureMode.STATE_ONLY, hidden=1),
+                      feature_columns=STATE_COLUMNS)
+    params = model.params()
+    params["scorer.w_hidden"][...] = 0.0
+    params["scorer.w_hidden"][sum_col, 0] = -1.0
+    params["scorer.w_out"][...] = 1.0
     model_path = tmp_path / "toy_model.json"
     save_model(model, model_path)
     return net, graph, state, model_path

@@ -10,13 +10,14 @@ from netchron.coupling import (
     coupled_column_names,
     coupled_edge_features,
     glorot_uniform,
-    init_propagation,
     node_input_matrix,
     propagate,
     propagate_backward,
 )
 from netchron.errors import BadDims, DimensionMismatch
+from netchron.features import FeatureMode
 from netchron.graph import build_network
+from netchron.ranker import TrainConfig, init_cpnn
 
 import oracles
 
@@ -25,9 +26,27 @@ def path3():
     return build_network(3, [(0, 1), (1, 2)])
 
 
+def init_propagation(dims, seed, activation="tanh", neighbor_norm="mean"):
+    """Glorot weights for each layer pair, self then neighbour, from seed."""
+    rng = np.random.default_rng(seed)
+    layers = [(glorot_uniform(rng, a, b), glorot_uniform(rng, a, b))
+              for a, b in zip(dims, dims[1:])]
+    return PropagationWeights(
+        w_self=tuple(w for w, _ in layers), w_neigh=tuple(w for _, w in layers),
+        dims=tuple(dims), activation=activation, neighbor_norm=neighbor_norm,
+    )
+
+
+def model_propagation(dims, seed=0, **fields):
+    """The propagation weights of a fresh coupled model."""
+    config = TrainConfig(mode=FeatureMode.BOTH, hidden=2, embedding_dims=dims,
+                         seed=seed, **fields)
+    return init_cpnn(5, config).propagation
+
+
 class TestInit:
     def test_shapes_and_bounds(self):
-        w = init_propagation((4, 8, 3), seed=0)
+        w = model_propagation((4, 8, 3))
         assert w.layer_count == 2
         assert w.w_self[0].shape == (4, 8)
         assert w.w_neigh[1].shape == (8, 3)
@@ -37,22 +56,30 @@ class TestInit:
         assert np.abs(w.w_neigh[0]).max() <= limit0
 
     def test_deterministic(self):
-        a = init_propagation((4, 5), seed=3)
-        b = init_propagation((4, 5), seed=3)
+        a = model_propagation((4, 5), seed=3)
+        b = model_propagation((4, 5), seed=3)
         assert np.array_equal(a.w_self[0], b.w_self[0])
         assert np.array_equal(a.w_neigh[0], b.w_neigh[0])
 
+    def test_draws_each_layer_pair_from_seed_plus_2(self):
+        a = model_propagation((4, 5, 3), seed=3, activation="relu")
+        b = init_propagation((4, 5, 3), seed=5)
+        for l in range(2):
+            assert np.array_equal(a.w_self[l], b.w_self[l])
+            assert np.array_equal(a.w_neigh[l], b.w_neigh[l])
+        assert (a.dims, a.activation, a.neighbor_norm) == ((4, 5, 3), "relu", "mean")
+
     def test_rejects_bad_dims(self):
         with pytest.raises(BadDims):
-            init_propagation((4,), seed=0)
+            model_propagation((4,))
         with pytest.raises(BadDims):
-            init_propagation((3, 5), seed=0)
+            model_propagation((3, 5))
         with pytest.raises(BadDims):
-            init_propagation((4, 0), seed=0)
-        with pytest.raises(BadDims):
-            init_propagation((4, 5), seed=0, activation="sigmoid")
-        with pytest.raises(BadDims):
-            init_propagation((4, 5), seed=0, neighbor_norm="rowmax")
+            model_propagation((4, 0))
+        with pytest.raises(ValueError):
+            model_propagation((4, 5), activation="sigmoid")
+        with pytest.raises(ValueError):
+            model_propagation((4, 5), neighbor_norm="rowmax")
 
 
 class TestNodeInputs:

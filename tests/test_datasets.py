@@ -179,6 +179,20 @@ class TestGenerators:
             # 3 * 4 = 12 edges cannot fit on C(4,2) = 6 slots.
             generate_synthetic(SynthSpec(SynthKind.ER_SHUFFLED, 4, 3, 0))
 
+    def test_kind_given_as_string_builds_the_same_graph(self):
+        # "pa" == SynthKind.PREFERENTIAL_ATTACHMENT, but "pa" is not it.
+        by_enum = generate_synthetic(
+            SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 200, 2, seed=0))
+        by_string = generate_synthetic(SynthSpec("pa", 200, 2, seed=0))
+        uniform = generate_synthetic(SynthSpec(SynthKind.RANDOM_GROWTH, 200, 2, seed=0))
+        assert np.array_equal(by_string.endpoints, by_enum.endpoints)
+        assert np.array_equal(by_string.alpha, by_enum.alpha)
+        assert not np.array_equal(by_string.endpoints, uniform.endpoints)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(BadSpec, match="unknown synthetic kind"):
+            generate_synthetic(SynthSpec("lattice", 20, 2, seed=0))
+
     def test_pair_decoding_matches_combinations(self):
         n = 9
         expect = list(itertools.combinations(range(n), 2))

@@ -24,16 +24,17 @@ from netchron.errors import (
 from netchron.features import FeatureMatrix, FeatureMode
 from netchron.graph import build_network
 from netchron.ranker import (
-    CpnnModel,
-    ScorerWeights,
     TrainConfig,
     TrainInputs,
+    _forward_scores,
+    _pair_metrics,
     _stable_sigmoid,
     config_from_dict,
     init_cpnn,
     load_model,
     loss,
     make_pairs,
+    param_layout,
     predict_scores,
     prepare_inputs,
     save_model,
@@ -44,21 +45,17 @@ from oracles import max_relative_error, random_network
 
 
 def tiny_model(w_hidden, b_hidden, w_out, b_out, l2=0.0, activation="tanh"):
-    scorer = ScorerWeights(
-        w_hidden=np.asarray(w_hidden, dtype=np.float64),
-        b_hidden=np.asarray(b_hidden, dtype=np.float64),
-        w_out=np.asarray(w_out, dtype=np.float64),
-        b_out=float(b_out),
-        activation=activation,
-    )
-    config = TrainConfig(l2_coeff=l2, hidden=scorer.hidden,
+    """A state-only model holding the given scorer weights."""
+    w_hidden = np.asarray(w_hidden, dtype=np.float64)
+    config = TrainConfig(l2_coeff=l2, hidden=w_hidden.shape[1],
                          mode=FeatureMode.STATE_ONLY, scorer_activation=activation)
-    return CpnnModel(
-        scorer=scorer,
-        propagation=None,
-        feature_columns=(),
-        config=config,
-    )
+    model = init_cpnn(w_hidden.shape[0], config)
+    params = model.params()
+    params["scorer.w_hidden"][...] = w_hidden
+    params["scorer.b_hidden"][...] = b_hidden
+    params["scorer.w_out"][...] = w_out
+    params["scorer.b_out"][...] = b_out
+    return model
 
 
 def score_rows(model, values, columns=None):
@@ -135,12 +132,7 @@ class TestScore:
 
     def test_column_schema_mismatch_raises(self):
         model = tiny_model([[1.0], [1.0]], [0.0], [1.0], 0.0)
-        model = CpnnModel(
-            scorer=model.scorer,
-            propagation=None,
-            feature_columns=("a", "b"),
-            config=model.config,
-        )
+        model = dataclasses.replace(model, feature_columns=("a", "b"))
         with pytest.raises(FeatureSchemaMismatch):
             score_rows(model, np.ones((1, 2)), columns=("a", "c"))
 
@@ -164,15 +156,32 @@ class TestScore:
         with pytest.raises(DimensionMismatch, match="needs node inputs"):
             predict_scores(model, net, bare)
 
-    def test_each_edge_scored_independently(self):
+    def test_coupled_model_without_net_raises(self):
+        net, inputs = pa_instance(node_count=20)
+        cfg = TrainConfig(hidden=4, embedding_dims=(4, 3))
+        model = init_cpnn(inputs.static.values.shape[1] + 4 * 3, cfg)
+        pairs = np.array([[0, 1, 1]])
+        with pytest.raises(DimensionMismatch, match="needs node inputs"):
+            loss(model, inputs, pairs)
+        with pytest.raises(DimensionMismatch, match="needs node inputs"):
+            _pair_metrics(model, inputs, pairs)
+        with pytest.raises(DimensionMismatch, match="needs node inputs"):
+            _forward_scores(model, inputs, np.arange(net.edge_count))
+
+    @pytest.mark.parametrize("b_out", [0.0, 0.5])
+    def test_each_edge_scored_independently(self, b_out):
+        # Same batch shape throughout, so every row meets the same BLAS
+        # blocking: a row's score must not move when the others change.
         rng = np.random.default_rng(0)
         model = tiny_model(
-            rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=4), 0.5
+            rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=4), b_out
         )
         feats = rng.normal(size=(6, 3))
         whole = score_rows(model, feats)
-        single = np.array([score_rows(model, feats[k:k + 1])[0] for k in range(6)])
-        assert np.array_equal(whole, single)
+        for k in range(6):
+            other = rng.normal(size=feats.shape)
+            other[k] = feats[k]
+            assert score_rows(model, other)[k] == whole[k]
 
 
 class TestPairProbability:
@@ -247,7 +256,7 @@ class TestLoss:
             scorer_activation=scorer_act,
         )
         d_in = inputs.static.values.shape[1] + 4 * dims[-1]
-        model = init_cpnn(d_in, cfg, coupling=True)
+        model = init_cpnn(d_in, cfg)
         pairs, _ = make_pairs(net, None, 10**6, seed=seed + 1, val_fraction=0.0)
         pairs = pairs[:12]
         _, grads = loss(model, inputs, pairs, net=net)
@@ -286,7 +295,7 @@ class TestLoss:
         cfg = TrainConfig(
             mode=FeatureMode.STATE_ONLY, hidden=4, l2_coeff=1e-2, seed=5
         )
-        model = init_cpnn(3, cfg, coupling=False)
+        model = init_cpnn(3, cfg)
         pairs = np.array([[0, 1, 1], [2, 3, 0], [4, 5, 1], [0, 5, 0]])
         _, grads = loss(model, inputs, pairs)
         step = 1e-5
@@ -450,6 +459,13 @@ class TestTrain:
         d = z[val_arr[:, 0]] - z[val_arr[:, 1]]
         acc = float(np.mean((d > 0) == (val_arr[:, 2] == 1)))
         assert acc == pytest.approx(max(accs))
+
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STRUCT_ONLY])
+    def test_coupled_mode_without_node_inputs_raises(self, mode):
+        net, inputs = pa_instance(node_count=20, mode=mode)
+        cfg = TrainConfig(mode=mode, hidden=4, embedding_dims=(4, 3), epochs=1)
+        with pytest.raises(DimensionMismatch, match="needs node inputs"):
+            train(net, TrainInputs(static=inputs.static), cfg)
 
     def test_mismatched_static_edges_raise(self):
         net, inputs = toy_chain(m_edges=10)
@@ -639,10 +655,12 @@ class TestInitCpnn:
     def test_shapes_and_branches(self):
         cfg = TrainConfig(hidden=6, embedding_dims=(4, 3), mode=FeatureMode.BOTH)
         model = init_cpnn(10, cfg)
-        assert model.scorer.w_hidden.shape == (10, 6)
-        assert model.scorer.b_hidden.shape == (6,)
-        assert model.scorer.w_out.shape == (6,)
-        assert model.scorer.b_out == 0.0
+        params = model.params()
+        assert params["scorer.w_hidden"].shape == (10, 6)
+        assert params["scorer.b_hidden"].shape == (6,)
+        assert params["scorer.w_out"].shape == (6,)
+        assert params["scorer.b_out"].shape == ()
+        assert params["scorer.b_out"] == 0.0
         assert model.propagation is not None
         assert model.propagation.dims == (4, 3)
 
@@ -650,9 +668,38 @@ class TestInitCpnn:
         cfg = TrainConfig(hidden=6, mode=FeatureMode.STATE_ONLY)
         model = init_cpnn(7, cfg)
         assert model.propagation is None
+        assert not any(key.startswith("prop.") for key in model.params())
 
     def test_same_seed_same_weights(self):
         cfg = TrainConfig(hidden=5, seed=9)
         a = init_cpnn(8, cfg)
         b = init_cpnn(8, cfg)
-        assert np.array_equal(a.scorer.w_hidden, b.scorer.w_hidden)
+        assert np.array_equal(a.flat, b.flat)
+
+    @pytest.mark.parametrize("mode", list(FeatureMode))
+    def test_params_are_views_of_flat_in_layout_order(self, mode):
+        cfg = TrainConfig(hidden=3, embedding_dims=(4, 5, 2), mode=mode)
+        model = init_cpnn(6, cfg)
+        layout = param_layout(cfg, 6)
+        params = model.params()
+        assert list(params) == list(layout)
+        assert [p.shape for p in params.values()] == list(layout.values())
+        assert model.flat.size == sum(p.size for p in params.values())
+        assert model.flat.dtype == np.float64
+        assert np.array_equal(
+            np.concatenate([p.ravel() for p in params.values()]), model.flat)
+        for key, arr in params.items():
+            assert np.shares_memory(arr, model.flat), key
+        params["scorer.b_out"][...] = 2.5
+        assert model.params()["scorer.b_out"] == 2.5
+        if cfg.coupled:
+            prop = model.propagation
+            prop.w_neigh[1][0, 0] = 7.0
+            assert model.params()["prop.neigh.1"][0, 0] == 7.0
+
+    def test_layout_is_coupled_exactly_when_mode_is_not_state(self):
+        for mode in FeatureMode:
+            cfg = TrainConfig(mode=mode, embedding_dims=(4, 3))
+            keys = set(param_layout(cfg, 5))
+            has_prop = {"prop.self.0", "prop.neigh.0"} <= keys
+            assert has_prop == (mode is not FeatureMode.STATE_ONLY) == cfg.coupled

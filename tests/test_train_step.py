@@ -127,17 +127,20 @@ class TestScorerBackwardOracle:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_weight_grads_bit_equal_and_feature_grad_sliced(self, activation):
         rng = np.random.default_rng(6)
-        scorer = netchron.ranker.ScorerWeights(
-            w_hidden=rng.normal(size=(30, 8)), b_hidden=rng.normal(size=8),
-            w_out=rng.normal(size=8), b_out=0.5, activation=activation,
-        )
+        params = {
+            "scorer.w_hidden": rng.normal(size=(30, 8)),
+            "scorer.b_hidden": rng.normal(size=8),
+            "scorer.w_out": rng.normal(size=8),
+            "scorer.b_out": np.asarray(0.5),
+        }
         feats = rng.normal(size=(50, 30))
-        _, pre, act = netchron.ranker._scorer_forward(scorer, feats)
+        _, pre, act = netchron.ranker._scorer_forward(params, activation, feats)
         dz = rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, size=50)
-        want = oracles.scorer_backward_by_outer(scorer, feats, pre, act, dz)
+        want = oracles.scorer_backward_by_outer(params, activation, feats, pre,
+                                                act, dz)
         for grad_from in (None, 0, 22):
             got = netchron.ranker._scorer_backward(
-                scorer, feats, pre, act, dz, grad_from=grad_from
+                params, activation, feats, pre, act, dz, grad_from=grad_from
             )
             for a, b in zip(got[:4], want[:4]):
                 assert np.array_equal(a, b)
@@ -180,10 +183,9 @@ class TestPairMetrics:
         assert pairs.shape[0] > count
         pairs = pairs[:count]
         width = inputs.static.values.shape[1]
-        coupled = mode is FeatureMode.BOTH
-        if coupled:
+        if cfg.coupled:
             width += 4 * cfg.embedding_dims[-1]
-        model = netchron.ranker.init_cpnn(width, cfg, coupling=coupled)
+        model = netchron.ranker.init_cpnn(width, cfg)
         got = netchron.ranker._pair_metrics(model, inputs, pairs, net=net)
         assert got == oracles._pair_metrics_by_unique(model, inputs, pairs, net)
 
