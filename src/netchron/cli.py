@@ -1,10 +1,11 @@
 """Command-line orchestration of the reconstruction pipeline.
 
 Each subcommand reads/writes the formats owned by the library modules
-and drops a run manifest next to its primary output: the resolved
-configuration, the seed, content digests of every input and output
-file, timings, and versions. Digests let manifests chain (evaluate
-lists the digest of the ordering that infer produced).
+and returns what it did; main then drops a run manifest next to its
+primary output: the resolved configuration, the seed, content digests
+of every input and output file, its monotonic wall time, and versions.
+Digests let manifests chain (evaluate lists the digest of the ordering
+that infer produced).
 
 Each command's options are one table, name -> (kind, default, help):
 the table gives the --flag-names, the keys a --config file may hold,
@@ -67,7 +68,8 @@ from .ranker import (
     train,
 )
 from .serialize import (dump_json, finite_float, format_float, integer, load_json,
-                        path_str, resolve_options, sha256_file, tuple_of)
+                        path_str, resolve_options, sha256_file, tuple_of,
+                        write_table)
 
 
 def _resolve(args):
@@ -95,35 +97,38 @@ def _resolve(args):
         raise ParseError(str(exc)) from None
 
 
-def _write_manifest(primary_out, command, config, seed, inputs, outputs, t0,
-                    warnings=()):
+def _write_manifest(command, cfg, run, seconds):
+    """Write `<out>.manifest.json` for a run a handler returned: its
+    inputs and outputs with their digests, the resolved config plus the
+    run's additions, the seed and warnings, and the wall time."""
+
+    def digests(files):
+        return {name: {"path": str(path), "sha256": sha256_file(path)}
+                for name, path in files.items()}
+
     manifest = {
         "command": command,
-        "config": config,
-        "seed": int(seed),
-        "inputs": {
-            name: {"path": str(path), "sha256": sha256_file(path)}
-            for name, path in inputs.items()
-        },
-        "outputs": {
-            name: {"path": str(path), "sha256": sha256_file(path)}
-            for name, path in outputs.items()
-        },
-        "timings": {"total_seconds": round(time.time() - t0, 3)},
-        "warnings": list(warnings),
+        "config": dict(cfg, **run.get("config", {})),
+        "seed": int(run.get("seed", cfg.get("seed"))),
+        "inputs": digests(run.get("inputs", {})),
+        "outputs": digests(run["outputs"]),
+        "timings": {"total_seconds": round(seconds, 3)},
+        "warnings": list(run.get("warnings", ())),
         "versions": {
             "netchron": __version__,
             "numpy": np.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
     }
-    path = str(primary_out) + ".manifest.json"
-    dump_json(manifest, path)
-    return path
+    dump_json(manifest, str(cfg["out"]) + ".manifest.json")
+
+
+# Each handler runs its command and returns the run: its summary line,
+# its outputs (name -> path) and, where it has them, its inputs, its
+# additions to the resolved config, its seed and its warnings.
 
 
 def cmd_synth(args, cfg):
-    t0 = time.time()
     spec = SynthSpec(
         kind=cfg["kind"],
         node_count=cfg["n"],
@@ -133,36 +138,29 @@ def cmd_synth(args, cfg):
     net = generate_synthetic(spec)
     write_edge_list(net, cfg["out"])
     stats = dataset_stats(net)
-    _write_manifest(
-        cfg["out"], "synth", cfg, cfg["seed"], {}, {"graph": cfg["out"]}, t0
+    summary = "wrote %s: %d nodes, %d edges, %d distinct times" % (
+        cfg["out"], stats["node_count"], stats["edge_count"],
+        stats["distinct_times"],
     )
-    print(
-        "wrote %s: %d nodes, %d edges, %d distinct times"
-        % (cfg["out"], stats["node_count"], stats["edge_count"],
-           stats["distinct_times"])
-    )
-    return 0
+    return {"summary": summary, "outputs": {"graph": cfg["out"]}}
 
 
 def cmd_simulate(args, cfg):
-    t0 = time.time()
     net = load_edge_list(args.graph)
     kind = cfg["dynamics"]
     spec = sample_dynamics_params(kind, net.node_count, cfg["seed"])
     spec = dataclasses.replace(spec, tol=cfg["tol"], max_steps=cfg["max_steps"])
     steady = simulate(net, spec, seed=cfg["seed"])
     write_steady_state(steady, cfg["out"], kind=kind, seed=cfg["seed"])
-    _write_manifest(
-        cfg["out"], "simulate", cfg, cfg["seed"],
-        {"graph": args.graph},
-        {"steady_state": cfg["out"], "metadata": str(cfg["out"]) + ".meta.json"},
-        t0,
+    summary = "steady state: converged=%s steps=%d residual=%s" % (
+        steady.converged, steady.steps, format_float(steady.residual),
     )
-    print(
-        "steady state: converged=%s steps=%d residual=%s"
-        % (steady.converged, steady.steps, format_float(steady.residual))
-    )
-    return 0
+    return {
+        "summary": summary,
+        "inputs": {"graph": args.graph},
+        "outputs": {"steady_state": cfg["out"],
+                    "metadata": str(cfg["out"]) + ".meta.json"},
+    }
 
 
 def _load_state_for(net, path, warnings):
@@ -191,7 +189,6 @@ def _load_state_for(net, path, warnings):
 
 
 def cmd_train(args, cfg):
-    t0 = time.time()
     train_cfg = config_from_dict(cfg)
     mode = train_cfg.mode
     net = load_edge_list(args.graph)
@@ -213,14 +210,6 @@ def cmd_train(args, cfg):
         },
         log_path,
     )
-    _write_manifest(
-        cfg["out"], "train", dict(dataclasses.asdict(train_cfg), out=cfg["out"]),
-        train_cfg.seed,
-        {"graph": args.graph, "steady_state": args.steady_state},
-        {"model": cfg["out"], "training_log": log_path},
-        t0,
-        warnings=warnings,
-    )
     last = result.log[-1]
     summary = "trained mode=%s label_fraction=%s pairs=%d best_epoch=%d" % (
         mode.value, train_cfg.label_fraction, result.train_pairs,
@@ -228,12 +217,17 @@ def cmd_train(args, cfg):
     )
     if "val_accuracy" in last:
         summary += " final_val_accuracy=%.4f" % last["val_accuracy"]
-    print(summary)
-    return 0
+    return {
+        "summary": summary,
+        "inputs": {"graph": args.graph, "steady_state": args.steady_state},
+        "outputs": {"model": cfg["out"], "training_log": log_path},
+        "config": dataclasses.asdict(train_cfg),
+        "seed": train_cfg.seed,
+        "warnings": warnings,
+    }
 
 
 def cmd_infer(args, cfg):
-    t0 = time.time()
     net = load_edge_list(args.graph)
     warnings = []
     values = _load_state_for(net, args.steady_state, warnings)
@@ -242,26 +236,20 @@ def cmd_infer(args, cfg):
     scores = predict_scores(model, net, inputs)
     ordering = order_from_scores(scores)
     write_ordering(ordering, net, cfg["out"])
-    manifest_cfg = dict(cfg)
-    manifest_cfg["mode"] = model.mode.value
-    manifest_cfg["label_fraction"] = model.config.label_fraction
-    _write_manifest(
-        cfg["out"], "infer", manifest_cfg, model.config.seed,
-        {
-            "graph": args.graph,
-            "steady_state": args.steady_state,
-            "model": args.model,
-        },
-        {"ordering": cfg["out"]},
-        t0,
-        warnings=warnings,
-    )
-    print("wrote ordering for %d edges to %s" % (net.edge_count, cfg["out"]))
-    return 0
+    return {
+        "summary": "wrote ordering for %d edges to %s"
+        % (net.edge_count, cfg["out"]),
+        "inputs": {"graph": args.graph, "steady_state": args.steady_state,
+                   "model": args.model},
+        "outputs": {"ordering": cfg["out"]},
+        "config": {"mode": model.mode.value,
+                   "label_fraction": model.config.label_fraction},
+        "seed": model.config.seed,
+        "warnings": warnings,
+    }
 
 
 def cmd_evaluate(args, cfg):
-    t0 = time.time()
     net = load_edge_list(args.graph)
     ordering = load_ordering(args.ordering, net)
     fm = structural_edge_features(net)
@@ -285,61 +273,37 @@ def cmd_evaluate(args, cfg):
     dump_json(report, cfg["out"])
 
     base = os.path.splitext(str(cfg["out"]))[0]
-    bins_path = base + ".bins.csv"
-    with open(bins_path, "w") as fh:
-        fh.write("bin_index,count,median,std,reference\n")
-        for rec in report["binned_trend"]["bins"]:
-            fh.write(
-                "%d,%d,%s,%s,%s\n"
-                % (rec["bin_index"], rec["count"], format_float(rec["median"]),
-                   format_float(rec["std"]), format_float(rec["reference"]))
-            )
-    samples = cfg["samples"]
+    outputs = {
+        "report": cfg["out"],
+        "bin_trend": base + ".bins.csv",
+        "trajectories": base + ".trajectories.csv",
+        "hub_curves": base + ".hubs.csv",
+    }
+    write_table(outputs["bin_trend"], "bin_index,count,median,std,reference",
+                (rec.values() for rec in report["binned_trend"]["bins"]))
     curves = report["growth_curves"]
-    traj_path = base + ".trajectories.csv"
-    with open(traj_path, "w") as fh:
-        names = sorted(curves)
-        fh.write("fraction," + ",".join(names) + "\n")
-        for k in range(samples):
-            row = [format_float((k + 1) / samples)]
-            row += [format_float(curves[name][k]) for name in names]
-            fh.write(",".join(row) + "\n")
-    hubs_path = base + ".hubs.csv"
+    names = sorted(curves)
+    write_table(outputs["trajectories"], ",".join(["fraction"] + names),
+                [[(k + 1) / cfg["samples"]] + [curves[name][k] for name in names]
+                 for k in range(cfg["samples"])])
     radar = report["hub_radar"]
-    with open(hubs_path, "w") as fh:
-        fh.write("hub,nrmse,similarity\n")
-        for hub, nrmse, sim in zip(
-            radar["hubs"], radar["nrmse"], radar["similarity"]
-        ):
-            fh.write(
-                "%d,%s,%s\n" % (hub, format_float(nrmse), format_float(sim))
-            )
-    _write_manifest(
-        cfg["out"], "evaluate", cfg, cfg["seed"], inputs,
-        {
-            "report": cfg["out"],
-            "bin_trend": bins_path,
-            "trajectories": traj_path,
-            "hub_curves": hubs_path,
-        },
-        t0,
-        warnings=warnings,
+    write_table(outputs["hub_curves"], "hub,nrmse,similarity",
+                zip(radar["hubs"], radar["nrmse"], radar["similarity"]))
+    summary = "pairwise accuracy %.4f, spearman rho %.4f over %d pairs" % (
+        report["pairwise_accuracy"], report["spearman_rho"],
+        report["pair_count"],
     )
-    print(
-        "pairwise accuracy %.4f, spearman rho %.4f over %d pairs"
-        % (report["pairwise_accuracy"], report["spearman_rho"],
-           report["pair_count"])
-    )
-    return 0
+    return {"summary": summary, "inputs": inputs, "outputs": outputs,
+            "warnings": warnings}
 
 
 def cmd_theory_check(args, cfg):
-    t0 = time.time()
     ps = cfg["p_grid"]
     ms = cfg["m_grid"]
     trials = cfg["trials"]
     seed = cfg["seed"]
     rows = []
+    lines = []
     for i, p in enumerate(ps):
         for j, m in enumerate(ms):
             theory = theoretical_error(p, m).expected_error
@@ -355,19 +319,15 @@ def cmd_theory_check(args, cfg):
                     "ratio": ratio,
                 }
             )
-            print(
+            lines.append(
                 "p=%.3f M=%d theory=%s monte_carlo=%s ratio=%.4f"
                 % (p, m, format_float(theory), format_float(mc), ratio)
             )
     dump_json({"trials": trials, "seed": seed, "rows": rows}, cfg["out"])
-    _write_manifest(
-        cfg["out"], "theory-check", cfg, seed, {}, {"report": cfg["out"]}, t0
-    )
-    return 0
+    return {"summary": "\n".join(lines), "outputs": {"report": cfg["out"]}}
 
 
 def cmd_pathdep(args, cfg):
-    t0 = time.time()
     report = path_dependence_demo(
         kind=cfg["dynamics"],
         seed=cfg["seed"],
@@ -375,14 +335,10 @@ def cmd_pathdep(args, cfg):
         node_count=cfg["n"],
     )
     dump_json(report, cfg["out"])
-    _write_manifest(
-        cfg["out"], "pathdep", cfg, cfg["seed"], {}, {"report": cfg["out"]}, t0
+    summary = "difference norm %s (order dependent: %s)" % (
+        format_float(report["difference_norm"]), report["order_dependent"],
     )
-    print(
-        "difference norm %s (order dependent: %s)"
-        % (format_float(report["difference_norm"]), report["order_dependent"])
-    )
-    return 0
+    return {"summary": summary, "outputs": {"report": cfg["out"]}}
 
 
 REQUIRED = object()
@@ -485,7 +441,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _resolve(args))
+        cfg = _resolve(args)
+        start = time.perf_counter()
+        run = args.func(args, cfg)
+        _write_manifest(args.command, cfg, run, time.perf_counter() - start)
     except DataError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3
@@ -495,6 +454,8 @@ def main(argv=None):
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 3
+    print(run["summary"])
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadSpec, EmptyInput, ParseError
 from .graph import build_network
-from .serialize import format_float
+from .serialize import read_table, write_table
 
 
 class SynthKind(str, Enum):
@@ -64,43 +64,33 @@ def load_edge_list(path):
     pairs = []
     times = []
     top, top_line = -1, 0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    "%s:%d: expected 3 tab-separated fields, got %d"
-                    % (path, lineno, len(parts))
-                )
+    for lineno, (a, b, t) in read_table(path, None, 3, sep="\t", comment="#"):
+        try:
+            u = int(a)
+            v = int(b)
+        except ValueError:
+            raise ParseError(
+                "%s:%d: node ids must be integers" % (path, lineno)
+            ) from None
+        if u < 0 or v < 0:
+            raise ParseError("%s:%d: node ids must be >= 0" % (path, lineno))
+        if t == "?":
+            t = math.nan
+        else:
             try:
-                u = int(parts[0])
-                v = int(parts[1])
+                t = float(t)
             except ValueError:
                 raise ParseError(
-                    "%s:%d: node ids must be integers" % (path, lineno)
+                    "%s:%d: time must be a number or '?'" % (path, lineno)
                 ) from None
-            if u < 0 or v < 0:
-                raise ParseError("%s:%d: node ids must be >= 0" % (path, lineno))
-            if parts[2] == "?":
-                t = math.nan
-            else:
-                try:
-                    t = float(parts[2])
-                except ValueError:
-                    raise ParseError(
-                        "%s:%d: time must be a number or '?'" % (path, lineno)
-                    ) from None
-                if math.isinf(t):
-                    raise ParseError(
-                        "%s:%d: time must be finite, got %r" % (path, lineno, t)
-                    )
-            if max(u, v) > top:
-                top, top_line = max(u, v), lineno
-            pairs.append((u, v))
-            times.append(t)
+            if math.isinf(t):
+                raise ParseError(
+                    "%s:%d: time must be finite, got %r" % (path, lineno, t)
+                )
+        if max(u, v) > top:
+            top, top_line = max(u, v), lineno
+        pairs.append((u, v))
+        times.append(t)
     if not pairs:
         raise EmptyInput("no edges in %s" % path)
     if top >= 2 * len(pairs):
@@ -117,13 +107,9 @@ def load_edge_list(path):
 
 def write_edge_list(net, path):
     """Write the canonical TSV form: normalized endpoints and times."""
-    with open(path, "w") as fh:
-        for k, (u, v) in enumerate(net.endpoints.tolist()):
-            if not math.isnan(net.alpha[k]):
-                t = format_float(net.alpha[k])
-            else:
-                t = "?"
-            fh.write("%d\t%d\t%s\n" % (u, v, t))
+    times = ["?" if math.isnan(t) else t for t in net.alpha.tolist()]
+    rows = zip(net.endpoints[:, 0].tolist(), net.endpoints[:, 1].tolist(), times)
+    write_table(path, None, rows, sep="\t")
 
 
 def dataset_stats(net):

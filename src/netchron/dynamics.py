@@ -19,11 +19,12 @@ import numpy as np
 
 from .errors import BadSpec, DimensionMismatch, NumericalBlowup, ParseError, StageMismatch
 from .graph import build_network, neighbor_sum
-from .serialize import dump_json, format_float, load_json
+from .serialize import dump_json, load_json, read_table, write_table
 
 CONVERGENCE_TOL = 1e-6
 MAX_STEPS = 1000
 BLOWUP_LIMIT = 1e12
+STATE_HEADER = "node_id,value"
 
 
 class DynamicsKind(str, Enum):
@@ -259,10 +260,8 @@ def write_steady_state(state, path, kind=None, seed=None):
 
     The sidecar lands at `<path>.meta.json`.
     """
-    with open(path, "w") as fh:
-        fh.write("node_id,value\n")
-        for i, v in enumerate(state.values):
-            fh.write("%d,%s\n" % (i, format_float(v)))
+    values = np.asarray(state.values, dtype=np.float64).tolist()
+    write_table(path, STATE_HEADER, enumerate(values))
     meta = {
         "converged": bool(state.converged),
         "steps": int(state.steps),
@@ -278,35 +277,26 @@ def write_steady_state(state, path, kind=None, seed=None):
 def load_steady_state(path):
     """Read a steady-state CSV back; returns (values, metadata or None).
 
-    Every value must be finite: NaN or infinity raises ParseError.
+    Every value must be finite: NaN or infinity raises ParseError. The
+    metadata is None only when the sidecar does not exist; any other
+    failure to read it raises.
     """
     values = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("node_id"):
-            raise ParseError("missing steady-state header in %s" % path)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError("%s:%d: expected 2 fields" % (path, lineno))
-            try:
-                idx = int(parts[0])
-                val = float(parts[1])
-            except ValueError as exc:
-                raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
-            if not math.isfinite(val):
-                raise ParseError(
-                    "%s:%d: value %s is not finite" % (path, lineno, parts[1])
-                )
-            if idx != len(values):
-                raise ParseError("%s:%d: node ids must be consecutive" % (path, lineno))
-            values.append(val)
-    meta = None
+    for lineno, fields in read_table(path, STATE_HEADER, 2):
+        try:
+            idx = int(fields[0])
+            val = float(fields[1])
+        except ValueError as exc:
+            raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
+        if not math.isfinite(val):
+            raise ParseError(
+                "%s:%d: value %s is not finite" % (path, lineno, fields[1])
+            )
+        if idx != len(values):
+            raise ParseError("%s:%d: node ids must be consecutive" % (path, lineno))
+        values.append(val)
     try:
         meta = load_json(str(path) + ".meta.json")
-    except OSError:
-        pass
+    except FileNotFoundError:
+        meta = None
     return np.asarray(values, dtype=np.float64), meta

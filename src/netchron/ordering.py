@@ -26,9 +26,10 @@ from .errors import (
     OutOfDomain,
     ParseError,
 )
-from .serialize import format_float
+from .serialize import read_table, write_table
 
 _INT64 = range(-2**63, 2**63)
+ORDERING_HEADER = "edge_index,u,v,borda_score,rank"
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,14 +167,10 @@ def write_ordering(ordering, net, path):
             "ordering covers %d edges, graph has %d"
             % (ordering.edge_count, net.edge_count)
         )
-    with open(path, "w") as fh:
-        fh.write("edge_index,u,v,borda_score,rank\n")
-        for k, (u, v) in enumerate(net.endpoints.tolist()):
-            fh.write(
-                "%d,%d,%d,%s,%d\n"
-                % (k, u, v, format_float(ordering.borda_scores[k]),
-                   ordering.ranks[k])
-            )
+    rows = zip(range(net.edge_count), net.endpoints[:, 0].tolist(),
+               net.endpoints[:, 1].tolist(), ordering.borda_scores.tolist(),
+               ordering.ranks.tolist())
+    write_table(path, ORDERING_HEADER, rows)
 
 
 def load_ordering(path, net):
@@ -188,45 +185,33 @@ def load_ordering(path, net):
     ranks = np.zeros(net.edge_count, dtype=np.int64)
     seen = np.zeros(net.edge_count, dtype=bool)
     edges = net.endpoints.tolist()
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("edge_index"):
-            raise ParseError("missing ordering header in %s" % path)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(
-                    "%s:%d: expected 5 fields, got %d" % (path, lineno, len(parts))
-                )
-            try:
-                k, u, v, rank = (int(parts[j]) for j in (0, 1, 2, 4))
-                score = float(parts[3])
-            except ValueError as exc:
-                raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
-            if not all(x in _INT64 for x in (k, u, v, rank)):
-                raise ParseError("%s:%d: integer field outside int64" % (path, lineno))
-            if not math.isfinite(score):
-                raise ParseError(
-                    "%s:%d: score %s is not finite" % (path, lineno, parts[3])
-                )
-            if not 0 <= k < net.edge_count:
-                raise CoverageError(
-                    "%s:%d: edge index %d outside 0..%d"
-                    % (path, lineno, k, net.edge_count - 1)
-                )
-            if seen[k]:
-                raise CoverageError("%s:%d: duplicate edge index %d" % (path, lineno, k))
-            if edges[k] != [min(u, v), max(u, v)]:
-                raise CoverageError(
-                    "%s:%d: endpoints (%d, %d) do not match graph edge %d"
-                    % (path, lineno, u, v, k)
-                )
-            seen[k] = True
-            scores[k] = score
-            ranks[k] = rank
+    for lineno, fields in read_table(path, ORDERING_HEADER, 5):
+        try:
+            k, u, v, rank = (int(fields[j]) for j in (0, 1, 2, 4))
+            score = float(fields[3])
+        except ValueError as exc:
+            raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
+        if not all(x in _INT64 for x in (k, u, v, rank)):
+            raise ParseError("%s:%d: integer field outside int64" % (path, lineno))
+        if not math.isfinite(score):
+            raise ParseError(
+                "%s:%d: score %s is not finite" % (path, lineno, fields[3])
+            )
+        if not 0 <= k < net.edge_count:
+            raise CoverageError(
+                "%s:%d: edge index %d outside 0..%d"
+                % (path, lineno, k, net.edge_count - 1)
+            )
+        if seen[k]:
+            raise CoverageError("%s:%d: duplicate edge index %d" % (path, lineno, k))
+        if edges[k] != [min(u, v), max(u, v)]:
+            raise CoverageError(
+                "%s:%d: endpoints (%d, %d) do not match graph edge %d"
+                % (path, lineno, u, v, k)
+            )
+        seen[k] = True
+        scores[k] = score
+        ranks[k] = rank
     if not seen.all():
         raise CoverageError(
             "ordering covers %d of %d edges" % (int(seen.sum()), net.edge_count)

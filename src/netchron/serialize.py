@@ -1,10 +1,12 @@
-"""Deterministic text serialization helpers.
+"""Deterministic text serialization helpers: the package's one file
+boundary.
 
-Every file the package writes goes through these so that reruns with
-identical inputs produce byte-identical outputs: floats via repr
-(shortest round-trip form), strict JSON (no NaN or infinity) with
-sorted keys and a trailing newline. The option coercers read plain
-values (flag text or JSON) back under the same rules.
+Every file the package reads or writes goes through these so that
+reruns with identical inputs produce byte-identical outputs: text
+tables with floats in their shortest round-trip form (repr), strict
+JSON (no NaN or infinity) with sorted keys and a trailing newline. The
+option coercers read plain values (flag text or JSON) back under the
+same rules.
 """
 
 import hashlib
@@ -19,6 +21,41 @@ from .errors import NumericalError, ParseError
 def format_float(x):
     """Shortest decimal string that round-trips the float exactly."""
     return repr(float(x))
+
+
+def write_table(path, header, rows, sep=","):
+    """Write a text table: the header line (none when header is None),
+    then one line per row of cells joined by sep.
+
+    Each cell is written with str, so rows should hold Python scalars
+    (ndarray.tolist()): str of a Python float is format_float's form.
+    """
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(sep.join(map(str, row)) + "\n" for row in rows)
+
+
+def read_table(path, header, width, sep=",", comment=None):
+    """Yield (lineno, fields) for each data line of a text table.
+
+    The first line must be header unless header is None. Blank lines,
+    and lines starting with comment when it is given, are skipped. A
+    data line without exactly width fields raises ParseError naming
+    path:line.
+    """
+    with open(path) as fh:
+        if header is not None and fh.readline().strip() != header:
+            raise ParseError("%s:1: missing header %r" % (path, header))
+        for lineno, raw in enumerate(fh, start=1 if header is None else 2):
+            line = raw.strip()
+            if not line or (comment and line.startswith(comment)):
+                continue
+            fields = line.split(sep)
+            if len(fields) != width:
+                raise ParseError("%s:%d: expected %d fields, got %d"
+                                 % (path, lineno, width, len(fields)))
+            yield lineno, fields
 
 
 def _jsonable(obj):

@@ -754,6 +754,145 @@ class TestSteadyStateWarnings:
         assert "JSON object" in capsys.readouterr().err
 
 
+    def test_unreadable_metadata_exits_3_without_a_manifest(self, workspace, capsys):
+        tmp_path, graph, _ = workspace
+        state = tmp_path / "short.csv"
+        assert run("simulate", graph, "--dynamics", "gene", "--seed", 0,
+                   "--max-steps", 3, "--out", state) == 0
+        sidecar = tmp_path / "short.csv.meta.json"
+        sidecar.unlink()
+        sidecar.mkdir()
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        assert run("train", graph, state, "--epochs", 1, "--out", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: "), err
+        assert not os.path.exists(str(out) + ".manifest.json")
+
+
+@pytest.fixture()
+def tables(workspace):
+    """Each text table a command reads: (its file, a loader returning
+    comparable values, the argv of a command reading a given copy)."""
+    tmp_path, graph, state = workspace
+    net = load_edge_list(graph)
+    ordering = tmp_path / "ordering.csv"
+    write_ordering(ground_truth_ordering(net.alpha), net, ordering)
+    out = tmp_path / "out.json"
+    return {
+        "graph": (graph,
+                  lambda p: (load_edge_list(p).endpoints.tolist(),
+                             load_edge_list(p).alpha.tolist()),
+                  lambda p: ("simulate", p, "--out", tmp_path / "s.csv")),
+        "state": (state, lambda p: load_steady_state(p)[0].tolist(),
+                  lambda p: ("train", graph, p, "--epochs", 1, "--out", out)),
+        "ordering": (ordering, lambda p: load_ordering(p, net).ranks.tolist(),
+                     lambda p: ("evaluate", p, graph, "--out", out)),
+    }
+
+
+class TestTableReaders:
+    """The rules every text-table reader shares: a header where the
+    format has one, blank lines skipped, a fixed field count, and `#`
+    comments in the edge list only."""
+
+    @pytest.mark.parametrize("kind, line, needle", [
+        ("graph", "0\t1", "expected 3 fields, got 2"),
+        ("graph", "0\t1\t2\t3", "expected 3 fields, got 4"),
+        ("state", "5", "expected 2 fields, got 1"),
+        ("state", "1,0.5,7", "expected 2 fields, got 3"),
+        ("state", "# note", "expected 2 fields, got 1"),
+        ("state", None, "missing header 'node_id,value'"),
+        ("ordering", "0,0,1,0.5", "expected 5 fields, got 4"),
+        ("ordering", "0,0,1,0.5,1,9", "expected 5 fields, got 6"),
+        ("ordering", "# note", "expected 5 fields, got 1"),
+        ("ordering", None, "missing header 'edge_index,u,v,borda_score,rank'"),
+    ])
+    def test_malformed_line_is_named(self, tables, capsys, kind, line, needle):
+        path, load, argv = tables[kind]
+        lines = path.read_text().splitlines()
+        bad = path.with_name("bad-" + path.name)
+        if line is None:
+            lines, where = lines[1:], 1
+        else:
+            lines, where = lines[:1] + ["", line] + lines[1:], 3
+        bad.write_text("\n".join(lines) + "\n")
+        prefix = "%s:%d: " % (bad, where)
+        with pytest.raises(ParseError) as err:
+            load(bad)
+        assert str(err.value) == prefix + needle
+        capsys.readouterr()
+        assert run(*argv(bad)) == 3
+        assert capsys.readouterr().err == "data error: %s%s\n" % (prefix, needle)
+
+    @pytest.mark.parametrize("kind", ["graph", "state", "ordering"])
+    def test_blank_lines_are_skipped(self, tables, kind):
+        path, load, _ = tables[kind]
+        lines = path.read_text().splitlines()
+        extra = ["", "  ", "# note"] if kind == "graph" else ["", "  "]
+        spaced = path.with_name("spaced-" + path.name)
+        spaced.write_text("\n".join(lines[:1] + extra + lines[1:] + [""]) + "\n")
+        assert load(spaced) == load(path)
+
+
+class TestManifests:
+    def test_every_command_writes_one_manifest_listing_its_files(self, workspace):
+        tmp_path, graph, state = workspace
+        model = tmp_path / "train" / "m.json"
+        ordering = tmp_path / "infer" / "o.csv"
+        cases = {
+            "synth": ("--kind", "pa", "--n", 30, "--m", 2),
+            "simulate": (graph,),
+            "train": (graph, state, "--epochs", 1, "--hidden", 8,
+                      "--embedding-dims", "4,3,2"),
+            "infer": (graph, state, model),
+            "evaluate": (ordering, graph, "--pair-budget", 50),
+            "theory-check": ("--m-grid", 50, "--trials", 10),
+            "pathdep": (),
+        }
+        assert set(cases) == set(OPTIONS)
+        keys = set()
+        for command, argv in cases.items():
+            directory = tmp_path / command
+            directory.mkdir()
+            out = model if command == "train" else (
+                ordering if command == "infer" else directory / "out.json")
+            assert run(command, *argv, "--out", out) == 0, command
+            manifest = load_json(str(out) + ".manifest.json")
+            keys.add(tuple(sorted(manifest)))
+            assert manifest["command"] == command
+            assert manifest["timings"]["total_seconds"] >= 0
+            written = {str(directory / name) for name in os.listdir(directory)}
+            listed = {entry["path"] for entry in manifest["outputs"].values()}
+            assert written == listed | {str(out) + ".manifest.json"}, command
+            for entry in manifest["outputs"].values():
+                assert entry["sha256"] == sha256_file(entry["path"])
+        assert len(keys) == 1
+
+    def test_a_command_that_exits_3_writes_no_manifest(self, workspace, capsys):
+        tmp_path, graph, state = workspace
+        bad_state = tmp_path / "bad.csv"
+        bad_state.write_text("node_id,value\n0,0.5,1\n")
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text('{"trials": "many"}\n')
+        missing = tmp_path / "missing"
+        cases = {
+            "synth": ("--kind", "pa", "--n", 2, "--m", 2),
+            "simulate": (missing,),
+            "train": (graph, bad_state, "--epochs", 1),
+            "infer": (graph, state, missing),
+            "evaluate": (missing, graph),
+            "theory-check": ("--config", bad_config),
+            "pathdep": ("--n", 3),
+        }
+        assert set(cases) == set(OPTIONS)
+        for command, argv in cases.items():
+            directory = tmp_path / command
+            directory.mkdir()
+            assert run(command, *argv, "--out", directory / "out") == 3, command
+            assert os.listdir(directory) == [], command
+
+
 class TestNumpyOnlyRuntime:
     def test_pipeline_imports_neither_scipy_nor_networkx(self, tmp_path):
         script = textwrap.dedent("""

@@ -2,11 +2,14 @@
 
 bench/tracing.py wraps package functions by name and reads some of
 their arguments by name, so a rename in the package would silently
-drop a layer from `bench/run.py --trace 1`. These tests run
-bench/stage.py with --spans over the real package, as a traced round
-does, and check the spans it writes.
+drop a layer from `bench/run.py --trace 1`. These tests check that
+every traced layer names a function of netchron, then run every stage
+through bench/stage.py with --spans over the real package, as a traced
+round does, and check the spans and counters it writes.
 """
 
+import collections
+import importlib
 import os
 import subprocess
 import sys
@@ -30,6 +33,16 @@ TRAINING = {
                "ranker.make_pairs.calls", "ranker.make_pairs.kept",
                "ranker.make_pairs.enumerated"),
 }
+# One counter per tracing hook; each reads arguments of the function it wraps.
+HOOK_COUNTERS = (
+    "graph.pagerank.iterations",
+    "dynamics.simulate.steps",
+    "features.columns_kept",
+    "coupling.rows_used",
+    "ranker.make_pairs.kept",
+    "evaluation.pair_count",
+    "evaluation.growth_curve.distinct",
+)
 COUPLED = {
     "spans": ("coupling.coupled_edge_features",),
     "counts": ("coupling.coupled_edge_features.calls", "coupling.rows_used",
@@ -51,21 +64,30 @@ def stage(directory, *argv):
     return trace, problems
 
 
+def test_every_traced_layer_resolves_to_a_callable():
+    assert tracing.LAYERS
+    for module_name, attr, _ in tracing.LAYERS:
+        module = importlib.import_module("netchron." + module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A PA graph with N = 40 and its gene-dynamics steady state."""
+    """A PA graph with N = 40 and its gene-dynamics steady state, each
+    written by a traced CLI stage: the directory and the two traces."""
     directory = str(tmp_path_factory.mktemp("traced"))
+    traces = []
     for argv in (
         ("cli", "synth", "--kind", "pa", "--n", 40, "--m", 2, "--seed", SEED,
          "--out", "graph.tsv"),
         ("cli", "simulate", "graph.tsv", "--dynamics", "gene", "--seed", SEED,
          "--out", "state.csv"),
     ):
-        done = subprocess.run(
-            [sys.executable, "-m", "netchron.cli"] + [str(a) for a in argv[1:]],
-            cwd=directory, env=ENV, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-    return directory
+        trace, problems = stage(directory, *argv)
+        assert problems == []
+        assert trace["spans"][0][0] == "stage." + argv[1]
+        traces.append(trace)
+    return directory, traces
 
 
 def assert_traced(trace, layers):
@@ -77,26 +99,34 @@ def assert_traced(trace, layers):
 
 
 def test_cli_stages_of_a_coupled_run(inputs):
+    directory, traces = inputs
     train, problems = stage(
-        inputs, "cli", "train", "graph.tsv", "state.csv", "--mode", "both",
+        directory, "cli", "train", "graph.tsv", "state.csv", "--mode", "both",
         "--label-fraction", 0.3, "--epochs", 2, "--seed", SEED,
         "--out", "model.json")
     assert problems == []
     assert_traced(train, TRAINING)
     assert_traced(train, COUPLED)
+    traces = traces + [train]
     for argv in (
         ("infer", "graph.tsv", "state.csv", "model.json", "--out", "ordering.csv"),
         ("evaluate", "ordering.csv", "graph.tsv", "--steady-state", "state.csv",
          "--pair-budget", 50, "--out", "report.json"),
     ):
-        trace, problems = stage(inputs, "cli", *argv)
+        trace, problems = stage(directory, "cli", *argv)
         assert problems == []
         assert trace["spans"][0][0] == "stage." + argv[0]
+        traces.append(trace)
+    counts = collections.Counter()
+    for trace in traces:
+        counts.update(trace["counts"])
+    unfed = [name for name in HOOK_COUNTERS if counts[name] <= 0]
+    assert not unfed, counts
 
 
 def test_library_stages_of_a_state_only_run(tmp_path, inputs):
     for name in ("graph.tsv", "state.csv"):
-        with open(os.path.join(inputs, name), "rb") as fh:
+        with open(os.path.join(inputs[0], name), "rb") as fh:
             (tmp_path / name).write_bytes(fh.read())
     directory = str(tmp_path)
     train, problems = stage(directory, "lib", "train", directory, SEED, 2)
