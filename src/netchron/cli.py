@@ -68,8 +68,8 @@ from .ranker import (
     train,
 )
 from .serialize import (dump_json, finite_float, format_float, integer, load_json,
-                        path_str, resolve_options, sha256_file, tuple_of,
-                        write_table)
+                        non_negative_integer, path_str, resolve_options,
+                        sha256_file, tuple_of, write_table)
 
 
 def _resolve(args):
@@ -342,7 +342,7 @@ def cmd_pathdep(args, cfg):
 
 
 REQUIRED = object()
-SEED = (integer, 0, "random seed")
+SEED = (non_negative_integer, 0, "random seed")
 OUT = (path_str, REQUIRED, "primary output path")
 
 # One table per command: name -> (kind, default, help). A kind is a

@@ -7,13 +7,20 @@ neighbor aggregate and applies a pointwise nonlinearity. Edge-level
 coupled features concatenate the two endpoint embeddings with their
 sum and absolute difference.
 
+The encoder owns no weights. encoder_layout declares its arrays once
+(ranker.param_layout appends them to the scorer's), propagate and
+propagate_backward read a model's params() views of them and write
+their gradients into views of the same layout, and the dims,
+activation and neighbor norm come from the TrainConfig. _activate and
+_activation_grad are the one nonlinearity pair; the scorer uses them
+too.
+
 The backward pass is written by hand; gradient correctness is locked
 down by finite-difference tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -28,27 +35,16 @@ ACTIVATIONS = ("tanh", "relu")
 NEIGHBOR_NORMS = ("mean", "symmetric")
 
 
-@dataclass(frozen=True, eq=False)
-class PropagationWeights:
-    """Per-layer weight pairs for the propagation encoder.
-
-    w_self[l] multiplies a node's own embedding, w_neigh[l] the
-    normalized neighbor aggregate; both map dims[l] -> dims[l + 1].
-    """
-
-    w_self: tuple
-    w_neigh: tuple
-    dims: tuple
-    activation: str = "tanh"
-    neighbor_norm: str = "mean"
-
-    @property
-    def layer_count(self):
-        return len(self.w_self)
-
-    @property
-    def output_dim(self):
-        return self.dims[-1]
+def encoder_layout(dims):
+    """Ordered name -> shape of the encoder's weights: per layer l, the
+    self weight prop.self.<l>, then the neighbor weight prop.neigh.<l>,
+    both mapping dims[l] -> dims[l + 1]."""
+    layout = {}
+    for l in range(len(dims) - 1):
+        shape = (dims[l], dims[l + 1])
+        layout["prop.self.%d" % l] = shape
+        layout["prop.neigh.%d" % l] = shape
+    return layout
 
 
 def _check_dims(dims):
@@ -94,15 +90,19 @@ def node_input_matrix(net, state_values, stats=None, zero_state=False):
 
 
 def _activate(name, pre):
+    """The activation named name ("tanh" or "relu") applied to pre."""
     if name == "tanh":
         return np.tanh(pre)
     return np.maximum(pre, 0.0)
 
 
 def _activation_grad(name, pre, post):
+    """Its slope at pre, given post = _activate(name, pre): an array to
+    multiply the upstream gradient by (a boolean mask for relu)."""
     if name == "tanh":
-        return 1.0 - post * post
-    return (pre > 0.0).astype(np.float64)
+        slope = np.multiply(post, post)
+        return np.subtract(1.0, slope, out=slope)
+    return pre > 0.0
 
 
 def _neighbor_mix(net, h, norm):
@@ -120,58 +120,55 @@ def _neighbor_mix_transpose(net, g, norm):
     return _neighbor_mix(net, g, norm)
 
 
-def propagate(net, node_inputs, weights, return_cache=False, first_mix=None):
-    """Forward pass; returns (N, d_L) embeddings.
+def propagate(net, node_inputs, params, config, first_mix=None):
+    """Forward pass: the (N, d_L) embeddings and the per-layer stages
+    that propagate_backward needs.
 
-    With return_cache=True also returns the intermediates needed by
-    propagate_backward. first_mix, when given, is layer 0's neighbor
-    aggregate of node_inputs (it depends on neither weights nor the
-    layer), so a caller that propagates the same inputs many times
-    computes it once.
+    params holds the encoder_layout arrays by name (a model's params()
+    does); config gives embedding_dims, activation and neighbor_norm.
+    first_mix, when given, is layer 0's neighbor aggregate of
+    node_inputs (it depends on neither weights nor the layer), so a
+    caller that propagates the same inputs many times computes it once.
     """
+    dims = config.embedding_dims
     h = np.asarray(node_inputs, dtype=np.float64)
-    if h.shape != (net.node_count, weights.dims[0]):
+    if h.shape != (net.node_count, dims[0]):
         raise DimensionMismatch(
             "node inputs have shape %r, expected (%d, %d)"
-            % (h.shape, net.node_count, weights.dims[0])
+            % (h.shape, net.node_count, dims[0])
         )
     stages = []
-    for ws, wn in zip(weights.w_self, weights.w_neigh):
-        if first_mix is not None and not stages:
+    for l in range(len(dims) - 1):
+        if first_mix is not None and l == 0:
             mixed = first_mix
         else:
-            mixed = _neighbor_mix(net, h, weights.neighbor_norm)
-        pre = h @ ws + mixed @ wn
-        post = _activate(weights.activation, pre)
+            mixed = _neighbor_mix(net, h, config.neighbor_norm)
+        pre = h @ params["prop.self.%d" % l] + mixed @ params["prop.neigh.%d" % l]
+        post = _activate(config.activation, pre)
         stages.append((h, mixed, pre, post))
         h = post
-    if return_cache:
-        return h, stages
-    return h
+    return h, stages
 
 
-def propagate_backward(net, weights, stages, grad_out, input_grad=True):
-    """Gradients of a scalar loss through the propagation stack.
+def propagate_backward(net, params, config, stages, grad_out, grads):
+    """Weight gradients of a scalar loss through the encoder, written
+    into the encoder_layout arrays of grads (views of a gradient vector
+    laid out like the model's weights, say).
 
-    grad_out is dLoss/dEmbedding, shape (N, d_L). Returns
-    (grads for w_self, grads for w_neigh, dLoss/dInputs); with
-    input_grad=False the last item is None and layer 0's transposed
-    aggregate is never computed.
+    grad_out is dLoss/dEmbedding, shape (N, d_L). The node inputs are
+    constants, so the pass stops at layer 0's weights: that layer's
+    transposed aggregate is never computed.
     """
     dh = np.asarray(grad_out, dtype=np.float64)
-    g_self = [None] * weights.layer_count
-    g_neigh = [None] * weights.layer_count
-    for l in range(weights.layer_count - 1, -1, -1):
+    for l in range(len(stages) - 1, -1, -1):
         h_prev, mixed, pre, post = stages[l]
-        dpre = dh * _activation_grad(weights.activation, pre, post)
-        g_self[l] = h_prev.T @ dpre
-        g_neigh[l] = mixed.T @ dpre
-        if l == 0 and not input_grad:
-            return g_self, g_neigh, None
-        dh = dpre @ weights.w_self[l].T + _neighbor_mix_transpose(
-            net, dpre @ weights.w_neigh[l].T, weights.neighbor_norm
-        )
-    return g_self, g_neigh, dh
+        dpre = dh * _activation_grad(config.activation, pre, post)
+        np.matmul(h_prev.T, dpre, out=grads["prop.self.%d" % l])
+        np.matmul(mixed.T, dpre, out=grads["prop.neigh.%d" % l])
+        if l:
+            dh = dpre @ params["prop.self.%d" % l].T + _neighbor_mix_transpose(
+                net, dpre @ params["prop.neigh.%d" % l].T, config.neighbor_norm
+            )
 
 
 def coupled_column_names(dim):

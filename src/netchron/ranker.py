@@ -8,6 +8,12 @@ edge precedes another is the softmax of the two scores, trained with
 cross-entropy over sampled labeled pairs plus an L2 penalty on the
 scorer parameters. All gradients are reverse-accumulated by hand and
 verified against finite differences in the tests.
+
+The model is its TrainConfig plus one float64 weight vector laid out by
+param_layout: the scorer's arrays, then coupling.encoder_layout's.
+params() names views into it, which the scorer and the encoder read;
+loss returns its gradient as one vector in the same layout, and train's
+Adam step reads that vector directly.
 """
 
 from __future__ import annotations
@@ -21,16 +27,18 @@ import numpy as np
 from .coupling import (
     ACTIVATIONS,
     NEIGHBOR_NORMS,
+    _activate,
+    _activation_grad,
     _check_dims,
     _neighbor_mix,
     coupled_backward,
     coupled_column_names,
     coupled_edge_features,
+    encoder_layout,
     glorot_uniform,
     node_input_matrix,
     propagate,
     propagate_backward,
-    PropagationWeights,
 )
 from .errors import (
     BadDims,
@@ -54,7 +62,7 @@ from .features import (
 )
 from .graph import node_struct_stats
 from .serialize import (dump_json, finite_float, integer, load_json,
-                        resolve_options, tuple_of)
+                        non_negative_integer, resolve_options, tuple_of)
 
 # Pairs per step of the epoch metrics' pass (see _pair_metrics).
 PAIR_CHUNK = 8192
@@ -90,7 +98,7 @@ class TrainConfig:
     label_fraction: float | None = _option(
         0.3, float_or_none, "share of edges supervised (null: every labeled edge)"
     )
-    seed: int = _option(0, integer, "random seed")
+    seed: int = _option(0, non_negative_integer, "random seed")
     mode: FeatureMode = _option(FeatureMode.BOTH, FeatureMode, "feature blocks")
     hidden: int = _option(64, integer, "scorer hidden width")
     embedding_dims: tuple = _option(
@@ -109,8 +117,8 @@ class TrainConfig:
     def validated(self):
         if self.learning_rate <= 0 or self.l2_coeff < 0:
             raise ValueError("learning_rate must be > 0 and l2_coeff >= 0")
-        if self.epochs < 1 or self.batch_size < 1 or self.pair_budget < 1:
-            raise ValueError("epochs, batch_size, pair_budget must be >= 1")
+        if min(self.epochs, self.batch_size, self.pair_budget, self.hidden) < 1:
+            raise ValueError("epochs, batch_size, pair_budget, hidden must be >= 1")
         if self.label_fraction is not None and not 0.0 < self.label_fraction < 1.0:
             raise ValueError("label_fraction must lie in (0, 1) or be None")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -150,10 +158,10 @@ def param_layout(config, input_dim):
     """Ordered name -> shape of every trainable array of the model that
     config describes over input_dim scorer inputs.
 
-    The scorer comes first, then each propagation layer's self and
-    neighbour weights; the model is coupled, and has prop.* arrays,
-    exactly when config.mode is not state. This order is the order of
-    CpnnModel.flat.
+    The scorer comes first, then the encoder's coupling.encoder_layout;
+    the model is coupled, and has those prop.* arrays, exactly when
+    config.mode is not state. This order is the order of CpnnModel.flat
+    and of the gradient that loss returns.
     """
     hidden = config.hidden
     layout = {
@@ -163,10 +171,7 @@ def param_layout(config, input_dim):
         "scorer.b_out": (),
     }
     if config.coupled:
-        dims = config.embedding_dims
-        for l in range(len(dims) - 1):
-            layout["prop.self.%d" % l] = (dims[l], dims[l + 1])
-            layout["prop.neigh.%d" % l] = (dims[l], dims[l + 1])
+        layout.update(encoder_layout(config.embedding_dims))
     return layout
 
 
@@ -185,30 +190,17 @@ class CpnnModel:
     def mode(self):
         return FeatureMode(self.config.mode)
 
-    def params(self):
-        """Every trainable array by name, as a view into flat (b_out 0-d)."""
+    def params(self, vector=None):
+        """Every trainable array by name, as a view into flat (b_out 0-d),
+        or into vector, such as a gradient from loss, laid out the same."""
+        vector = self.flat if vector is None else vector
         out = {}
         offset = 0
         for name, shape in param_layout(self.config, self.input_dim).items():
             size = math.prod(shape)
-            out[name] = self.flat[offset:offset + size].reshape(shape)
+            out[name] = vector[offset:offset + size].reshape(shape)
             offset += size
         return out
-
-    @property
-    def propagation(self):
-        """The encoder's weights as views into flat; None unless coupled."""
-        if not self.config.coupled:
-            return None
-        params = self.params()
-        layers = range(len(self.config.embedding_dims) - 1)
-        return PropagationWeights(
-            w_self=tuple(params["prop.self.%d" % l] for l in layers),
-            w_neigh=tuple(params["prop.neigh.%d" % l] for l in layers),
-            dims=self.config.embedding_dims,
-            activation=self.config.activation,
-            neighbor_norm=self.config.neighbor_norm,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,34 +267,24 @@ def init_cpnn(input_dim, config, feature_columns=()):
 def _scorer_forward(params, activation, feats):
     """z = w_out . act(feats W_hidden + b_hidden) + b_out, with pre and act."""
     pre = feats @ params["scorer.w_hidden"] + params["scorer.b_hidden"]
-    if activation == "tanh":
-        act = np.tanh(pre)
-    else:
-        act = np.maximum(pre, 0.0)
+    act = _activate(activation, pre)
     z = act @ params["scorer.w_out"] + params["scorer.b_out"]
     return z, pre, act
 
 
-def _scorer_backward(params, activation, feats, pre, act, dz, grad_from=None):
-    """Scorer weight gradients, plus dLoss/dfeats[:, grad_from:].
-
-    grad_from=None skips the feature gradient (the last item is None).
+def _scorer_backward(params, activation, feats, pre, act, dz, grads, grad_from=None):
+    """Scorer weight gradients, written into grads' scorer.* arrays, and
+    dLoss/dfeats[:, grad_from:], returned (None when grad_from is None).
     """
-    d_w_out = act.T @ dz
-    d_b_out = np.asarray(dz.sum(), dtype=np.float64)
+    np.matmul(act.T, dz, out=grads["scorer.w_out"])
+    grads["scorer.b_out"][...] = dz.sum()
     d_pre = dz[:, None] * params["scorer.w_out"]
-    if activation == "tanh":
-        slope = np.multiply(act, act)
-        np.subtract(1.0, slope, out=slope)
-        d_pre *= slope
-    else:
-        d_pre *= pre > 0.0
-    d_w_hidden = feats.T @ d_pre
-    d_b_hidden = d_pre.sum(axis=0)
-    d_feats = None
-    if grad_from is not None:
-        d_feats = d_pre @ params["scorer.w_hidden"][grad_from:].T
-    return d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_feats
+    d_pre *= _activation_grad(activation, pre, act)
+    np.matmul(feats.T, d_pre, out=grads["scorer.w_hidden"])
+    d_pre.sum(axis=0, out=grads["scorer.b_hidden"])
+    if grad_from is None:
+        return None
+    return d_pre @ params["scorer.w_hidden"][grad_from:].T
 
 
 def _stable_sigmoid(d):
@@ -378,18 +360,14 @@ def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
         if inputs.node_inputs is None or net is None:
             raise DimensionMismatch(
                 "a coupled model needs node inputs and their network")
-        propagation = model.propagation
-        emb, stages = propagate(
-            net, inputs.node_inputs, propagation, return_cache=True,
-            first_mix=first_mix,
-        )
+        emb, stages = propagate(net, inputs.node_inputs, params, model.config,
+                                first_mix=first_mix)
         endpoints = net.endpoints[edge_rows]
         width = static.shape[1]
         feats = np.empty((edge_rows.size, width + 4 * emb.shape[1]))
         feats[:, :width] = static[edge_rows]
         coupled_edge_features(emb, endpoints, out=feats[:, width:])
-        cache.update(propagation=propagation, embeddings=emb, stages=stages,
-                     endpoints=endpoints)
+        cache.update(embeddings=emb, stages=stages, endpoints=endpoints)
     else:
         feats = static[edge_rows]
     z, pre, act = _scorer_forward(params, model.config.scorer_activation, feats)
@@ -411,11 +389,13 @@ def _edge_slots(pairs, edge_count):
 
 
 def loss(model, inputs, pairs, net=None, first_mix=None):
-    """Total pairwise cross-entropy plus scorer L2, with all gradients.
+    """Total pairwise cross-entropy plus scorer L2, and its gradient.
 
-    Returns (value, grads) where grads has one entry per params() key,
-    accumulated by reverse mode through the scorer and, when present,
-    the propagation stack. first_mix is as for _forward_scores.
+    Returns (value, grad): grad is one float64 vector laid out like
+    model.flat (model.params(grad) names its blocks), accumulated by
+    reverse mode through the scorer and, when present, the propagation
+    stack, each block written into its own view. first_mix is as for
+    _forward_scores.
     """
     arr = _pairs_array(pairs)
     edge_rows, slot = _edge_slots(arr, inputs.static.values.shape[0])
@@ -429,15 +409,8 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
 
     eta = model.config.l2_coeff
     params = cache["params"]
-    scorer = {key: params["scorer." + key]
-              for key in ("w_hidden", "b_hidden", "w_out", "b_out")}
-    reg = eta * (
-        float(np.sum(scorer["w_hidden"]**2))
-        + float(np.sum(scorer["w_out"]**2))
-        + float(np.sum(scorer["b_hidden"]**2))
-        + float(scorer["b_out"])**2
-    )
-    value = ce + reg
+    scorer = [name for name in params if name.startswith("scorer.")]
+    value = ce + eta * sum(float(np.sum(params[name]**2)) for name in scorer)
 
     # d(ce)/dd = sigmoid(d) - y, then scatter onto the two score slots:
     # every a-slot term, then every b-slot term, in pair order.
@@ -448,26 +421,19 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
         minlength=edge_rows.size,
     )
 
+    grad = np.empty_like(model.flat)
+    grads = model.params(grad)
     width = inputs.static.values.shape[1]
-    d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_cpl = _scorer_backward(
+    d_cpl = _scorer_backward(
         params, model.config.scorer_activation, cache["feats"], cache["pre"],
-        cache["act"], dz, grad_from=width if model.config.coupled else None,
+        cache["act"], dz, grads, grad_from=width if model.config.coupled else None,
     )
-    grads = {
-        "scorer.w_hidden": d_w_hidden + 2.0 * eta * scorer["w_hidden"],
-        "scorer.b_hidden": d_b_hidden + 2.0 * eta * scorer["b_hidden"],
-        "scorer.w_out": d_w_out + 2.0 * eta * scorer["w_out"],
-        "scorer.b_out": d_b_out + 2.0 * eta * scorer["b_out"],
-    }
+    for name in scorer:
+        grads[name] += 2.0 * eta * params[name]
     if model.config.coupled:
         d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl)
-        g_self, g_neigh, _ = propagate_backward(
-            net, cache["propagation"], cache["stages"], d_emb, input_grad=False
-        )
-        for l in range(len(g_self)):
-            grads["prop.self.%d" % l] = g_self[l]
-            grads["prop.neigh.%d" % l] = g_neigh[l]
-    return value, grads
+        propagate_backward(net, params, model.config, cache["stages"], d_emb, grads)
+    return value, grad
 
 
 def _pair_metrics(model, inputs, pairs, net=None, first_mix=None):
@@ -534,14 +500,13 @@ def train(net, inputs, config):
         first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)
     model = init_cpnn(input_dim, config, feature_columns=columns)
 
-    # model.params() are views into model.flat; Adam updates it in place.
+    # model.params() are views into model.flat; Adam updates it in place
+    # from loss's gradient, which has the same layout.
     flat = model.flat
     moment1 = np.zeros_like(flat)
     moment2 = np.zeros_like(flat)
-    grad = np.empty_like(flat)
     m_hat = np.empty_like(flat)
     v_hat = np.empty_like(flat)
-    keys = tuple(model.params())
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     shuffler = np.random.default_rng(config.seed + 3)
@@ -555,8 +520,7 @@ def train(net, inputs, config):
         grad_sq = 0.0
         for lo in range(0, order.size, config.batch_size):
             batch = train_arr[order[lo:lo + config.batch_size]]
-            _, grads = loss(model, inputs, batch, net=net, first_mix=first_mix)
-            np.concatenate([grads[key].ravel() for key in keys], out=grad)
+            _, grad = loss(model, inputs, batch, net=net, first_mix=first_mix)
             grad_sq += float(np.dot(grad, grad))
             step += 1
             # Adam, operation for operation as m = beta1 m + (1 - beta1) g,

@@ -125,6 +125,14 @@ def integer(value):
     return int(number)
 
 
+def non_negative_integer(value):
+    """An integer, read as integer reads it, that is at least 0: a seed."""
+    number = integer(value)
+    if number < 0:
+        raise ValueError("not a non-negative integer: %r" % (value,))
+    return number
+
+
 def path_str(value):
     """A file path, which a config file must give as a string."""
     if not isinstance(value, str):

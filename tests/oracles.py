@@ -517,8 +517,41 @@ def scorer_backward_by_outer(params, activation, feats, pre, act, dz):
             d_pre @ params["scorer.w_hidden"].T)
 
 
+def scores_by_definition(model, net, inputs):
+    """Every edge's score from the definitions, in plain numpy.
+
+    Each encoder layer maps a node's embedding and the mean of its
+    neighbours' (or, under the symmetric norm, their sum with each
+    neighbour j weighted by 1 / sqrt(deg_i deg_j)), over adjacency_sets,
+    through config.activation. The scorer reads the static row, then
+    [h_u, h_v, h_u + h_v, |h_u - h_v|], through config.scorer_activation.
+    """
+    config, params = model.config, model.params()
+    activate = {"tanh": np.tanh, "relu": lambda x: np.maximum(x, 0.0)}
+    feats = inputs.static.values
+    if config.coupled:
+        nbrs = adjacency_sets(net)
+        h = inputs.node_inputs
+        for l in range(len(config.embedding_dims) - 1):
+            mixed = np.zeros_like(h)
+            for i, around in enumerate(nbrs):
+                for j in around:
+                    if config.neighbor_norm == "mean":
+                        mixed[i] += h[j] / len(around)
+                    else:
+                        mixed[i] += h[j] / math.sqrt(len(around) * len(nbrs[j]))
+            h = activate[config.activation](
+                h @ params["prop.self.%d" % l] + mixed @ params["prop.neigh.%d" % l])
+        hu, hv = h[net.endpoints[:, 0]], h[net.endpoints[:, 1]]
+        feats = np.hstack([feats, hu, hv, hu + hv, np.abs(hu - hv)])
+    hidden = activate[config.scorer_activation](
+        feats @ params["scorer.w_hidden"] + params["scorer.b_hidden"])
+    return hidden @ params["scorer.w_out"] + float(params["scorer.b_out"])
+
+
 def _loss_by_add_at(model, inputs, pairs, net):
-    """ranker.loss's gradients, scored through np.unique and scattered by np.add.at."""
+    """ranker.loss's gradients as a dict of separate arrays, scored through
+    np.unique and scattered by np.add.at."""
     from netchron.coupling import propagate_backward
     from netchron.ranker import _forward_scores, _scorer_backward, _stable_sigmoid
 
@@ -533,26 +566,18 @@ def _loss_by_add_at(model, inputs, pairs, net):
     eta = model.config.l2_coeff
     params = model.params()
     width = inputs.static.values.shape[1]
-    d_w_hidden, d_b_hidden, d_w_out, d_b_out, d_cpl = _scorer_backward(
+    grads = {key: np.empty_like(value) for key, value in params.items()}
+    d_cpl = _scorer_backward(
         params, model.config.scorer_activation, cache["feats"], cache["pre"],
-        cache["act"], dz, grad_from=width,
+        cache["act"], dz, grads, grad_from=width,
     )
-    grads = {
-        "scorer.w_hidden": d_w_hidden + 2.0 * eta * params["scorer.w_hidden"],
-        "scorer.b_hidden": d_b_hidden + 2.0 * eta * params["scorer.b_hidden"],
-        "scorer.w_out": d_w_out + 2.0 * eta * params["scorer.w_out"],
-        "scorer.b_out": d_b_out + 2.0 * eta * params["scorer.b_out"],
-    }
+    for key in ("scorer.w_hidden", "scorer.b_hidden", "scorer.w_out", "scorer.b_out"):
+        grads[key] = grads[key] + 2.0 * eta * params[key]
     if "embeddings" in cache:
         d_emb = coupled_backward_by_add_at(
             cache["embeddings"], cache["endpoints"], d_cpl
         )
-        g_self, g_neigh, _ = propagate_backward(
-            net, model.propagation, cache["stages"], d_emb
-        )
-        for l in range(model.propagation.layer_count):
-            grads["prop.self.%d" % l] = g_self[l]
-            grads["prop.neigh.%d" % l] = g_neigh[l]
+        propagate_backward(net, params, model.config, cache["stages"], d_emb, grads)
     return grads
 
 
@@ -576,10 +601,10 @@ def write_params(model, params):
 def train_by_key_loop(net, inputs, config):
     """ranker.train as a per-key loop: Adam over params() dicts, new arrays each step.
 
-    Every batch copies the dict into the model, recomputes layer 0's
-    neighbor aggregate and the input gradient it throws away. Returns
-    (best params, log, best_epoch); each log entry's grad_norm is the
-    RMS over the epoch's batches of sqrt(sum over keys of sum(g ** 2)).
+    Every batch copies the dict into the model and recomputes layer 0's
+    neighbor aggregate. Returns (best params, log, best_epoch); each log
+    entry's grad_norm is the RMS over the epoch's batches of
+    sqrt(sum over keys of sum(g ** 2)).
     """
     from netchron.coupling import coupled_column_names
     from netchron.ranker import init_cpnn, make_pairs

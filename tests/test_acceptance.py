@@ -164,7 +164,8 @@ def gradient_instance(seed, dims, activation, norm, scorer_act):
 
 def gradient_instance_error(*instance):
     net, inputs, model, pairs = gradient_instance(*instance)
-    _, grads = loss(model, inputs, pairs, net=net)
+    _, grad = loss(model, inputs, pairs, net=net)
+    grads = model.params(grad)
     step = 1e-5
     worst = 0.0
     for name, arr in model.params().items():
@@ -212,8 +213,8 @@ def test_criterion_2_scorer_b_out_gradient():
     worst_grad = worst_fd = 0.0
     for instance in GRADIENT_INSTANCES:
         net, inputs, model, pairs = gradient_instance(*instance)
-        _, grads = loss(model, inputs, pairs, net=net)
-        worst_grad = max(worst_grad, abs(float(grads["scorer.b_out"])))
+        _, grad = loss(model, inputs, pairs, net=net)
+        worst_grad = max(worst_grad, abs(float(model.params(grad)["scorer.b_out"])))
         b_out = model.params()["scorer.b_out"]
         start, scores = float(b_out), predict_scores(model, net, inputs)
 

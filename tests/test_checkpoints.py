@@ -74,6 +74,27 @@ def test_checkpoint_still_infers(tmp_path, graph_and_state, name, mode):
     assert load_json(str(out) + ".manifest.json")["config"]["mode"] == mode
 
 
+@pytest.mark.parametrize("name", [COUPLED, STATE])
+@pytest.mark.parametrize("field, value, needle", [
+    ("seed", -1, "invalid value for seed: -1"),
+    ("hidden", 0, "hidden must be >= 1"),
+])
+def test_config_value_out_of_range_is_refused(
+        tmp_path, capsys, graph_and_state, name, field, value, needle):
+    payload = load_json(os.path.join(DATA, name))
+    payload["config"][field] = value
+    edited = tmp_path / "model.json"
+    dump_json(payload, edited)
+    with pytest.raises(ParseError, match=re.escape(needle)):
+        load_model(edited)
+
+    graph, state = graph_and_state
+    out = tmp_path / "ordering.csv"
+    assert run("infer", graph, state, edited, "--out", out) == 3
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side", ["key", "config"])
 @pytest.mark.parametrize("name, key, field, value", EDITS)
 def test_key_that_disagrees_with_the_config_is_refused(

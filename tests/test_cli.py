@@ -34,6 +34,7 @@ from netchron.serialize import (
     finite_float,
     integer,
     load_json,
+    non_negative_integer,
     sha256_file,
     tuple_of,
 )
@@ -251,6 +252,8 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value", [
         ("--label-fraction", 1.5),
         ("--epochs", 0),
+        ("--hidden", 0),
+        ("--hidden", -1),
     ])
     def test_invalid_flag_value_exits_3(self, workspace, capsys, flag, value):
         tmp_path, graph, state = workspace
@@ -951,6 +954,15 @@ class TestOptionCoercers:
         with pytest.raises((TypeError, ValueError)):
             finite_float(value)
 
+    @pytest.mark.parametrize("value, expected", [(0, 0), ("7", 7), (3.0, 3)])
+    def test_non_negative_integer_accepts(self, value, expected):
+        assert non_negative_integer(value) == expected
+
+    @pytest.mark.parametrize("value", [-1, "-1", -2.0, 1.5, True, "x"])
+    def test_non_negative_integer_rejects(self, value):
+        with pytest.raises(ValueError):
+            non_negative_integer(value)
+
     def test_list_coercer(self):
         ints = tuple_of(integer)
         assert ints("4,,8") == ints([4, 8.0]) == (4, 8)
@@ -1011,6 +1023,64 @@ class TestStrictIntegers:
                 "--out", tmp_path / "m.json")
         assert exc.value.code == 2
         assert "--embedding-dims" in capsys.readouterr().err
+
+
+SEEDED = [name for name, options in OPTIONS.items() if "seed" in options]
+
+
+class TestSeeds:
+    """Every seed is a non-negative integer: a bad flag is a usage error
+    (exit 2), a bad config-file value a data error (exit 3)."""
+
+    @staticmethod
+    def positionals(workspace, command):
+        tmp_path, graph, state = workspace
+        ordering = tmp_path / "truth.csv"
+        if command == "evaluate":
+            net = load_edge_list(graph)
+            write_ordering(ground_truth_ordering(net.alpha), net, ordering)
+        return {
+            "synth": ["--n", 30, "--m", 2],
+            "simulate": [graph],
+            "train": [graph, state, "--epochs", 1],
+            "evaluate": [ordering, graph, "--pair-budget", 50],
+            "theory-check": ["--trials", 5],
+            "pathdep": [],
+        }[command]
+
+    def test_every_seed_option_has_the_one_kind(self):
+        assert SEEDED == ["synth", "simulate", "train", "evaluate",
+                          "theory-check", "pathdep"]
+        for command in SEEDED:
+            assert OPTIONS[command]["seed"][:2] == (non_negative_integer, 0)
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_valid_seed_runs(self, workspace, command):
+        out = workspace[0] / "out"
+        argv = self.positionals(workspace, command)
+        assert run(command, *argv, "--seed", 3, "--out", out) == 0
+        assert load_json(str(out) + ".manifest.json")["seed"] == 3
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_bad_seed_flag_exits_2(self, workspace, capsys, command, seed):
+        out = workspace[0] / "out"
+        argv = self.positionals(workspace, command)
+        with pytest.raises(SystemExit) as exc:
+            run(command, *argv, "--seed", seed, "--out", out)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_negative_seed_in_config_exits_3(self, workspace, capsys, command):
+        out = workspace[0] / "out"
+        cfg = workspace[0] / "c.json"
+        cfg.write_text('{"seed": -1}\n')
+        argv = self.positionals(workspace, command)
+        assert run(command, *argv, "--config", cfg, "--out", out) == 3
+        assert "invalid value for seed: -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFiniteFloats:

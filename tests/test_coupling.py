@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from netchron.coupling import (
     NODE_INPUT_DIM,
-    PropagationWeights,
     coupled_backward,
     coupled_column_names,
     coupled_edge_features,
+    encoder_layout,
     glorot_uniform,
     node_input_matrix,
     propagate,
@@ -26,48 +28,59 @@ def path3():
     return build_network(3, [(0, 1), (1, 2)])
 
 
+def encoder(dims, activation="tanh", neighbor_norm="mean"):
+    """The config that propagate reads: dims, activation, neighbor norm."""
+    return TrainConfig(embedding_dims=tuple(dims), activation=activation,
+                       neighbor_norm=neighbor_norm)
+
+
 def init_propagation(dims, seed, activation="tanh", neighbor_norm="mean"):
-    """Glorot weights for each layer pair, self then neighbour, from seed."""
+    """Glorot weights for each layer pair, self then neighbour, from
+    seed, by name, and their config."""
     rng = np.random.default_rng(seed)
-    layers = [(glorot_uniform(rng, a, b), glorot_uniform(rng, a, b))
-              for a, b in zip(dims, dims[1:])]
-    return PropagationWeights(
-        w_self=tuple(w for w, _ in layers), w_neigh=tuple(w for _, w in layers),
-        dims=tuple(dims), activation=activation, neighbor_norm=neighbor_norm,
-    )
+    params = {name: glorot_uniform(rng, *shape)
+              for name, shape in encoder_layout(dims).items()}
+    return params, encoder(dims, activation, neighbor_norm)
 
 
 def model_propagation(dims, seed=0, **fields):
-    """The propagation weights of a fresh coupled model."""
+    """The propagation weights of a fresh coupled model, by name."""
     config = TrainConfig(mode=FeatureMode.BOTH, hidden=2, embedding_dims=dims,
                          seed=seed, **fields)
-    return init_cpnn(5, config).propagation
+    params = init_cpnn(5, config).params()
+    return {name: w for name, w in params.items() if name.startswith("prop.")}
+
+
+def zero_grads(dims):
+    return {name: np.zeros(shape) for name, shape in encoder_layout(dims).items()}
 
 
 class TestInit:
+    def test_layout_names_each_layer_pair_in_order(self):
+        layout = encoder_layout((4, 8, 3))
+        assert list(layout) == ["prop.self.0", "prop.neigh.0",
+                                "prop.self.1", "prop.neigh.1"]
+        assert list(layout.values()) == [(4, 8), (4, 8), (8, 3), (8, 3)]
+
     def test_shapes_and_bounds(self):
         w = model_propagation((4, 8, 3))
-        assert w.layer_count == 2
-        assert w.w_self[0].shape == (4, 8)
-        assert w.w_neigh[1].shape == (8, 3)
-        assert w.output_dim == 3
+        assert {name: a.shape for name, a in w.items()} == encoder_layout((4, 8, 3))
         limit0 = np.sqrt(6.0 / (4 + 8))
-        assert np.abs(w.w_self[0]).max() <= limit0
-        assert np.abs(w.w_neigh[0]).max() <= limit0
+        assert np.abs(w["prop.self.0"]).max() <= limit0
+        assert np.abs(w["prop.neigh.0"]).max() <= limit0
 
     def test_deterministic(self):
         a = model_propagation((4, 5), seed=3)
         b = model_propagation((4, 5), seed=3)
-        assert np.array_equal(a.w_self[0], b.w_self[0])
-        assert np.array_equal(a.w_neigh[0], b.w_neigh[0])
+        for name in a:
+            assert np.array_equal(a[name], b[name])
 
     def test_draws_each_layer_pair_from_seed_plus_2(self):
         a = model_propagation((4, 5, 3), seed=3, activation="relu")
-        b = init_propagation((4, 5, 3), seed=5)
-        for l in range(2):
-            assert np.array_equal(a.w_self[l], b.w_self[l])
-            assert np.array_equal(a.w_neigh[l], b.w_neigh[l])
-        assert (a.dims, a.activation, a.neighbor_norm) == ((4, 5, 3), "relu", "mean")
+        b, _ = init_propagation((4, 5, 3), seed=5)
+        assert list(a) == list(b)
+        for name in a:
+            assert np.array_equal(a[name], b[name])
 
     def test_rejects_bad_dims(self):
         with pytest.raises(BadDims):
@@ -104,9 +117,7 @@ class TestForward:
         net = path3()
         ws = np.array([[0.1], [0.2], [0.3], [0.4]])
         wn = np.array([[-0.5], [0.25], [0.0], [1.0]])
-        weights = PropagationWeights(
-            w_self=(ws,), w_neigh=(wn,), dims=(4, 1), activation="tanh"
-        )
+        weights = {"prop.self.0": ws, "prop.neigh.0": wn}
         h = np.array(
             [
                 [1.0, 0.0, 2.0, 0.5],
@@ -118,35 +129,30 @@ class TestForward:
         # node 2 sees node 1.
         mixed = np.array([h[1], (h[0] + h[2]) / 2.0, h[1]])
         expect = np.tanh(h @ ws + mixed @ wn)
-        out = propagate(net, h, weights)
+        out, _ = propagate(net, h, weights, encoder((4, 1)))
         assert np.allclose(out, expect, atol=1e-15)
 
     def test_isolated_node_sees_only_itself(self):
         net = build_network(3, [(0, 1)])
-        weights = init_propagation((4, 5), seed=1)
+        weights, config = init_propagation((4, 5), seed=1)
         h = np.random.default_rng(2).normal(size=(3, 4))
-        out = propagate(net, h, weights)
-        expect_iso = np.tanh(h[2] @ weights.w_self[0])
+        out, _ = propagate(net, h, weights, config)
+        expect_iso = np.tanh(h[2] @ weights["prop.self.0"])
         assert np.allclose(out[2], expect_iso)
 
     def test_symmetric_norm_differs_from_mean(self):
         net = build_network(4, [(0, 1), (0, 2), (0, 3)])
         h = np.random.default_rng(3).normal(size=(4, 4))
-        wm = init_propagation((4, 4), seed=4, neighbor_norm="mean")
-        wsym = PropagationWeights(
-            w_self=wm.w_self,
-            w_neigh=wm.w_neigh,
-            dims=wm.dims,
-            activation=wm.activation,
-            neighbor_norm="symmetric",
-        )
-        assert not np.allclose(propagate(net, h, wm), propagate(net, h, wsym))
+        weights, mean = init_propagation((4, 4), seed=4, neighbor_norm="mean")
+        symmetric = dataclasses.replace(mean, neighbor_norm="symmetric")
+        assert not np.allclose(propagate(net, h, weights, mean)[0],
+                               propagate(net, h, weights, symmetric)[0])
 
     def test_rejects_shape_mismatch(self):
         net = path3()
-        weights = init_propagation((4, 3), seed=0)
+        weights, config = init_propagation((4, 3), seed=0)
         with pytest.raises(DimensionMismatch):
-            propagate(net, np.zeros((3, 5)), weights)
+            propagate(net, np.zeros((3, 5)), weights, config)
 
 
 class TestBackward:
@@ -155,56 +161,48 @@ class TestBackward:
     def test_weight_gradients_match_finite_differences(self, norm, activation):
         rng = np.random.default_rng(29)
         net = oracles.random_network(rng, max_nodes=7, min_nodes=4)
-        weights = init_propagation(
+        weights, config = init_propagation(
             (4, 3, 2), seed=8, activation=activation, neighbor_norm=norm
         )
         h = rng.normal(size=(net.node_count, 4))
         probe = rng.normal(size=(net.node_count, 2))
 
-        out, stages = propagate(net, h, weights, return_cache=True)
-        g_self, g_neigh, g_in = propagate_backward(net, weights, stages, probe)
+        _, stages = propagate(net, h, weights, config)
+        grads = zero_grads((4, 3, 2))
+        propagate_backward(net, weights, config, stages, probe, grads)
 
         tol = 1e-6 if activation == "tanh" else 1e-5
-        for l in range(2):
-            for which, analytic in (("self", g_self[l]), ("neigh", g_neigh[l])):
+        for name, analytic in grads.items():
 
-                def loss(w, l=l, which=which):
-                    mats_s = list(weights.w_self)
-                    mats_n = list(weights.w_neigh)
-                    (mats_s if which == "self" else mats_n)[l] = w
-                    tmp = PropagationWeights(
-                        w_self=tuple(mats_s),
-                        w_neigh=tuple(mats_n),
-                        dims=weights.dims,
-                        activation=activation,
-                        neighbor_norm=norm,
-                    )
-                    return float(np.sum(probe * propagate(net, h, tmp)))
+            def loss(w, name=name):
+                tmp = dict(weights, **{name: w})
+                return float(np.sum(probe * propagate(net, h, tmp, config)[0]))
 
-                base = weights.w_self[l] if which == "self" else weights.w_neigh[l]
-                fd = oracles.finite_difference_grad(loss, base)
-                assert oracles.max_relative_error(analytic, fd) < tol
-
-        def input_loss(x):
-            return float(np.sum(probe * propagate(net, x, weights)))
-
-        fd_in = oracles.finite_difference_grad(input_loss, h)
-        assert oracles.max_relative_error(g_in, fd_in) < tol
+            fd = oracles.finite_difference_grad(loss, weights[name])
+            assert oracles.max_relative_error(analytic, fd) < tol
 
     @pytest.mark.parametrize("norm", ["mean", "symmetric"])
-    def test_skipping_the_input_gradient_keeps_weight_gradients(self, norm):
+    def test_writes_each_gradient_into_its_view_of_one_vector(self, norm):
         rng = np.random.default_rng(30)
         net = oracles.random_network(rng, max_nodes=9, min_nodes=5)
-        weights = init_propagation((4, 5, 3), seed=2, neighbor_norm=norm)
+        config = TrainConfig(mode=FeatureMode.BOTH, hidden=2, embedding_dims=(4, 5, 3),
+                             neighbor_norm=norm, seed=2)
+        model = init_cpnn(5, config)
+        weights = model.params()
         h = rng.normal(size=(net.node_count, 4))
         probe = rng.normal(size=(net.node_count, 3))
-        _, stages = propagate(net, h, weights, return_cache=True)
-        full = propagate_backward(net, weights, stages, probe)
-        lean = propagate_backward(net, weights, stages, probe, input_grad=False)
-        assert lean[2] is None
-        for l in range(2):
-            assert np.array_equal(lean[0][l], full[0][l])
-            assert np.array_equal(lean[1][l], full[1][l])
+        _, stages = propagate(net, h, weights, config)
+        apart = zero_grads((4, 5, 3))
+        propagate_backward(net, weights, config, stages, probe, apart)
+        vector = np.full_like(model.flat, 7.0)
+        views = model.params(vector)
+        propagate_backward(net, weights, config, stages, probe, views)
+        for name, view in views.items():
+            assert np.shares_memory(view, vector)
+            if name in apart:
+                assert np.array_equal(view, apart[name]), name
+            else:  # the scorer's blocks are left alone
+                assert np.all(view == 7.0), name
 
     @pytest.mark.parametrize("norm", ["mean", "symmetric"])
     def test_precomputed_first_mix_changes_nothing(self, norm):
@@ -212,13 +210,11 @@ class TestBackward:
 
         rng = np.random.default_rng(31)
         net = build_network(6, [(0, 1), (1, 2), (2, 0), (3, 4)])  # node 5 isolated
-        weights = init_propagation((4, 3, 2), seed=5, neighbor_norm=norm)
+        weights, config = init_propagation((4, 3, 2), seed=5, neighbor_norm=norm)
         h = rng.normal(size=(6, 4))
         mix = _neighbor_mix(net, h, norm)
-        out, stages = propagate(net, h, weights, return_cache=True)
-        out_mix, stages_mix = propagate(
-            net, h, weights, return_cache=True, first_mix=mix
-        )
+        out, stages = propagate(net, h, weights, config)
+        out_mix, stages_mix = propagate(net, h, weights, config, first_mix=mix)
         assert np.array_equal(out, out_mix)
         assert stages_mix[0][1] is mix
         for a, b in zip(stages, stages_mix):

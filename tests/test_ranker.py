@@ -41,6 +41,7 @@ from netchron.ranker import (
     train,
 )
 
+import oracles
 from oracles import max_relative_error, random_network
 
 
@@ -184,6 +185,33 @@ class TestScore:
             assert score_rows(model, other)[k] == whole[k]
 
 
+class TestScoresByDefinition:
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STRUCT_ONLY])
+    @pytest.mark.parametrize("norm", ["mean", "symmetric"])
+    @pytest.mark.parametrize("activation, scorer_activation", [
+        ("tanh", "tanh"), ("tanh", "relu"), ("relu", "tanh"), ("relu", "relu"),
+    ])
+    def test_predict_scores_matches_the_definition(
+        self, mode, norm, activation, scorer_activation
+    ):
+        # A PA graph plus two isolated nodes, which see only themselves.
+        pa, _ = pa_instance(node_count=30, seed=2, mode=mode)
+        net = build_network(pa.node_count + 2, pa.endpoints, times=list(pa.alpha))
+        state = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=2).values
+        inputs = prepare_inputs(net, state, mode)
+        cfg = TrainConfig(mode=mode, hidden=6, embedding_dims=(4, 5, 3), seed=3,
+                          activation=activation, neighbor_norm=norm,
+                          scorer_activation=scorer_activation)
+        model = init_cpnn(inputs.static.values.shape[1] + 4 * 3, cfg)
+        rng = np.random.default_rng(4)
+        params = model.params()
+        params["scorer.b_hidden"][...] = rng.normal(size=6)
+        params["scorer.b_out"][...] = 0.25
+        got = predict_scores(model, net, inputs)
+        want = oracles.scores_by_definition(model, net, inputs)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestPairProbability:
     def test_equal_scores_give_half(self):
         assert precedence(1.7, 1.7) == 0.5
@@ -259,7 +287,8 @@ class TestLoss:
         model = init_cpnn(d_in, cfg)
         pairs, _ = make_pairs(net, None, 10**6, seed=seed + 1, val_fraction=0.0)
         pairs = pairs[:12]
-        _, grads = loss(model, inputs, pairs, net=net)
+        _, grad = loss(model, inputs, pairs, net=net)
+        grads = model.params(grad)
         step = 1e-5
         worst = 0.0
         for name, arr in model.params().items():
@@ -297,7 +326,8 @@ class TestLoss:
         )
         model = init_cpnn(3, cfg)
         pairs = np.array([[0, 1, 1], [2, 3, 0], [4, 5, 1], [0, 5, 0]])
-        _, grads = loss(model, inputs, pairs)
+        _, grad = loss(model, inputs, pairs)
+        grads = model.params(grad)
         step = 1e-5
         for name, arr in model.params().items():
             fd = np.zeros_like(arr)
@@ -661,13 +691,11 @@ class TestInitCpnn:
         assert params["scorer.w_out"].shape == (6,)
         assert params["scorer.b_out"].shape == ()
         assert params["scorer.b_out"] == 0.0
-        assert model.propagation is not None
-        assert model.propagation.dims == (4, 3)
+        assert params["prop.self.0"].shape == params["prop.neigh.0"].shape == (4, 3)
 
     def test_state_mode_has_no_propagation(self):
         cfg = TrainConfig(hidden=6, mode=FeatureMode.STATE_ONLY)
         model = init_cpnn(7, cfg)
-        assert model.propagation is None
         assert not any(key.startswith("prop.") for key in model.params())
 
     def test_same_seed_same_weights(self):
@@ -692,10 +720,15 @@ class TestInitCpnn:
             assert np.shares_memory(arr, model.flat), key
         params["scorer.b_out"][...] = 2.5
         assert model.params()["scorer.b_out"] == 2.5
-        if cfg.coupled:
-            prop = model.propagation
-            prop.w_neigh[1][0, 0] = 7.0
-            assert model.params()["prop.neigh.1"][0, 0] == 7.0
+        # The same layout over another vector, such as a gradient.
+        vector = np.arange(model.flat.size, dtype=np.float64)
+        views = model.params(vector)
+        assert list(views) == list(layout)
+        for key, arr in views.items():
+            assert arr.shape == layout[key]
+            assert np.shares_memory(arr, vector), key
+        assert np.array_equal(
+            np.concatenate([v.ravel() for v in views.values()]), vector)
 
     def test_layout_is_coupled_exactly_when_mode_is_not_state(self):
         for mode in FeatureMode:

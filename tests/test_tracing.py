@@ -44,8 +44,10 @@ HOOK_COUNTERS = (
     "evaluation.growth_curve.distinct",
 )
 COUPLED = {
-    "spans": ("coupling.coupled_edge_features",),
-    "counts": ("coupling.coupled_edge_features.calls", "coupling.rows_used",
+    "spans": ("coupling.propagate", "coupling.propagate_backward",
+              "coupling.coupled_edge_features"),
+    "counts": ("coupling.propagate.calls", "coupling.propagate_backward.calls",
+               "coupling.coupled_edge_features.calls", "coupling.rows_used",
                "coupling.rows_propagated"),
 }
 

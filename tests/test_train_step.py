@@ -139,18 +139,20 @@ class TestScorerBackwardOracle:
         want = oracles.scorer_backward_by_outer(params, activation, feats, pre,
                                                 act, dz)
         for grad_from in (None, 0, 22):
-            got = netchron.ranker._scorer_backward(
-                params, activation, feats, pre, act, dz, grad_from=grad_from
+            grads = {key: np.full_like(value, np.nan) for key, value in params.items()}
+            d_feats = netchron.ranker._scorer_backward(
+                params, activation, feats, pre, act, dz, grads, grad_from=grad_from
             )
-            for a, b in zip(got[:4], want[:4]):
-                assert np.array_equal(a, b)
+            for key, b in zip(("scorer.w_hidden", "scorer.b_hidden", "scorer.w_out",
+                               "scorer.b_out"), want[:4]):
+                assert np.array_equal(grads[key], b), key
             if grad_from is None:
-                assert got[4] is None
+                assert d_feats is None
             else:
-                assert got[4].shape == (50, 30 - grad_from)
+                assert d_feats.shape == (50, 30 - grad_from)
                 ref = want[4][:, grad_from:]
                 scale = np.abs(ref).max(axis=1, keepdims=True)
-                assert np.all(np.abs(got[4] - ref) <= 1e-12 * scale)
+                assert np.all(np.abs(d_feats - ref) <= 1e-12 * scale)
 
 
 class TestEdgeSlots:
