@@ -36,6 +36,8 @@ from .datasets import (
     write_edge_list,
 )
 from .dynamics import (
+    CONVERGENCE_TOL,
+    MAX_STEPS,
     DynamicsKind,
     load_steady_state,
     path_dependence_demo,
@@ -44,7 +46,7 @@ from .dynamics import (
     write_steady_state,
 )
 from .errors import DataError, NumericalError, ParseError, RowMismatch
-from .evaluation import evaluation_report
+from .evaluation import RADAR_TOP_K, TRAJECTORY_SAMPLES, TREND_BINS, evaluation_report
 from .features import (
     FeatureMode,
     combine,
@@ -359,8 +361,8 @@ OPTIONS = {
     "simulate": {
         "dynamics": (DynamicsKind, "sis", "dynamical process"),
         "seed": SEED,
-        "tol": (finite_float, 1e-6, "convergence tolerance"),
-        "max_steps": (integer, 1000, "step limit"),
+        "tol": (finite_float, CONVERGENCE_TOL, "convergence tolerance"),
+        "max_steps": (integer, MAX_STEPS, "step limit"),
         "out": OUT,
     },
     "train": dict(TRAIN_OPTIONS, out=OUT),
@@ -369,9 +371,9 @@ OPTIONS = {
         "steady_state": (path_str, None, "steady state to add to the correlations"),
         "pair_budget": (integer, None, "score this many sampled pairs"),
         "seed": SEED,
-        "bins": (integer, 10, "bins of the trend"),
-        "samples": (integer, 50, "points per growth curve"),
-        "top_k": (integer, 5, "hubs in the radar"),
+        "bins": (integer, TREND_BINS, "bins of the trend"),
+        "samples": (integer, TRAJECTORY_SAMPLES, "points per growth curve"),
+        "top_k": (integer, RADAR_TOP_K, "hubs in the radar"),
         "out": OUT,
     },
     "theory-check": {

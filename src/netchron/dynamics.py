@@ -53,21 +53,26 @@ class DynamicsSpec:
     max_steps: int = MAX_STEPS
 
     def validated(self, node_count):
+        """The spec with its kind as a DynamicsKind; raises BadSpec if invalid."""
+        try:
+            kind = DynamicsKind(self.kind)
+        except ValueError:
+            raise BadSpec("unknown dynamics kind %r" % (self.kind,)) from None
         if self.tol <= 0 or self.max_steps < 1:
             raise BadSpec("tol must be > 0 and max_steps >= 1")
-        if self.kind is DynamicsKind.EPIDEMIC:
+        if kind is DynamicsKind.EPIDEMIC:
             if not (0.0 <= self.infection <= 1.0 and 0.0 <= self.recovery <= 1.0):
                 raise BadSpec("infection and recovery must lie in [0, 1]")
-        elif self.kind is DynamicsKind.GENE:
+        elif kind is DynamicsKind.GENE:
             if self.hill_exponent <= 1:
                 raise BadSpec("hill exponent must exceed 1")
             for name, arr in (("basal", self.basal), ("gain", self.gain)):
                 if arr is None or np.asarray(arr).shape != (node_count,):
                     raise BadSpec("%s must be a per-node array" % name)
-        elif self.kind is DynamicsKind.OPINION:
+        elif kind is DynamicsKind.OPINION:
             if self.pull is None or np.asarray(self.pull).shape != (node_count,):
                 raise BadSpec("pull must be a per-node array")
-        return self
+        return replace(self, kind=kind)
 
 
 @dataclass(frozen=True)

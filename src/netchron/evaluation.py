@@ -3,7 +3,9 @@
 Rank-level agreement (pairwise accuracy, rank correlation with
 midranks for ties), a binned trend of predicted against true
 normalized ranks, growth-trajectory comparisons, a hub-centric radar
-score, and per-feature rank correlations with formation time.
+score, and per-feature rank correlations with formation time. Every
+ordering is a GlobalOrdering, whose ranks are checked when it is built
+and read here as given.
 
 Growth and hub trajectories are replayed over arrays from one ordering:
 prefix degrees grow edge by edge, and a triangle joins the prefix with
@@ -34,13 +36,8 @@ TRAJECTORY_SAMPLES = 50
 RADAR_TOP_K = 5
 
 
-def _ranks_of(ordering_or_ranks):
-    ranks = getattr(ordering_or_ranks, "ranks", ordering_or_ranks)
-    return np.asarray(ranks, dtype=np.float64)
-
-
 def pairwise_accuracy(ordering, pairs):
-    """Fraction of supervised pairs the ordering gets right.
+    """Fraction of supervised pairs a GlobalOrdering gets right.
 
     pairs is an (n, 3) array-like of (edge a, edge b, y) with y = 1
     when edge a truly formed before edge b.
@@ -50,7 +47,7 @@ def pairwise_accuracy(ordering, pairs):
         raise EmptyPairs("no pairs to evaluate")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise DimensionMismatch("pairs must be (n, 3)")
-    ranks = _ranks_of(ordering)
+    ranks = ordering.ranks
     a = arr[:, 0].astype(np.int64)
     b = arr[:, 1].astype(np.int64)
     y = arr[:, 2].astype(np.int64)
@@ -222,16 +219,15 @@ def all_pairs_accuracy(ordering, alpha):
     Equals pairwise_accuracy(ordering, make_eval_pairs(net)) without
     building the pairs: with edges sorted by (time, rank), the pairs
     the ordering gets wrong are exactly the inversions of the rank
-    sequence (Knight 1966). Edges with unknown time are skipped; the
-    ranks of the rest must be distinct. O(M log M) time, O(M) memory.
+    sequence (Knight 1966). Edges with unknown time are skipped.
+    O(M log M) time, O(M) memory.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    ranks = _ranks_of(ordering)
-    if ranks.shape != alpha.shape or ranks.ndim != 1:
-        raise DimensionMismatch("ranks and times must be equal-length vectors")
+    if alpha.shape != (ordering.edge_count,):
+        raise DimensionMismatch("need one time per edge of the ordering")
     known = ~np.isnan(alpha)
     t = alpha[known]
-    r = ranks[known]
+    r = ordering.ranks[known]
     m = t.size
     if m < 2:
         raise EmptyPairs("need at least two edges with known times")
@@ -239,11 +235,8 @@ def all_pairs_accuracy(ordering, alpha):
     pair_count = m * (m - 1) // 2 - int(np.sum(end - pos - 1))
     if pair_count == 0:
         raise EmptyPairs("all known formation times coincide")
-    by_rank = np.argsort(r, kind="stable")
-    if np.any(r[by_rank][1:] == r[by_rank][:-1]):
-        raise InvalidPermutation("predicted ranks must be distinct")
     dense = np.empty(m, dtype=np.int64)
-    dense[by_rank] = np.arange(m)
+    dense[np.argsort(r)] = np.arange(m)
     wrong = _inversions(dense[np.lexsort((r, t))])
     return (pair_count - wrong) / pair_count, pair_count
 
@@ -359,29 +352,16 @@ def _cutoffs(m, samples):
     return [math.ceil((k + 1) / samples * m) for k in range(samples)]
 
 
-def _edge_ranks(net, ordering, bare_ranks):
-    """0-based rank of every edge under an ordering.
+def _check_covers(net, *orderings):
+    """Raise InvalidPermutation unless each ordering ranks net's M edges.
 
-    An object with ranks (a GlobalOrdering) gives its 1-based ranks. A
-    bare array holds 1-based ranks when bare_ranks, and edge indices
-    earliest first otherwise. Raises InvalidPermutation unless it is a
-    permutation of the net's M edges.
+    A GlobalOrdering's ranks are a permutation of 1..M by construction,
+    so its edge count is all that is left to check.
     """
-    m = net.edge_count
-    if hasattr(ordering, "ranks"):
-        ordering, bare_ranks = ordering.ranks, True
-    values = np.asarray(ordering)
-    first = 1 if bare_ranks else 0
-    if values.shape != (m,) or not np.array_equal(
-        np.sort(values), np.arange(first, m + first)
-    ):
-        raise InvalidPermutation("ordering is not a permutation of %d edges" % m)
-    values = values.astype(np.int64)
-    if bare_ranks:
-        return values - first
-    rank = np.empty(m, dtype=np.int64)
-    rank[values] = np.arange(m)
-    return rank
+    for ordering in orderings:
+        if ordering.edge_count != net.edge_count:
+            raise InvalidPermutation("ordering covers %d edges, network has %d"
+                                     % (ordering.edge_count, net.edge_count))
 
 
 def _replay(net, rank, samples, with_triangles):
@@ -420,16 +400,15 @@ def _replay(net, rank, samples, with_triangles):
 def growth_curve(net, ordering, prop, samples=TRAJECTORY_SAMPLES):
     """Property of the prefix graph at `samples` evenly spaced fractions.
 
-    ordering is a GlobalOrdering or a permutation of edge indices,
-    earliest first. The k-th value is the property of
-    graph.prefix_graph(net, order, (k + 1) / samples), replayed from
-    prefix degrees and triangle birth ranks without building it.
+    The k-th value is the property of graph.prefix_graph(net,
+    ordering.order, (k + 1) / samples), replayed from prefix degrees
+    and triangle birth ranks without building it.
     """
     if prop not in _TRAJECTORY_PROPS:
         raise KeyError("unknown property %r" % (prop,))
     value, with_triangles = _TRAJECTORY_PROPS[prop]
-    rank = _edge_ranks(net, ordering, bare_ranks=False)
-    replay = _replay(net, rank, samples, with_triangles)
+    _check_covers(net, ordering)
+    replay = _replay(net, ordering.ranks - 1, samples, with_triangles)
     return np.array([value(deg, tri) for deg, tri in replay], dtype=np.float64)
 
 
@@ -481,17 +460,16 @@ def hub_radar(net, pred_ordering, true_ordering, top_k=RADAR_TOP_K,
     gives s = 1 on every spoke and area (K/2) sin(2 pi / K).
 
     A hub whose true curve is flat falls back to a unit range (degrees
-    are integers, so 1 is the smallest nonzero swing). A bare array is
-    read as 1-based ranks; InvalidPermutation is raised unless each
-    ordering is a permutation of the edges.
+    are integers, so 1 is the smallest nonzero swing).
     """
     if not 3 <= top_k <= net.node_count:
         raise EmptyInput("top_k must lie in [3, node_count]")
     deg = net.degrees
     hubs = np.lexsort((np.arange(net.node_count), -deg))[:top_k]
     cutoffs = _cutoffs(net.edge_count, samples)
-    true_rank = _edge_ranks(net, true_ordering, bare_ranks=True)
-    pred_rank = _edge_ranks(net, pred_ordering, bare_ranks=True)
+    _check_covers(net, pred_ordering, true_ordering)
+    true_rank = true_ordering.ranks - 1
+    pred_rank = pred_ordering.ranks - 1
     nrmse = np.empty(top_k)
     for idx, hub in enumerate(hubs):
         truth = _hub_curve(net, true_rank, hub, cutoffs)
@@ -553,6 +531,7 @@ def evaluation_report(net, ordering, pair_budget=None, seed=0, feature_matrix=No
     """
     if bins < 1 or samples < 1:
         raise EmptyInput("bins and samples must be >= 1")
+    _check_covers(net, ordering)
     truth = ground_truth_ordering(net.alpha)
     if pair_budget is None:
         accuracy, pair_count = all_pairs_accuracy(ordering, net.alpha)
@@ -560,7 +539,7 @@ def evaluation_report(net, ordering, pair_budget=None, seed=0, feature_matrix=No
         eval_pairs = make_eval_pairs(net, budget=pair_budget, seed=seed)
         accuracy = pairwise_accuracy(ordering, eval_pairs)
         pair_count = len(eval_pairs)
-    pred_ranks = _ranks_of(ordering)
+    pred_ranks = ordering.ranks
     records, trend_rmse = binned_trend(pred_ranks, truth.ranks, bins=bins)
     report = {
         "edge_count": int(net.edge_count),

@@ -128,12 +128,9 @@ def combine(*mats):
     for other in mats[1:]:
         if not np.array_equal(other.edges, first.edges):
             raise RowMismatch("feature blocks describe different edge lists")
-    columns = tuple(c for m in mats for c in m.columns)
-    if len(set(columns)) != len(columns):
-        raise FeatureSchemaMismatch("duplicate column names across blocks")
     return FeatureMatrix(
         edges=first.edges,
-        columns=columns,
+        columns=tuple(c for m in mats for c in m.columns),
         values=np.hstack([m.values for m in mats]),
         degenerate=frozenset().union(*(m.degenerate for m in mats)),
     )

@@ -22,6 +22,7 @@ from .errors import (
     CoverageError,
     DegenerateTruth,
     EmptyInput,
+    InvalidPermutation,
     NumericalError,
     OutOfDomain,
     ParseError,
@@ -40,11 +41,20 @@ class GlobalOrdering:
     borda_score column; ranks is the 1-based rank position of each edge
     (1 = earliest); order lists edge indices earliest first. Descending
     score with ascending index tie-break, ranks, and order are mutually
-    consistent by construction.
+    consistent by construction. Ranks that are not a permutation of
+    1..M, one per score, raise InvalidPermutation, so every ordering is
+    a valid one.
     """
 
     borda_scores: np.ndarray
     ranks: np.ndarray
+
+    def __post_init__(self):
+        m = len(self.borda_scores)
+        ranks = np.asarray(self.ranks)
+        if ranks.shape != (m,) or not np.array_equal(np.sort(ranks), np.arange(1, m + 1)):
+            raise InvalidPermutation("ranks are not a permutation of 1..%d" % m)
+        object.__setattr__(self, "ranks", ranks.astype(np.int64, copy=False))
 
     @property
     def edge_count(self):

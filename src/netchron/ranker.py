@@ -115,22 +115,26 @@ class TrainConfig:
         return FeatureMode(self.mode) is not FeatureMode.STATE_ONLY
 
     def validated(self):
-        if self.learning_rate <= 0 or self.l2_coeff < 0:
+        """This config with every field coerced by its TRAIN_OPTIONS kind,
+        as flags, config files and checkpoints are. A malformed or
+        out-of-range value raises ValueError (BadDims for the dims)."""
+        config = TrainConfig(**resolve_options(TRAIN_OPTIONS, vars(self)))
+        if config.learning_rate <= 0 or config.l2_coeff < 0:
             raise ValueError("learning_rate must be > 0 and l2_coeff >= 0")
-        if min(self.epochs, self.batch_size, self.pair_budget, self.hidden) < 1:
+        counts = (config.epochs, config.batch_size, config.pair_budget, config.hidden)
+        if min(counts) < 1:
             raise ValueError("epochs, batch_size, pair_budget, hidden must be >= 1")
-        if self.label_fraction is not None and not 0.0 < self.label_fraction < 1.0:
+        if config.label_fraction is not None and not 0.0 < config.label_fraction < 1.0:
             raise ValueError("label_fraction must lie in (0, 1) or be None")
-        if not 0.0 <= self.val_fraction < 1.0:
+        if not 0.0 <= config.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
-        for f in dataclasses.fields(self):
-            choices, value = f.metadata["kind"], getattr(self, f.name)
+        for f in dataclasses.fields(config):
+            choices, value = f.metadata["kind"], getattr(config, f.name)
             if isinstance(choices, tuple) and value not in choices:
                 raise ValueError("%s must be one of %s, got %r"
                                  % (f.name, ", ".join(choices), value))
-        _check_dims(self.embedding_dims)
-        FeatureMode(self.mode)
-        return self
+        _check_dims(config.embedding_dims)
+        return config
 
 
 # The train command's options: name -> (kind, default, help).
@@ -143,13 +147,14 @@ TRAIN_OPTIONS = {
 def config_from_dict(raw):
     """Validated TrainConfig from plain values, e.g. CLI flags or JSON.
 
-    Each field is coerced by its TRAIN_OPTIONS kind (tuples also accept
-    a comma-separated string); absent fields keep their defaults and
-    other keys are ignored. Any malformed or invalid value, in any
-    mode, raises ParseError.
+    TrainConfig.validated coerces each field by its TRAIN_OPTIONS kind
+    (tuples also accept a comma-separated string); absent fields keep
+    their defaults and other keys are ignored. Any malformed or invalid
+    value, in any mode, raises ParseError.
     """
+    known = {name: raw[name] for name in TRAIN_OPTIONS if name in raw}
     try:
-        return TrainConfig(**resolve_options(TRAIN_OPTIONS, raw)).validated()
+        return TrainConfig(**known).validated()
     except (TypeError, ValueError, BadDims) as exc:
         raise ParseError("invalid training config: %s" % exc) from None
 
@@ -494,7 +499,7 @@ def train(net, inputs, config):
         if inputs.node_inputs is None:
             raise DimensionMismatch(
                 "mode %s trains a coupled model, which needs node inputs"
-                % FeatureMode(config.mode).value)
+                % config.mode.value)
         input_dim += 4 * config.embedding_dims[-1]
         columns = columns + coupled_column_names(config.embedding_dims[-1])
         first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)

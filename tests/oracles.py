@@ -470,7 +470,7 @@ def growth_curve_by_prefix_graphs(net, ordering, prop, samples):
     from netchron.graph import prefix_graph
 
     fn = {"clustering": average_clustering, "degree_gini": degree_gini}[prop]
-    order = ordering.order if hasattr(ordering, "order") else np.asarray(ordering)
+    order = ordering.order
     out = np.empty(samples)
     for k in range(samples):
         out[k] = fn(prefix_graph(net, order, (k + 1) / samples))

@@ -142,6 +142,23 @@ class TestSimulate:
         with pytest.raises(DimensionMismatch):
             simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), initial=[0.1])
 
+    @pytest.mark.parametrize("spec", [
+        DynamicsSpec(kind="sis", infection=5.0),
+        DynamicsSpec(kind="gene"),
+        DynamicsSpec(kind="bogus"),
+    ], ids=["sis out of range", "gene without arrays", "unknown kind"])
+    def test_string_kinds_are_checked(self, spec):
+        with pytest.raises(BadSpec):
+            simulate(complete_graph(3), spec)
+
+    def test_string_kind_runs_as_its_enum(self):
+        net = complete_graph(4)
+        spec = DynamicsSpec(kind="sis")
+        assert spec.validated(net.node_count).kind is DynamicsKind.EPIDEMIC
+        a = simulate(net, spec, seed=3)
+        b = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=3)
+        assert np.array_equal(a.values, b.values)
+
 
 class TestSampleParams:
     def test_gene_ranges(self):

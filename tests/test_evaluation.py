@@ -20,7 +20,6 @@ from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
 from netchron.evaluation import (
     _cutoffs,
     _distinct_time_pairs,
-    _edge_ranks,
     _hub_curve,
     _subsample,
     all_pairs_accuracy,
@@ -306,19 +305,17 @@ class TestAllPairsAccuracy:
         assert sampled["pair_count"] == 5
         assert sampled["pairwise_accuracy"] == pairwise_accuracy(ordering, few)
 
-    def test_rejects_tied_ranks_and_tied_times(self):
-        with pytest.raises(InvalidPermutation):
-            all_pairs_accuracy(np.array([1, 2, 2]), np.array([0.0, 1.0, 2.0]))
+    def test_rejects_tied_times(self):
         with pytest.raises(EmptyPairs):
-            all_pairs_accuracy(np.array([1, 2, 3]), np.array([4.0, 4.0, 4.0]))
+            all_pairs_accuracy(order_from_scores(np.zeros(3)), np.full(3, 4.0))
 
     def test_memory_stays_linear(self):
         m = 40_000
         rng = np.random.default_rng(34)
         alpha = rng.integers(0, 300, size=m).astype(float)
-        ranks = rng.permutation(m) + 1
+        ordering = order_from_scores(-(rng.permutation(m) + 1))
         result = []
-        peak = peak_traced_mb(lambda: result.append(all_pairs_accuracy(ranks, alpha)))
+        peak = peak_traced_mb(lambda: result.append(all_pairs_accuracy(ordering, alpha)))
         assert 0.45 < result[0][0] < 0.55
         assert peak < 100.0
 
@@ -572,9 +569,6 @@ class TestReplayMatchesPrefixGraphs:
                         net, ordering, prop, samples
                     )
                     assert np.array_equal(growth_curve(net, ordering, prop, samples), want)
-                    # A bare array is an order, earliest edge first.
-                    order = ordering.order
-                    assert np.array_equal(growth_curve(net, order, prop, samples), want)
 
     def test_hub_curves_equal_the_edge_scan(self, cases):
         rng = np.random.default_rng(79)
@@ -584,7 +578,7 @@ class TestReplayMatchesPrefixGraphs:
                 by_degree[:6], rng.choice(net.node_count, size=6, replace=False)
             )
             for ordering in random_rank_orderings(net, rng):
-                rank = _edge_ranks(net, ordering, bare_ranks=True)
+                rank = ordering.ranks - 1
                 for samples in (1, 3, 50, net.edge_count + 5):
                     cutoffs = _cutoffs(net.edge_count, samples)
                     for node in nodes:
@@ -607,7 +601,9 @@ class TestReplayMatchesPrefixGraphs:
         samples = 7
         for net in cases:
             order = rng.permutation(net.edge_count)
-            curve = growth_curve(net, order, "clustering", samples)
+            ordering = order_from_scores(-np.argsort(order))
+            assert np.array_equal(ordering.order, order)
+            curve = growth_curve(net, ordering, "clustering", samples)
             for k in range(samples):
                 count = math.ceil((k + 1) / samples * net.edge_count)
                 g = to_networkx(net, order[:count])
@@ -622,52 +618,35 @@ class TestMalformedOrderings:
     def net(self):
         return pa_network(50)
 
-    def bad_arrays(self, m, first):
-        """Length M - 1, all equal, and one value duplicated."""
-        dup = np.arange(first, m + first)
-        dup[1] = dup[0]
-        return [np.arange(first, m - 1 + first), np.full(m, first), dup]
+    @pytest.mark.parametrize("case", ["short", "all equal", "duplicated", "0-based"])
+    def test_construction_rejects_ranks_that_are_not_a_permutation(self, case):
+        m = 6
+        ranks = {
+            "short": np.arange(1, m),
+            "all equal": np.ones(m, dtype=np.int64),
+            "duplicated": np.array([1, 1, 3, 4, 5, 6]),
+            "0-based": np.arange(m),
+        }[case]
+        with pytest.raises(InvalidPermutation):
+            GlobalOrdering(borda_scores=np.zeros(m), ranks=ranks)
 
-    @pytest.mark.parametrize("case", range(3))
-    def test_hub_radar_rejects_bad_ranks(self, net, case):
+    @pytest.mark.parametrize("other_n", [40, 60])
+    def test_ordering_of_another_network_is_rejected(self, net, other_n):
         truth = ground_truth_ordering(net.alpha)
-        bad = self.bad_arrays(net.edge_count, first=1)[case]
+        other = ground_truth_ordering(pa_network(other_n).alpha)
+        assert other.edge_count != net.edge_count
+        for prop in ("clustering", "degree_gini"):
+            with pytest.raises(InvalidPermutation):
+                growth_curve(net, other, prop, samples=10)
+            with pytest.raises(InvalidPermutation):
+                trajectory_nrmse(net, other, truth, prop, samples=10)
         with pytest.raises(InvalidPermutation):
-            hub_radar(net, bad, truth)
+            hub_radar(net, other, truth)
         with pytest.raises(InvalidPermutation):
-            hub_radar(net, truth, bad)
-        broken = GlobalOrdering(borda_scores=truth.borda_scores, ranks=bad)
-        with pytest.raises(InvalidPermutation):
-            hub_radar(net, broken, truth)
-
-    @pytest.mark.parametrize("case", range(3))
-    @pytest.mark.parametrize("prop", ["clustering", "degree_gini"])
-    def test_growth_curve_and_trajectory_nrmse_reject_bad_orders(self, net, case, prop):
-        truth = ground_truth_ordering(net.alpha)
-        bad = self.bad_arrays(net.edge_count, first=0)[case]
-        with pytest.raises(InvalidPermutation):
-            growth_curve(net, bad, prop, samples=10)
-        with pytest.raises(InvalidPermutation):
-            trajectory_nrmse(net, bad, truth, prop, samples=10)
-        with pytest.raises(InvalidPermutation):
-            trajectory_nrmse(net, truth, bad, prop, samples=10)
-
-    def test_bare_arrays_keep_their_meaning(self, net):
-        truth = ground_truth_ordering(net.alpha)
-        rev = reversed_ordering(truth)
-        # hub_radar reads 1-based ranks, so a 0-based order is rejected.
-        a = hub_radar(net, rev.ranks, truth.ranks)
-        b = hub_radar(net, rev, truth)
-        assert np.array_equal(a.nrmse, b.nrmse)
-        with pytest.raises(InvalidPermutation):
-            hub_radar(net, rev.order, truth)
-        # growth_curve reads an order, earliest edge first.
-        assert np.array_equal(
-            growth_curve(net, rev.order, "clustering", 10),
-            growth_curve(net, rev, "clustering", 10),
-        )
-        with pytest.raises(InvalidPermutation):
-            growth_curve(net, rev.ranks, "clustering", 10)
+            hub_radar(net, truth, other)
+        for budget in (None, 20):
+            with pytest.raises(InvalidPermutation):
+                evaluation_report(net, other, pair_budget=budget)
 
 
 class TestReplayDesign:

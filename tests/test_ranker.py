@@ -627,6 +627,27 @@ class TestConfigFromDict:
         assert (cfg.epochs, cfg.batch_size, cfg.embedding_dims) == (12, 100, (4, 8))
         assert type(cfg.epochs) is int
 
+    @pytest.mark.parametrize("fields, valid", [
+        ({"seed": -1}, False),
+        ({"epochs": 1.5}, False),
+        ({"hidden": 2.0}, True),
+        ({"batch_size": True}, False),
+        ({"embedding_dims": [4, 8]}, True),
+        ({"mode": "state"}, True),
+    ], ids=lambda case: ("%s=%r" % next(iter(case.items())) if isinstance(case, dict)
+                         else "valid" if case else "rejected"))
+    def test_library_construction_agrees_with_config_from_dict(self, fields, valid):
+        if not valid:
+            with pytest.raises(ParseError):
+                config_from_dict(fields)
+            with pytest.raises(ValueError):
+                TrainConfig(**fields).validated()
+            return
+        built, parsed = TrainConfig(**fields).validated(), config_from_dict(fields)
+        assert built == parsed
+        for f in dataclasses.fields(TrainConfig):
+            assert type(getattr(built, f.name)) is type(getattr(parsed, f.name))
+
     def test_validated_checks_the_propagation_fields_in_state_mode(self):
         state = dict(mode=FeatureMode.STATE_ONLY)
         with pytest.raises(ValueError, match="activation"):
