@@ -47,12 +47,7 @@ from .dynamics import (
 )
 from .errors import DataError, NumericalError, ParseError, RowMismatch
 from .evaluation import RADAR_TOP_K, TRAJECTORY_SAMPLES, TREND_BINS, evaluation_report
-from .features import (
-    FeatureMode,
-    combine,
-    steady_state_edge_features,
-    structural_edge_features,
-)
+from .features import combine, steady_state_edge_features, structural_edge_features
 from .ordering import (
     load_ordering,
     monte_carlo_error,

@@ -48,7 +48,6 @@ def encoder_layout(dims):
 
 
 def _check_dims(dims):
-    dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise BadDims("need an input and at least one layer dimension")
     if any(d <= 0 for d in dims):
@@ -58,7 +57,6 @@ def _check_dims(dims):
             "input dimension must be %d (%s), got %d"
             % (NODE_INPUT_DIM, ", ".join(NODE_INPUT_COLUMNS), dims[0])
         )
-    return dims
 
 
 def glorot_uniform(rng, fan_in, fan_out):

@@ -9,14 +9,15 @@ labeled formation order so recovered orderings can be scored exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadSpec, EmptyInput, ParseError
 from .graph import build_network
-from .serialize import read_table, write_table
+from .serialize import (coerce_fields, integer, kind_field, non_negative_integer,
+                        read_table, write_table)
 
 
 class SynthKind(str, Enum):
@@ -30,26 +31,24 @@ class SynthSpec:
     """Generator request: kind, node count, edges per new node, seed.
 
     For the shuffled static graph, `edges_per_node * node_count` total
-    edges are drawn.
+    edges are drawn. Building a spec coerces each field by its kind; a
+    malformed value or an impossible request raises BadSpec.
     """
 
-    kind: SynthKind
-    node_count: int
-    edges_per_node: int
-    seed: int = 0
+    kind: SynthKind = kind_field(SynthKind)
+    node_count: int = kind_field(integer)
+    edges_per_node: int = kind_field(integer)
+    seed: int = kind_field(non_negative_integer, 0)
 
-    def validated(self):
-        """The spec with its kind as a SynthKind; raises BadSpec if invalid."""
-        try:
-            kind = SynthKind(self.kind)
-        except ValueError:
-            raise BadSpec("unknown synthetic kind %r" % (self.kind,)) from None
-        if self.edges_per_node < 1 or self.node_count < self.edges_per_node + 1:
+    def __post_init__(self):
+        coerce_fields(self, BadSpec)
+        n, m = self.node_count, self.edges_per_node
+        if m < 1 or n < m + 1:
             raise BadSpec(
-                "need node_count >= edges_per_node + 1 >= 2, got N=%d m=%d"
-                % (self.node_count, self.edges_per_node)
+                "need node_count >= edges_per_node + 1 >= 2, got N=%d m=%d" % (n, m)
             )
-        return replace(self, kind=kind)
+        if self.kind is SynthKind.ER_SHUFFLED and m * n > n * (n - 1) // 2:
+            raise BadSpec("cannot place %d distinct edges on %d nodes" % (m * n, n))
 
 
 def load_edge_list(path):
@@ -183,7 +182,6 @@ def generate_synthetic(spec):
     step. The shuffled static variant samples distinct pairs of a
     fixed node set and assigns a random formation order.
     """
-    spec = spec.validated()
     if spec.kind in (SynthKind.PREFERENTIAL_ATTACHMENT, SynthKind.RANDOM_GROWTH):
         edges = _grow_attached(
             spec, degree_biased=spec.kind is SynthKind.PREFERENTIAL_ATTACHMENT
@@ -192,10 +190,6 @@ def generate_synthetic(spec):
         n = spec.node_count
         total = n * (n - 1) // 2
         count = spec.edges_per_node * n
-        if count > total:
-            raise BadSpec(
-                "cannot place %d distinct edges on %d nodes" % (count, n)
-            )
         rng = np.random.default_rng(spec.seed)
         picked = rng.choice(total, size=count, replace=False)
         pairs = [_pair_from_index(int(t), n) for t in picked]

@@ -12,14 +12,15 @@ depends on the order in which structure appeared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadSpec, DimensionMismatch, NumericalBlowup, ParseError, StageMismatch
 from .graph import build_network, neighbor_sum
-from .serialize import dump_json, load_json, read_table, write_table
+from .serialize import (coerce_fields, dump_json, finite_float, integer, kind_field,
+                        load_json, read_table, write_table)
 
 CONVERGENCE_TOL = 1e-6
 MAX_STEPS = 1000
@@ -39,40 +40,40 @@ class DynamicsSpec:
 
     Per-node arrays are required for the kinds that use them:
     basal/saturating gains for GENE, pull rates for OPINION. The
-    epidemic kind uses the two scalars infection/recovery.
+    epidemic kind uses the two scalars infection/recovery. Building a
+    spec coerces each field by its kind; a malformed or out-of-range
+    value, or a missing array, raises BadSpec.
     """
 
-    kind: DynamicsKind
-    infection: float = 0.4
-    recovery: float = 0.3
-    hill_exponent: float = 2.0
+    kind: DynamicsKind = kind_field(DynamicsKind)
+    infection: float = kind_field(finite_float, 0.4)
+    recovery: float = kind_field(finite_float, 0.3)
+    hill_exponent: float = kind_field(finite_float, 2.0)
     basal: np.ndarray | None = None
     gain: np.ndarray | None = None
     pull: np.ndarray | None = None
-    tol: float = CONVERGENCE_TOL
-    max_steps: int = MAX_STEPS
+    tol: float = kind_field(finite_float, CONVERGENCE_TOL)
+    max_steps: int = kind_field(integer, MAX_STEPS)
 
-    def validated(self, node_count):
-        """The spec with its kind as a DynamicsKind; raises BadSpec if invalid."""
-        try:
-            kind = DynamicsKind(self.kind)
-        except ValueError:
-            raise BadSpec("unknown dynamics kind %r" % (self.kind,)) from None
+    def __post_init__(self):
+        coerce_fields(self, BadSpec)
         if self.tol <= 0 or self.max_steps < 1:
             raise BadSpec("tol must be > 0 and max_steps >= 1")
-        if kind is DynamicsKind.EPIDEMIC:
-            if not (0.0 <= self.infection <= 1.0 and 0.0 <= self.recovery <= 1.0):
-                raise BadSpec("infection and recovery must lie in [0, 1]")
-        elif kind is DynamicsKind.GENE:
-            if self.hill_exponent <= 1:
-                raise BadSpec("hill exponent must exceed 1")
-            for name, arr in (("basal", self.basal), ("gain", self.gain)):
-                if arr is None or np.asarray(arr).shape != (node_count,):
-                    raise BadSpec("%s must be a per-node array" % name)
-        elif kind is DynamicsKind.OPINION:
-            if self.pull is None or np.asarray(self.pull).shape != (node_count,):
-                raise BadSpec("pull must be a per-node array")
-        return replace(self, kind=kind)
+        if self.kind is DynamicsKind.EPIDEMIC and not (
+                0.0 <= self.infection <= 1.0 and 0.0 <= self.recovery <= 1.0):
+            raise BadSpec("infection and recovery must lie in [0, 1]")
+        if self.kind is DynamicsKind.GENE and self.hill_exponent <= 1:
+            raise BadSpec("hill exponent must exceed 1")
+        for name in _RULES[self.kind][1]:
+            if getattr(self, name) is None:
+                raise BadSpec("%s must be a per-node array" % name)
+
+
+def _check_node_arrays(net, spec):
+    """Raise BadSpec unless each array spec's kind reads has one value per node."""
+    for name in _RULES[spec.kind][1]:
+        if np.shape(getattr(spec, name)) != (net.node_count,):
+            raise BadSpec("%s must be a per-node array" % name)
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,11 @@ def _update_opinion(net, spec, x):
     return x + np.asarray(spec.pull) * (mean - x)
 
 
-_UPDATES = {
-    DynamicsKind.EPIDEMIC: _update_epidemic,
-    DynamicsKind.GENE: _update_gene,
-    DynamicsKind.OPINION: _update_opinion,
+# Each kind's update rule and the per-node arrays it reads.
+_RULES = {
+    DynamicsKind.EPIDEMIC: (_update_epidemic, ()),
+    DynamicsKind.GENE: (_update_gene, ("basal", "gain")),
+    DynamicsKind.OPINION: (_update_opinion, ("pull",)),
 }
 
 
@@ -144,7 +146,8 @@ def step_dynamics(net, spec, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.node_count,):
         raise DimensionMismatch("state length != node count")
-    return _UPDATES[spec.kind](net, spec, x)
+    _check_node_arrays(net, spec)
+    return _RULES[spec.kind][0](net, spec, x)
 
 
 def simulate(net, spec, seed=0, initial=None):
@@ -154,7 +157,7 @@ def simulate(net, spec, seed=0, initial=None):
     drawn from `seed`. Divergence beyond a large magnitude raises
     NumericalBlowup rather than returning garbage.
     """
-    spec = spec.validated(net.node_count)
+    _check_node_arrays(net, spec)
     if initial is None:
         x = np.random.default_rng(seed).random(net.node_count)
     else:

@@ -36,23 +36,34 @@ TRAJECTORY_SAMPLES = 50
 RADAR_TOP_K = 5
 
 
+def _check_pairs(pairs, edge_count):
+    """pairs as an (n, 3) int64 array of (edge a, edge b, y), n > 0, with
+    both edges in [0, edge_count) and y 0 or 1. No pairs raise
+    EmptyPairs, any other breach DimensionMismatch."""
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.size == 0:
+        raise EmptyPairs("no pairs")
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise DimensionMismatch("pairs must be (n, 3) of (a, b, y)")
+    # Read as unsigned, a negative value exceeds every bound, so one max
+    # checks both ends; this runs on every training batch.
+    if arr[:, :2].view(np.uint64).max() >= edge_count:
+        raise DimensionMismatch("pair edges must lie in [0, %d)" % edge_count)
+    if arr[:, 2].view(np.uint64).max() > 1:
+        raise DimensionMismatch("pair labels must be 0 or 1")
+    return arr
+
+
 def pairwise_accuracy(ordering, pairs):
     """Fraction of supervised pairs a GlobalOrdering gets right.
 
     pairs is an (n, 3) array-like of (edge a, edge b, y) with y = 1
-    when edge a truly formed before edge b.
+    when edge a truly formed before edge b, checked by _check_pairs.
     """
-    arr = np.asarray(pairs)
-    if arr.size == 0:
-        raise EmptyPairs("no pairs to evaluate")
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise DimensionMismatch("pairs must be (n, 3)")
+    arr = _check_pairs(pairs, ordering.edge_count)
     ranks = ordering.ranks
-    a = arr[:, 0].astype(np.int64)
-    b = arr[:, 1].astype(np.int64)
-    y = arr[:, 2].astype(np.int64)
-    predicted_before = ranks[a] < ranks[b]
-    return float(np.mean(predicted_before == (y == 1)))
+    predicted_before = ranks[arr[:, 0]] < ranks[arr[:, 1]]
+    return float(np.mean(predicted_before == (arr[:, 2] == 1)))
 
 
 def _tie_groups(t):
@@ -276,28 +287,25 @@ class BinRecord(NamedTuple):
     reference: float
 
 
-def binned_trend(pred_ranks, true_ranks, bins=TREND_BINS):
+def binned_trend(pred, truth, bins=TREND_BINS):
     """Median predicted rank per true-rank decile, and the trend RMSE.
 
-    Ranks are normalized as (rank - 0.5) / M. Edges fall into `bins`
-    groups by their true rank; for each group the median and spread of
-    the predicted normalized ranks are recorded next to the group's
+    pred and truth are GlobalOrderings of the same edges. Ranks are
+    normalized as (rank - 0.5) / M. Edges fall into `bins` groups by
+    their true rank; for each group the median and spread of the
+    predicted normalized ranks are recorded next to the group's
     reference (the median true normalized rank, i.e. the diagonal
     evaluated within the bin). The RMSE of median-vs-reference is 0
     exactly for a perfect ordering, for any M.
     """
-    pred = np.asarray(pred_ranks, dtype=np.float64)
-    true = np.asarray(true_ranks, dtype=np.float64)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise DimensionMismatch("rank vectors must have equal length")
-    m = pred.size
+    m = truth.edge_count
+    if pred.edge_count != m:
+        raise DimensionMismatch("orderings rank %d and %d edges" % (pred.edge_count, m))
     if m < bins:
         raise EmptyInput("need at least one edge per bin")
-    if not np.array_equal(np.sort(true), np.arange(1, m + 1)):
-        raise DegenerateTruth("true ranks must be a permutation of 1..M")
-    norm_pred = (pred - 0.5) / m
-    norm_true = (true - 0.5) / m
-    bin_idx = ((true - 1.0) * bins // m).astype(np.int64)
+    norm_pred = (pred.ranks - 0.5) / m
+    norm_true = (truth.ranks - 0.5) / m
+    bin_idx = (truth.ranks - 1) * bins // m
     records = []
     devs = np.empty(bins)
     for b in range(bins):
@@ -539,13 +547,12 @@ def evaluation_report(net, ordering, pair_budget=None, seed=0, feature_matrix=No
         eval_pairs = make_eval_pairs(net, budget=pair_budget, seed=seed)
         accuracy = pairwise_accuracy(ordering, eval_pairs)
         pair_count = len(eval_pairs)
-    pred_ranks = ordering.ranks
-    records, trend_rmse = binned_trend(pred_ranks, truth.ranks, bins=bins)
+    records, trend_rmse = binned_trend(ordering, truth, bins=bins)
     report = {
         "edge_count": int(net.edge_count),
         "pair_count": int(pair_count),
         "pairwise_accuracy": accuracy,
-        "spearman_rho": spearman_rho(pred_ranks, net.alpha),
+        "spearman_rho": spearman_rho(ordering.ranks, net.alpha),
         "binned_trend": {
             "definition": "median_vs_in_bin_diagonal",
             "bins": [r._asdict() for r in records],

@@ -3,9 +3,9 @@
 The snapshot is the single structural input every later stage consumes.
 Edges are the rows of one (M, 2) array of (min id, max id) pairs in
 construction order, times are normalized to [0, 1] over the edges whose
-time is known, and the adjacency is prebuilt once, in CSR form. Every structural kernel here
-(neighbourhood sums, betweenness, triangles, 4-cycles, coreness) is a
-pass over those CSR rows.
+time is known, and the adjacency is prebuilt once, in CSR form. Every
+structural kernel here (neighbourhood sums, betweenness, triangles,
+4-cycles, coreness) is a pass over those CSR rows.
 """
 
 from __future__ import annotations

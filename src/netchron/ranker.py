@@ -43,13 +43,12 @@ from .coupling import (
 from .errors import (
     BadDims,
     DimensionMismatch,
-    EmptyPairs,
     FeatureSchemaMismatch,
     InsufficientLabels,
     ParseError,
     RowMismatch,
 )
-from .evaluation import _distinct_time_pairs
+from .evaluation import _check_pairs, _distinct_time_pairs
 from .features import (
     FeatureMatrix,
     FeatureMode,
@@ -61,18 +60,11 @@ from .features import (
     structural_edge_features,
 )
 from .graph import node_struct_stats
-from .serialize import (dump_json, finite_float, integer, load_json,
-                        non_negative_integer, resolve_options, tuple_of)
+from .serialize import (coerce_fields, dump_json, finite_float, integer, kind_field,
+                        load_json, non_negative_integer, tuple_of)
 
 # Pairs per step of the epoch metrics' pass (see _pair_metrics).
 PAIR_CHUNK = 8192
-
-
-def _option(default, kind, text):
-    """A field whose option kind and help text ride in its metadata."""
-    return dataclasses.field(
-        default=default, metadata={"kind": kind, "help": text}
-    )
 
 
 def float_or_none(value):
@@ -90,51 +82,45 @@ class TrainConfig:
     holds its option kind and help (see TRAIN_OPTIONS).
     """
 
-    learning_rate: float = _option(1e-3, finite_float, "Adam step size")
-    l2_coeff: float = _option(1e-4, finite_float, "L2 penalty on the scorer")
-    epochs: int = _option(200, integer, "training epochs")
-    batch_size: int = _option(256, integer, "pairs per mini-batch")
-    pair_budget: int = _option(100_000, integer, "training pairs sampled at most")
-    label_fraction: float | None = _option(
-        0.3, float_or_none, "share of edges supervised (null: every labeled edge)"
+    learning_rate: float = kind_field(finite_float, 1e-3, "Adam step size")
+    l2_coeff: float = kind_field(finite_float, 1e-4, "L2 penalty on the scorer")
+    epochs: int = kind_field(integer, 200, "training epochs")
+    batch_size: int = kind_field(integer, 256, "pairs per mini-batch")
+    pair_budget: int = kind_field(integer, 100_000, "training pairs sampled at most")
+    label_fraction: float | None = kind_field(
+        float_or_none, 0.3, "share of edges supervised (null: every labeled edge)"
     )
-    seed: int = _option(0, non_negative_integer, "random seed")
-    mode: FeatureMode = _option(FeatureMode.BOTH, FeatureMode, "feature blocks")
-    hidden: int = _option(64, integer, "scorer hidden width")
-    embedding_dims: tuple = _option(
-        (4, 32, 32), tuple_of(integer), "comma-separated layer widths, first 4"
+    seed: int = kind_field(non_negative_integer, 0, "random seed")
+    mode: FeatureMode = kind_field(FeatureMode, FeatureMode.BOTH, "feature blocks")
+    hidden: int = kind_field(integer, 64, "scorer hidden width")
+    embedding_dims: tuple = kind_field(
+        tuple_of(integer), (4, 32, 32), "comma-separated layer widths, first 4"
     )
-    activation: str = _option("tanh", ACTIVATIONS, "propagation activation")
-    neighbor_norm: str = _option("mean", NEIGHBOR_NORMS, "neighbour normalization")
-    scorer_activation: str = _option("tanh", ACTIVATIONS, "scorer activation")
-    val_fraction: float = _option(0.1, finite_float, "share of pairs held out")
+    activation: str = kind_field(ACTIVATIONS, "tanh", "propagation activation")
+    neighbor_norm: str = kind_field(NEIGHBOR_NORMS, "mean", "neighbour normalization")
+    scorer_activation: str = kind_field(ACTIVATIONS, "tanh", "scorer activation")
+    val_fraction: float = kind_field(finite_float, 0.1, "share of pairs held out")
 
     @property
     def coupled(self):
         """Whether the model has the propagation encoder: any mode but state."""
-        return FeatureMode(self.mode) is not FeatureMode.STATE_ONLY
+        return self.mode is not FeatureMode.STATE_ONLY
 
-    def validated(self):
-        """This config with every field coerced by its TRAIN_OPTIONS kind,
-        as flags, config files and checkpoints are. A malformed or
-        out-of-range value raises ValueError (BadDims for the dims)."""
-        config = TrainConfig(**resolve_options(TRAIN_OPTIONS, vars(self)))
-        if config.learning_rate <= 0 or config.l2_coeff < 0:
+    def __post_init__(self):
+        """Coerce every field by its TRAIN_OPTIONS kind, as flags, config
+        files and checkpoints are. A malformed or out-of-range value
+        raises ValueError (BadDims for the dims)."""
+        coerce_fields(self)
+        if self.learning_rate <= 0 or self.l2_coeff < 0:
             raise ValueError("learning_rate must be > 0 and l2_coeff >= 0")
-        counts = (config.epochs, config.batch_size, config.pair_budget, config.hidden)
+        counts = (self.epochs, self.batch_size, self.pair_budget, self.hidden)
         if min(counts) < 1:
             raise ValueError("epochs, batch_size, pair_budget, hidden must be >= 1")
-        if config.label_fraction is not None and not 0.0 < config.label_fraction < 1.0:
+        if self.label_fraction is not None and not 0.0 < self.label_fraction < 1.0:
             raise ValueError("label_fraction must lie in (0, 1) or be None")
-        if not 0.0 <= config.val_fraction < 1.0:
+        if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
-        for f in dataclasses.fields(config):
-            choices, value = f.metadata["kind"], getattr(config, f.name)
-            if isinstance(choices, tuple) and value not in choices:
-                raise ValueError("%s must be one of %s, got %r"
-                                 % (f.name, ", ".join(choices), value))
-        _check_dims(config.embedding_dims)
-        return config
+        _check_dims(self.embedding_dims)
 
 
 # The train command's options: name -> (kind, default, help).
@@ -145,17 +131,17 @@ TRAIN_OPTIONS = {
 
 
 def config_from_dict(raw):
-    """Validated TrainConfig from plain values, e.g. CLI flags or JSON.
+    """TrainConfig from plain values, e.g. CLI flags or JSON.
 
-    TrainConfig.validated coerces each field by its TRAIN_OPTIONS kind
-    (tuples also accept a comma-separated string); absent fields keep
-    their defaults and other keys are ignored. Any malformed or invalid
+    TrainConfig coerces each field by its TRAIN_OPTIONS kind (tuples
+    also accept a comma-separated string); absent fields keep their
+    defaults and other keys are ignored. Any malformed or invalid
     value, in any mode, raises ParseError.
     """
     known = {name: raw[name] for name in TRAIN_OPTIONS if name in raw}
     try:
-        return TrainConfig(**known).validated()
-    except (TypeError, ValueError, BadDims) as exc:
+        return TrainConfig(**known)
+    except (ValueError, BadDims) as exc:
         raise ParseError("invalid training config: %s" % exc) from None
 
 
@@ -193,7 +179,7 @@ class CpnnModel:
 
     @property
     def mode(self):
-        return FeatureMode(self.config.mode)
+        return self.config.mode
 
     def params(self, vector=None):
         """Every trainable array by name, as a view into flat (b_out 0-d),
@@ -255,7 +241,6 @@ def init_cpnn(input_dim, config, feature_columns=()):
     The scorer draws from seed + 1, then the propagation layers, in
     layout order, from seed + 2.
     """
-    config = config.validated()
     size = sum(math.prod(shape) for shape in param_layout(config, input_dim).values())
     model = CpnnModel(config, tuple(feature_columns), int(input_dim), np.zeros(size))
     params = model.params()
@@ -303,15 +288,6 @@ def _stable_sigmoid(d):
 
 def _softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def _pairs_array(pairs):
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.size == 0:
-        raise EmptyPairs("no pairs")
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise DimensionMismatch("pairs must be (n, 3) of (a, b, y)")
-    return arr
 
 
 def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
@@ -402,8 +378,8 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
     stack, each block written into its own view. first_mix is as for
     _forward_scores.
     """
-    arr = _pairs_array(pairs)
-    edge_rows, slot = _edge_slots(arr, inputs.static.values.shape[0])
+    arr = _check_pairs(pairs, inputs.static.edge_count)
+    edge_rows, slot = _edge_slots(arr, inputs.static.edge_count)
     z, cache = _forward_scores(model, inputs, edge_rows, net=net,
                                first_mix=first_mix)
     a_pos = slot[arr[:, 0]]
@@ -447,8 +423,8 @@ def _pair_metrics(model, inputs, pairs, net=None, first_mix=None):
     Each distinct edge is scored once; the pairs are then walked in
     chunks of PAIR_CHUNK, so per-pair temporaries stay bounded.
     """
-    arr = _pairs_array(pairs)
-    edge_rows, slot = _edge_slots(arr, inputs.static.values.shape[0])
+    arr = _check_pairs(pairs, inputs.static.edge_count)
+    edge_rows, slot = _edge_slots(arr, inputs.static.edge_count)
     z = _forward_scores(model, inputs, edge_rows, net=net,
                         first_mix=first_mix)[0]
     n = arr.shape[0]
@@ -486,7 +462,6 @@ def train(net, inputs, config):
     (earliest epoch wins ties); without a validation set, the final
     epoch wins.
     """
-    config = config.validated()
     _check_rows(net, inputs)
     train_arr, val_arr = make_pairs(
         net, config.label_fraction, config.pair_budget, config.seed,

@@ -6,9 +6,10 @@ reruns with identical inputs produce byte-identical outputs: text
 tables with floats in their shortest round-trip form (repr), strict
 JSON (no NaN or infinity) with sorted keys and a trailing newline. The
 option coercers read plain values (flag text or JSON) back under the
-same rules.
+same rules, and coerce_fields applies them to a spec's fields.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -171,3 +172,28 @@ def resolve_options(options, values):
         except (TypeError, ValueError, OverflowError):
             raise ValueError("invalid value for %s: %r" % (name, value)) from None
     return out
+
+
+def kind_field(kind, default=dataclasses.MISSING, text=None):
+    """A dataclass field whose option kind and help text ride in its
+    metadata, for coerce_fields and for an option table."""
+    return dataclasses.field(default=default, metadata={"kind": kind, "help": text})
+
+
+def coerce_fields(spec, error=ValueError):
+    """Coerce, in place, each field of the frozen dataclass spec whose
+    metadata holds a kind, as resolve_options coerces an option, and
+    check a choice tuple's value. A malformed value raises error naming
+    its field."""
+    table = {f.name: (f.metadata["kind"], f.default, None)
+             for f in dataclasses.fields(spec) if "kind" in f.metadata}
+    try:
+        values = resolve_options(table, vars(spec))
+    except ValueError as exc:
+        raise error(str(exc)) from None
+    for name, value in values.items():
+        choices = table[name][0]
+        if isinstance(choices, tuple) and value not in choices:
+            raise error("%s must be one of %s, got %r"
+                        % (name, ", ".join(choices), value))
+        object.__setattr__(spec, name, value)

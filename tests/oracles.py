@@ -609,7 +609,6 @@ def train_by_key_loop(net, inputs, config):
     from netchron.coupling import coupled_column_names
     from netchron.ranker import init_cpnn, make_pairs
 
-    config = config.validated()
     train_arr, val_arr = make_pairs(
         net, config.label_fraction, config.pair_budget, config.seed,
         val_fraction=config.val_fraction,

@@ -388,7 +388,7 @@ def test_criterion_8_metric_sanity():
     )
     truth = ground_truth_ordering(net.alpha)
     rho_perfect = spearman_rho(truth.ranks, truth.ranks)
-    _, rmse = binned_trend(truth.ranks, truth.ranks)
+    _, rmse = binned_trend(truth, truth)
     nrmse_vals = [
         trajectory_nrmse(net, truth, truth, prop) for prop in TRAJECTORY_PROPERTIES
     ]

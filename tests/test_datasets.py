@@ -190,8 +190,29 @@ class TestGenerators:
         assert not np.array_equal(by_string.endpoints, uniform.endpoints)
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(BadSpec, match="unknown synthetic kind"):
+        with pytest.raises(BadSpec, match="invalid value for kind: 'lattice'"):
             generate_synthetic(SynthSpec("lattice", 20, 2, seed=0))
+
+    @pytest.mark.parametrize("fields", [
+        dict(node_count=50.5),
+        dict(node_count="fifty"),
+        dict(node_count=True),
+        dict(edges_per_node=None),
+        dict(seed=-1),
+        dict(seed=2.5),
+    ], ids=lambda f: "%s=%r" % next(iter(f.items())))
+    def test_invalid_spec_raises_when_built(self, fields):
+        with pytest.raises(BadSpec, match="invalid value for %s" % next(iter(fields))):
+            SynthSpec(**{"kind": "pa", "node_count": 50, "edges_per_node": 2, **fields})
+
+    def test_fields_are_coerced_by_their_kinds(self):
+        spec = SynthSpec("random", "50", 2.0, seed="7")
+        assert (spec.kind, spec.node_count, spec.edges_per_node, spec.seed) == (
+            SynthKind.RANDOM_GROWTH, 50, 2, 7)
+        assert all(type(v) is int for v in (spec.node_count, spec.edges_per_node,
+                                            spec.seed))
+        same = generate_synthetic(SynthSpec(SynthKind.RANDOM_GROWTH, 50, 2, seed=7))
+        assert np.array_equal(generate_synthetic(spec).endpoints, same.endpoints)
 
     def test_pair_decoding_matches_combinations(self):
         n = 9

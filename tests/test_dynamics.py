@@ -142,22 +142,59 @@ class TestSimulate:
         with pytest.raises(DimensionMismatch):
             simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), initial=[0.1])
 
-    @pytest.mark.parametrize("spec", [
-        DynamicsSpec(kind="sis", infection=5.0),
-        DynamicsSpec(kind="gene"),
-        DynamicsSpec(kind="bogus"),
+    @pytest.mark.parametrize("fields", [
+        dict(kind="sis", infection=5.0),
+        dict(kind="gene"),
+        dict(kind="bogus"),
     ], ids=["sis out of range", "gene without arrays", "unknown kind"])
-    def test_string_kinds_are_checked(self, spec):
+    def test_string_kinds_are_checked(self, fields):
         with pytest.raises(BadSpec):
-            simulate(complete_graph(3), spec)
+            simulate(complete_graph(3), DynamicsSpec(**fields))
 
     def test_string_kind_runs_as_its_enum(self):
         net = complete_graph(4)
         spec = DynamicsSpec(kind="sis")
-        assert spec.validated(net.node_count).kind is DynamicsKind.EPIDEMIC
+        assert spec.kind is DynamicsKind.EPIDEMIC
         a = simulate(net, spec, seed=3)
         b = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=3)
         assert np.array_equal(a.values, b.values)
+
+
+class TestSpecConstruction:
+    @pytest.mark.parametrize("fields", [
+        dict(kind="sis", max_steps=1.5),
+        dict(kind="sis", max_steps=True),
+        dict(kind="sis", tol="tiny"),
+        dict(kind="sis", tol=0.0),
+        dict(kind="sis", infection=5.0),
+        dict(kind="sis", recovery=math.nan),
+        dict(kind="gene"),
+        dict(kind="gene", basal=np.zeros(3)),
+        dict(kind="gene", hill_exponent="2.5x", basal=np.zeros(3), gain=np.ones(3)),
+        dict(kind="opinion"),
+        dict(kind="bogus"),
+    ], ids=["max_steps=1.5", "max_steps=True", "tol=tiny", "tol=0", "infection=5",
+            "recovery=nan", "gene without arrays", "gene without gain",
+            "hill_exponent=2.5x", "opinion without pull", "unknown kind"])
+    def test_invalid_spec_raises_when_built(self, fields):
+        with pytest.raises(BadSpec):
+            DynamicsSpec(**fields)
+
+    def test_fields_are_coerced_by_their_kinds(self):
+        spec = DynamicsSpec(kind="gene", basal=[0, 1], gain=(1, 2), tol="1e-6",
+                            max_steps=12.0, infection=1)
+        assert spec.kind is DynamicsKind.GENE
+        assert (spec.tol, spec.max_steps, spec.infection) == (1e-6, 12, 1.0)
+        assert type(spec.max_steps) is int and type(spec.infection) is float
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (3, 1)])
+    def test_step_rejects_arrays_of_another_length(self, shape):
+        net = complete_graph(3)
+        spec = DynamicsSpec(kind="gene", basal=np.zeros(shape), gain=np.ones(3))
+        with pytest.raises(BadSpec, match="basal must be a per-node array"):
+            step_dynamics(net, spec, np.full(3, 0.5))
+        with pytest.raises(BadSpec, match="basal must be a per-node array"):
+            simulate(net, spec)
 
 
 class TestSampleParams:

@@ -77,6 +77,18 @@ class TestPairwiseAccuracy:
         with pytest.raises(EmptyPairs):
             pairwise_accuracy(truth, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("case", ["edge -1", "edge M", "label 2"])
+    def test_pairs_outside_the_edges_or_labels_raise(self, case):
+        net = timed_network(4)
+        m = net.edge_count
+        bad, match = {
+            "edge -1": ((-1, 0, 1), r"pair edges must lie in \[0, %d\)" % m),
+            "edge M": ((0, m, 1), r"pair edges must lie in \[0, %d\)" % m),
+            "label 2": ((0, 1, 2), "pair labels must be 0 or 1"),
+        }[case]
+        with pytest.raises(DimensionMismatch, match=match):
+            pairwise_accuracy(ground_truth_ordering(net.alpha), [(0, 1, 1), bad])
+
     def test_budget_and_orientation(self):
         net = timed_network(4)
         pairs = make_eval_pairs(net, budget=10, seed=5)
@@ -363,38 +375,49 @@ class TestSpearman:
             spearman_rho(np.ones(5), np.arange(5.0))
 
 
+def ranked(ranks):
+    """The GlobalOrdering with these 1-based ranks."""
+    ranks = np.asarray(ranks)
+    return GlobalOrdering(borda_scores=-ranks.astype(float), ranks=ranks)
+
+
 class TestBinnedTrend:
     def test_perfect_ordering_rmse_exactly_zero(self):
         for m in (10, 23, 100, 397):
-            ranks = np.arange(1, m + 1, dtype=float)
-            records, rmse = binned_trend(ranks, ranks)
+            truth = ranked(np.arange(1, m + 1))
+            records, rmse = binned_trend(truth, truth)
             assert rmse == 0.0
             assert sum(r.count for r in records) == m
 
-    def test_constant_predictor_known_value(self):
-        # All predictions at normalized 0.5; M=100 so bins are even.
+    def test_reversed_predictor_known_value(self):
+        # M=100, so bin b holds true ranks 10b+1..10b+10 with reference
+        # 0.1b + 0.05; reversed, its median is 1 - reference, so its
+        # deviation is 0.9 - 0.2b and the mean square is 0.33.
         m = 100
-        true = np.arange(1, m + 1, dtype=float)
-        pred = np.full(m, m / 2 + 0.5)
-        _, rmse = binned_trend(pred, true)
-        assert np.isclose(rmse, math.sqrt(0.0825), atol=1e-12)
+        true = np.arange(1, m + 1)
+        _, rmse = binned_trend(ranked(m + 1 - true), ranked(true))
+        assert np.isclose(rmse, math.sqrt(0.33), atol=1e-12)
 
     def test_bin_population_and_references(self):
         m = 25
-        true = np.arange(1, m + 1, dtype=float)
-        records, _ = binned_trend(true, true)
+        truth = ranked(np.arange(1, m + 1))
+        records, _ = binned_trend(truth, truth)
         assert [r.count for r in records] == [3, 2, 3, 2, 3, 2, 3, 2, 3, 2]
         for r in records:
             assert r.median == r.reference
             assert 0.0 <= r.reference <= 1.0
 
     def test_requires_permutation_truth(self):
-        with pytest.raises(DegenerateTruth):
-            binned_trend(np.arange(1.0, 13.0), np.ones(12))
+        with pytest.raises(InvalidPermutation):
+            binned_trend(ranked(np.arange(1, 13)), ranked(np.ones(12, dtype=int)))
+
+    def test_requires_equal_edge_counts(self):
+        with pytest.raises(DimensionMismatch, match="orderings rank 12 and 13 edges"):
+            binned_trend(ranked(np.arange(1, 13)), ranked(np.arange(1, 14)))
 
     def test_requires_enough_edges(self):
         with pytest.raises(EmptyInput):
-            binned_trend(np.arange(1.0, 6.0), np.arange(1.0, 6.0))
+            binned_trend(ranked(np.arange(1, 6)), ranked(np.arange(1, 6)))
 
 
 class TestGini:

@@ -343,6 +343,25 @@ class TestLoss:
             assert max_relative_error(grads[name], fd, guard=1e-6) < 1e-4
 
 
+    @pytest.mark.parametrize("bad, match", [
+        ((-1, 0, 1), r"pair edges must lie in \[0, 6\)"),
+        ((0, 6, 1), r"pair edges must lie in \[0, 6\)"),
+        ((0, 1, 2), "pair labels must be 0 or 1"),
+    ], ids=["edge -1", "edge M", "label 2"])
+    def test_pairs_outside_the_edges_or_labels_raise(self, bad, match):
+        static = FeatureMatrix(
+            edges=tuple((0, k + 1) for k in range(6)),
+            columns=("f0", "f1"),
+            values=np.arange(12.0).reshape(6, 2),
+        )
+        inputs = TrainInputs(static=static)
+        model = init_cpnn(2, TrainConfig(mode=FeatureMode.STATE_ONLY, hidden=3))
+        pairs = np.array([[0, 1, 1], bad])
+        for metric in (loss, _pair_metrics):
+            with pytest.raises(DimensionMismatch, match=match):
+                metric(model, inputs, pairs)
+
+
 class TestMakePairs:
     def test_full_enumeration_counts(self):
         net = build_network(
@@ -506,15 +525,15 @@ class TestTrain:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0).validated()
+            TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(l2_coeff=-1.0).validated()
+            TrainConfig(l2_coeff=-1.0)
         with pytest.raises(ValueError):
-            TrainConfig(label_fraction=1.0).validated()
+            TrainConfig(label_fraction=1.0)
         with pytest.raises(ValueError):
-            TrainConfig(epochs=0).validated()
+            TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(scorer_activation="gelu").validated()
+            TrainConfig(scorer_activation="gelu")
 
 
 class TestCheckpoint:
@@ -641,21 +660,21 @@ class TestConfigFromDict:
             with pytest.raises(ParseError):
                 config_from_dict(fields)
             with pytest.raises(ValueError):
-                TrainConfig(**fields).validated()
+                TrainConfig(**fields)
             return
-        built, parsed = TrainConfig(**fields).validated(), config_from_dict(fields)
+        built, parsed = TrainConfig(**fields), config_from_dict(fields)
         assert built == parsed
         for f in dataclasses.fields(TrainConfig):
             assert type(getattr(built, f.name)) is type(getattr(parsed, f.name))
 
-    def test_validated_checks_the_propagation_fields_in_state_mode(self):
+    def test_construction_checks_the_propagation_fields_in_state_mode(self):
         state = dict(mode=FeatureMode.STATE_ONLY)
         with pytest.raises(ValueError, match="activation"):
-            TrainConfig(activation="sigmoid", **state).validated()
+            TrainConfig(activation="sigmoid", **state)
         with pytest.raises(ValueError, match="neighbor_norm"):
-            TrainConfig(neighbor_norm="bogus", **state).validated()
+            TrainConfig(neighbor_norm="bogus", **state)
         with pytest.raises(BadDims):
-            TrainConfig(embedding_dims=(9, 0), **state).validated()
+            TrainConfig(embedding_dims=(9, 0), **state)
 
 
 class TestPrepareInputs:
