@@ -42,7 +42,8 @@ class DynamicsSpec:
     basal/saturating gains for GENE, pull rates for OPINION. The
     epidemic kind uses the two scalars infection/recovery. Building a
     spec coerces each field by its kind; a malformed or out-of-range
-    value, or a missing array, raises BadSpec.
+    value, a missing array, or an array holding a non-number, NaN or
+    infinity raises BadSpec.
     """
 
     kind: DynamicsKind = kind_field(DynamicsKind)
@@ -67,6 +68,19 @@ class DynamicsSpec:
         for name in _RULES[self.kind][1]:
             if getattr(self, name) is None:
                 raise BadSpec("%s must be a per-node array" % name)
+        for name in ("basal", "gain", "pull"):
+            if getattr(self, name) is not None:
+                _check_finite(getattr(self, name), name)
+
+
+def _check_finite(values, name):
+    """Raise BadSpec unless values are numbers, all finite."""
+    try:
+        finite = np.isfinite(np.asarray(values, dtype=np.float64)).all()
+    except (TypeError, ValueError):
+        raise BadSpec("%s must hold numbers" % name) from None
+    if not finite:
+        raise BadSpec("%s holds a non-finite value" % name)
 
 
 def _check_node_arrays(net, spec):
@@ -154,7 +168,8 @@ def simulate(net, spec, seed=0, initial=None):
     """Iterate a dynamics until the L2 step change drops below tol.
 
     The initial state defaults to uniform random values in [0, 1)
-    drawn from `seed`. Divergence beyond a large magnitude raises
+    drawn from `seed`; a given one must be finite (else BadSpec). A
+    step whose state exceeds a large magnitude or is not finite raises
     NumericalBlowup rather than returning garbage.
     """
     _check_node_arrays(net, spec)
@@ -164,13 +179,15 @@ def simulate(net, spec, seed=0, initial=None):
         x = np.asarray(initial, dtype=np.float64).copy()
         if x.shape != (net.node_count,):
             raise DimensionMismatch("initial state length != node count")
+        _check_finite(x, "initial state")
     steps = 0
     residual = math.inf
     converged = False
     for steps in range(1, spec.max_steps + 1):
         nxt = step_dynamics(net, spec, x)
-        if np.abs(nxt).max() > BLOWUP_LIMIT:
-            raise NumericalBlowup("state magnitude exceeded %g" % BLOWUP_LIMIT)
+        # Written so that NaN, which compares false, trips it too.
+        if not np.abs(nxt).max() <= BLOWUP_LIMIT:
+            raise NumericalBlowup("state is not finite or exceeded %g" % BLOWUP_LIMIT)
         residual = float(np.linalg.norm(nxt - x))
         x = nxt
         if residual < spec.tol:

@@ -217,26 +217,31 @@ def prefix_graph(net, ordering, fraction):
     return _assemble(net.node_count, net.endpoints[keep], net.alpha[keep])
 
 
-def _csr_sum(net, x):
+def _csr_sum(net, x, gathered=None):
     """Sum the rows of x over each CSR row; rows without entries get zeros.
 
     One bincount over the gathered rows: each output entry adds its
-    CSR row's terms left to right.
+    CSR row's terms left to right. The rows are gathered into gathered,
+    a C-contiguous float64 array of x's shape with one row per CSR
+    entry, when given.
     """
     width = 1 if x.ndim == 1 else x.shape[1]
-    gathered = np.take(x, net.adj_indices, axis=0)
+    # The CSR indices are in range: under mode "raise", take writes
+    # through a copy of out.
+    gathered = np.take(x, net.adj_indices, axis=0, out=gathered, mode="clip")
     return np.bincount(
         net.scatter_index(width), weights=gathered.ravel(),
         minlength=net.node_count * width,
     ).reshape(x.shape)
 
 
-def neighbor_sum(net, x):
+def neighbor_sum(net, x, gathered=None):
     """Sum the rows of x over each node's neighborhood.
 
-    x has shape (N,) or (N, d); isolated nodes get a zero row.
+    x has shape (N,) or (N, d); isolated nodes get a zero row. gathered
+    is as for _csr_sum: a buffer for the neighbour rows, (2 M, d).
     """
-    return _csr_sum(net, np.asarray(x, dtype=np.float64))
+    return _csr_sum(net, np.asarray(x, dtype=np.float64), gathered)
 
 
 @dataclass(frozen=True)

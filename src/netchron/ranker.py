@@ -14,6 +14,21 @@ param_layout: the scorer's arrays, then coupling.encoder_layout's.
 params() names views into it, which the scorer and the encoder read;
 loss returns its gradient as one vector in the same layout, and train's
 Adam step reads that vector directly.
+
+Every pass writes into a coupling.Workspace. For a training step it
+holds the (rows, static + 4 d) scorer block, the hidden layer's
+pre-activation, activation, gradient and activation slope, the
+gradient of the coupled columns and their scatter terms, each
+propagation layer's pre-activation, output, aggregate and gradients,
+the gathered neighbour rows, the gradient vector with its params()
+views, and the model's params() views. train builds one workspace per
+run, for min(2 batch_size, distinct supervised edges) rows, the most
+distinct edges a batch can name. Every batch writes into its leading
+rows, so after the first batch a step allocates none of these. The
+epoch metrics' forward passes reuse it too, growing its forward
+buffers once if they score more edges. Only train reuses a workspace:
+any other call, such as predict_scores or a loss call without ws,
+builds one for that call.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ import numpy as np
 from .coupling import (
     ACTIVATIONS,
     NEIGHBOR_NORMS,
+    Workspace,
     _activate,
     _activation_grad,
     _check_dims,
@@ -254,27 +270,48 @@ def init_cpnn(input_dim, config, feature_columns=()):
     return model
 
 
-def _scorer_forward(params, activation, feats):
-    """z = w_out . act(feats W_hidden + b_hidden) + b_out, with pre and act."""
-    pre = feats @ params["scorer.w_hidden"] + params["scorer.b_hidden"]
-    act = _activate(activation, pre)
-    z = act @ params["scorer.w_out"] + params["scorer.b_out"]
+def _scorer_forward(params, activation, feats, ws=None):
+    """z = w_out . act(feats W_hidden + b_hidden) + b_out, with pre and
+    act, each a buffer of ws."""
+    ws = Workspace() if ws is None else ws
+    n, hidden = feats.shape[0], params["scorer.b_hidden"].size
+    pre = np.matmul(feats, params["scorer.w_hidden"],
+                    out=ws.array("scorer.pre", n, hidden, per_edge=1))
+    act = ws.array("scorer.act", n, hidden, per_edge=1)
+    # Broadcast by copying: a broadcasting ufunc allocates numpy's
+    # iteration buffers, up to 64 kB per operand.
+    np.copyto(act, params["scorer.b_hidden"])
+    pre += act
+    _activate(activation, pre, out=act)
+    z = np.matmul(act, params["scorer.w_out"], out=ws.array("scorer.z", n, per_edge=1))
+    z += params["scorer.b_out"]
     return z, pre, act
 
 
-def _scorer_backward(params, activation, feats, pre, act, dz, grads, grad_from=None):
+def _scorer_backward(params, activation, feats, pre, act, dz, grads, grad_from=None,
+                     ws=None):
     """Scorer weight gradients, written into grads' scorer.* arrays, and
     dLoss/dfeats[:, grad_from:], returned (None when grad_from is None).
+    The hidden layer's gradient and slope, and the returned block, are
+    buffers of ws.
     """
+    ws = Workspace() if ws is None else ws
     np.matmul(act.T, dz, out=grads["scorer.w_out"])
     grads["scorer.b_out"][...] = dz.sum()
-    d_pre = dz[:, None] * params["scorer.w_out"]
-    d_pre *= _activation_grad(activation, pre, act)
+    d_pre = ws.array("scorer.d_pre", *pre.shape, per_edge=1)
+    slope = ws.array("scorer.slope", *pre.shape, per_edge=1)
+    # d_pre = dz w_out, outer product broadcast by copying (see _scorer_forward)
+    np.copyto(d_pre, dz[:, None])
+    np.copyto(slope, params["scorer.w_out"])
+    d_pre *= slope
+    d_pre *= _activation_grad(activation, pre, act, out=slope)
     np.matmul(feats.T, d_pre, out=grads["scorer.w_hidden"])
     d_pre.sum(axis=0, out=grads["scorer.b_hidden"])
     if grad_from is None:
         return None
-    return d_pre @ params["scorer.w_hidden"][grad_from:].T
+    w_from = params["scorer.w_hidden"][grad_from:]
+    return np.matmul(d_pre, w_from.T, out=ws.array(
+        "scorer.d_feats", pre.shape[0], w_from.shape[0], per_edge=1))
 
 
 def _stable_sigmoid(d):
@@ -326,32 +363,34 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
     return train, val
 
 
-def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None):
+def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None, ws=None):
     """Scores for the given edge rows, plus the caches backprop needs.
 
-    With coupling, the scorer's input is one (rows, static + 4 d) block:
-    the static rows, then the coupled features written in place.
+    The scorer's input is one (rows, input_dim) block of ws: the static
+    rows, then, with coupling, the coupled features written in place.
     first_mix is layer 0's neighbor aggregate of inputs.node_inputs, if
-    the caller has it (see coupling.propagate).
+    the caller has it (see coupling.propagate). Without ws, the call
+    builds a workspace of its own.
     """
+    ws = Workspace(edge_rows.size, model) if ws is None else ws
     static = inputs.static.values
-    params = model.params()
-    cache = {"params": params}
+    params = ws.params
+    cache = {}
+    width = static.shape[1]
+    feats = ws.array("scorer.feats", edge_rows.size, model.input_dim, per_edge=1)
+    # The rows are in range: under mode "raise", take writes through a
+    # copy of out.
+    np.take(static, edge_rows, axis=0, out=feats[:, :width], mode="clip")
     if model.config.coupled:
         if inputs.node_inputs is None or net is None:
             raise DimensionMismatch(
                 "a coupled model needs node inputs and their network")
         emb, stages = propagate(net, inputs.node_inputs, params, model.config,
-                                first_mix=first_mix)
+                                first_mix=first_mix, ws=ws)
         endpoints = net.endpoints[edge_rows]
-        width = static.shape[1]
-        feats = np.empty((edge_rows.size, width + 4 * emb.shape[1]))
-        feats[:, :width] = static[edge_rows]
         coupled_edge_features(emb, endpoints, out=feats[:, width:])
         cache.update(embeddings=emb, stages=stages, endpoints=endpoints)
-    else:
-        feats = static[edge_rows]
-    z, pre, act = _scorer_forward(params, model.config.scorer_activation, feats)
+    z, pre, act = _scorer_forward(params, model.config.scorer_activation, feats, ws)
     cache.update(feats=feats, pre=pre, act=act)
     return z, cache
 
@@ -369,7 +408,7 @@ def _edge_slots(pairs, edge_count):
     return np.flatnonzero(seen), np.cumsum(seen) - 1
 
 
-def loss(model, inputs, pairs, net=None, first_mix=None):
+def loss(model, inputs, pairs, net=None, first_mix=None, ws=None):
     """Total pairwise cross-entropy plus scorer L2, and its gradient.
 
     Returns (value, grad): grad is one float64 vector laid out like
@@ -377,11 +416,20 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
     reverse mode through the scorer and, when present, the propagation
     stack, each block written into its own view. first_mix is as for
     _forward_scores.
+
+    The scorer's and the encoder's intermediate arrays, and grad
+    itself, are buffers of ws, a coupling.Workspace for this model
+    (see the module docstring). train passes the one it built for the
+    run, sized for min(2 batch_size, distinct supervised edges) rows;
+    a batch naming fewer edges uses the leading rows, and each call
+    overwrites the grad of the one before. Without ws the call builds
+    one for itself, sized for its distinct edges.
     """
     arr = _check_pairs(pairs, inputs.static.edge_count)
     edge_rows, slot = _edge_slots(arr, inputs.static.edge_count)
+    ws = Workspace(edge_rows.size, model) if ws is None else ws
     z, cache = _forward_scores(model, inputs, edge_rows, net=net,
-                               first_mix=first_mix)
+                               first_mix=first_mix, ws=ws)
     a_pos = slot[arr[:, 0]]
     b_pos = slot[arr[:, 1]]
     d = z[a_pos] - z[b_pos]
@@ -389,7 +437,7 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
     ce = float(np.sum(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
 
     eta = model.config.l2_coeff
-    params = cache["params"]
+    params = ws.params
     scorer = [name for name in params if name.startswith("scorer.")]
     value = ce + eta * sum(float(np.sum(params[name]**2)) for name in scorer)
 
@@ -402,31 +450,33 @@ def loss(model, inputs, pairs, net=None, first_mix=None):
         minlength=edge_rows.size,
     )
 
-    grad = np.empty_like(model.flat)
-    grads = model.params(grad)
+    grads = ws.grads
     width = inputs.static.values.shape[1]
     d_cpl = _scorer_backward(
         params, model.config.scorer_activation, cache["feats"], cache["pre"],
         cache["act"], dz, grads, grad_from=width if model.config.coupled else None,
+        ws=ws,
     )
     for name in scorer:
         grads[name] += 2.0 * eta * params[name]
     if model.config.coupled:
-        d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl)
-        propagate_backward(net, params, model.config, cache["stages"], d_emb, grads)
-    return value, grad
+        d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl, ws)
+        propagate_backward(net, params, model.config, cache["stages"], d_emb, grads,
+                           ws=ws)
+    return value, ws.grad
 
 
-def _pair_metrics(model, inputs, pairs, net=None, first_mix=None):
+def _pair_metrics(model, inputs, pairs, net=None, first_mix=None, ws=None):
     """Mean cross-entropy and accuracy over a pair set (no gradients).
 
-    Each distinct edge is scored once; the pairs are then walked in
-    chunks of PAIR_CHUNK, so per-pair temporaries stay bounded.
+    Each distinct edge is scored once, into ws as for _forward_scores;
+    the pairs are then walked in chunks of PAIR_CHUNK, so per-pair
+    temporaries stay bounded.
     """
     arr = _check_pairs(pairs, inputs.static.edge_count)
     edge_rows, slot = _edge_slots(arr, inputs.static.edge_count)
     z = _forward_scores(model, inputs, edge_rows, net=net,
-                        first_mix=first_mix)[0]
+                        first_mix=first_mix, ws=ws)[0]
     n = arr.shape[0]
     terms = np.empty(n)
     correct = 0
@@ -479,6 +529,9 @@ def train(net, inputs, config):
         columns = columns + coupled_column_names(config.embedding_dims[-1])
         first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)
     model = init_cpnn(input_dim, config, feature_columns=columns)
+    # A batch of batch_size pairs names at most twice as many edges.
+    rows = min(2 * config.batch_size, _edge_slots(train_arr, net.edge_count)[0].size)
+    ws = Workspace(rows, model)
 
     # model.params() are views into model.flat; Adam updates it in place
     # from loss's gradient, which has the same layout.
@@ -493,6 +546,8 @@ def train(net, inputs, config):
 
     log = []
     best_acc = -np.inf
+    # Copied into, not replaced: an array allocated after the workspace's
+    # buffers would keep their memory from being returned after train.
     best = flat.copy()
     best_epoch = 0
     for epoch in range(1, config.epochs + 1):
@@ -500,7 +555,7 @@ def train(net, inputs, config):
         grad_sq = 0.0
         for lo in range(0, order.size, config.batch_size):
             batch = train_arr[order[lo:lo + config.batch_size]]
-            _, grad = loss(model, inputs, batch, net=net, first_mix=first_mix)
+            _, grad = loss(model, inputs, batch, net=net, first_mix=first_mix, ws=ws)
             grad_sq += float(np.dot(grad, grad))
             step += 1
             # Adam, operation for operation as m = beta1 m + (1 - beta1) g,
@@ -520,7 +575,7 @@ def train(net, inputs, config):
             m_hat /= v_hat
             flat -= m_hat
         train_ce, train_acc = _pair_metrics(
-            model, inputs, train_arr, net=net, first_mix=first_mix
+            model, inputs, train_arr, net=net, first_mix=first_mix, ws=ws
         )
         batches = math.ceil(order.size / config.batch_size)
         entry = {
@@ -531,17 +586,17 @@ def train(net, inputs, config):
         }
         if val_arr.shape[0]:
             val_ce, val_acc = _pair_metrics(
-                model, inputs, val_arr, net=net, first_mix=first_mix
+                model, inputs, val_arr, net=net, first_mix=first_mix, ws=ws
             )
             entry["val_loss"] = val_ce
             entry["val_accuracy"] = val_acc
             if val_acc > best_acc:
                 best_acc = val_acc
-                best = flat.copy()
+                best[...] = flat
                 best_epoch = epoch
         log.append(entry)
     if not val_arr.shape[0]:
-        best = flat.copy()
+        best[...] = flat
         best_epoch = config.epochs
     return TrainResult(
         model=dataclasses.replace(model, flat=best),

@@ -265,6 +265,12 @@ class TestCoupledFeatures:
         with pytest.raises(DimensionMismatch):
             coupled_backward(emb, np.array([[0, 1]]), np.zeros((1, 7)))
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_backward_rejects_endpoints_outside_the_nodes(self, bad):
+        emb = np.zeros((3, 2))
+        with pytest.raises(DimensionMismatch):
+            coupled_backward(emb, np.array([[0, 1], [bad, 2]]), np.zeros((2, 8)))
+
 
 class TestGlorot:
     def test_limit_scales_with_fan(self):

@@ -160,6 +160,43 @@ class TestSimulate:
         assert np.array_equal(a.values, b.values)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("fields", [
+        dict(kind="gene", basal=[math.nan, 0.1, 0.2], gain=np.ones(3)),
+        dict(kind="gene", basal=np.zeros(3), gain=[1.0, math.inf, 1.0]),
+        dict(kind="opinion", pull=np.array([1.0, -math.inf, 1.0])),
+        dict(kind="sis", pull=[math.nan, 1.0, 1.0]),
+        dict(kind="gene", basal=["a", "b", "c"], gain=np.ones(3)),
+    ], ids=["basal nan", "gain inf", "pull -inf", "unread array nan", "basal text"])
+    def test_spec_rejects_non_finite_arrays(self, fields):
+        with pytest.raises(BadSpec):
+            DynamicsSpec(**fields)
+
+    def test_nan_basal_is_refused_before_it_runs(self):
+        # It used to run 50 steps and return an all-NaN state.
+        with pytest.raises(BadSpec, match="basal holds a non-finite value"):
+            simulate(build_network(3, [(0, 1), (1, 2)]),
+                     DynamicsSpec(kind="gene", basal=[math.nan, 0.1, 0.2],
+                                  gain=np.ones(3), max_steps=50))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_simulate_rejects_a_non_finite_initial_state(self, value):
+        with pytest.raises(BadSpec, match="initial state"):
+            simulate(complete_graph(3), DynamicsSpec(kind="sis"),
+                     initial=[0.1, value, 0.2])
+
+    def test_a_nan_step_raises_blowup(self):
+        # Finite inputs: 20 ** 400 overflows to inf, and inf / (1 + inf)
+        # is NaN, which a magnitude test alone would let through.
+        net = build_network(3, [(0, 1), (1, 2)])
+        spec = DynamicsSpec(kind="gene", hill_exponent=400.0,
+                            basal=np.full(3, 10.0), gain=np.ones(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(step_dynamics(net, spec, np.full(3, 10.0))).all()
+            with pytest.raises(NumericalBlowup):
+                simulate(net, spec, initial=np.full(3, 10.0))
+
+
 class TestSpecConstruction:
     @pytest.mark.parametrize("fields", [
         dict(kind="sis", max_steps=1.5),

@@ -6,18 +6,22 @@ oracle (oracles.train_by_key_loop) does none of that, so equality here
 is bit for bit.
 """
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import netchron.coupling
 import netchron.ranker
+from netchron.coupling import Workspace, _neighbor_mix
 from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
 from netchron.dynamics import DynamicsKind, DynamicsSpec, simulate
 from netchron.features import FeatureMode
 from netchron.graph import build_network
-from netchron.ranker import TrainConfig, _edge_slots, make_pairs, prepare_inputs, train
+from netchron.ranker import (TrainConfig, _edge_slots, init_cpnn, loss, make_pairs,
+                             prepare_inputs, train)
 
 import oracles
 
@@ -209,9 +213,9 @@ class TestWorkCounts:
         calls = []
         real = netchron.coupling.neighbor_sum
 
-        def counting(net, x):
+        def counting(net, x, **kwargs):
             calls.append(x.shape)
-            return real(net, x)
+            return real(net, x, **kwargs)
 
         monkeypatch.setattr(netchron.coupling, "neighbor_sum", counting)
         train(net, inputs, cfg)
@@ -248,6 +252,107 @@ class TestWorkCounts:
         for key, arr in result.model.params().items():
             for model in seen:
                 assert not np.shares_memory(arr, model.params()[key]), key
+
+
+class TestWorkspaceReuse:
+    """One workspace through successive calls, as train runs it: each
+    call equals a fresh one, bit for bit."""
+
+    @pytest.mark.parametrize("mode, norm, activation", [
+        (FeatureMode.BOTH, "mean", "tanh"),
+        (FeatureMode.BOTH, "symmetric", "relu"),
+        (FeatureMode.STRUCT_ONLY, "symmetric", "tanh"),
+        (FeatureMode.STRUCT_ONLY, "mean", "relu"),
+        (FeatureMode.STATE_ONLY, "mean", "tanh"),
+        (FeatureMode.STATE_ONLY, "mean", "relu"),
+    ])
+    # 2 x 8 pairs name fewer edges than are supervised, 2 x 32 more.
+    @pytest.mark.parametrize("batch_size", [8, 32])
+    def test_each_call_equals_a_fresh_one(self, mode, norm, activation, batch_size):
+        net, inputs = instance("pa", mode)
+        cfg = config(mode, norm, activation, batch_size=batch_size)
+        pairs, _ = make_pairs(net, cfg.label_fraction, cfg.pair_budget, cfg.seed,
+                              val_fraction=cfg.val_fraction)
+        supervised = _edge_slots(pairs, net.edge_count)[0].size
+        assert (2 * batch_size > supervised) == (batch_size == 32)
+        width = inputs.static.values.shape[1]
+        if cfg.coupled:
+            width += 4 * cfg.embedding_dims[-1]
+        model = init_cpnn(width, cfg)
+        first_mix = _neighbor_mix(net, inputs.node_inputs, norm) if cfg.coupled else None
+        ws = Workspace(min(2 * batch_size, supervised), model)
+        batches = [pairs[lo:lo + batch_size] for lo in range(0, len(pairs), batch_size)]
+        assert len(batches[-1]) < batch_size
+        edge_counts = set()
+        for batch in batches:
+            edge_counts.add(_edge_slots(batch, net.edge_count)[0].size)
+            value, grad = loss(model, inputs, batch, net=net, first_mix=first_mix, ws=ws)
+            want_value, want_grad = loss(model, inputs, batch, net=net,
+                                         first_mix=first_mix)
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+            # The next call reads the moved weights through ws's views.
+            model.flat[...] -= 0.05 * want_grad
+        assert len(edge_counts) > 1
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark_instance(mode):
+    """A PA graph of the benchmark's pa-gene-coupled size (N = 400) and its inputs."""
+    net = generate_synthetic(SynthSpec(
+        kind=SynthKind.PREFERENTIAL_ATTACHMENT, node_count=400, edges_per_node=2,
+        seed=1,
+    ))
+    state = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=1).values
+    return net, prepare_inputs(net, state, mode)
+
+
+class TestStepAllocation:
+    """What a training step allocates once the first step has filled the workspace."""
+
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STRUCT_ONLY,
+                                      FeatureMode.STATE_ONLY])
+    @pytest.mark.parametrize("norm, activation", [("mean", "tanh"),
+                                                  ("symmetric", "relu")])
+    def test_step_peak_is_below_one_per_edge_block(self, monkeypatch, mode, norm,
+                                                    activation):
+        # The default config (256-pair batches, 64 hidden, dims 4, 32, 32)
+        # on a graph of the benchmark's size, so that a batch names a few
+        # hundred edges. tracemalloc sees numpy's data allocations.
+        net, inputs = benchmark_instance(mode)
+        cfg = TrainConfig(mode=mode, neighbor_norm=norm, activation=activation,
+                          scorer_activation=activation, epochs=1, seed=1)
+        real = netchron.ranker.loss
+        calls = []
+        traced = []
+
+        def measured(model, *args, **kwargs):
+            # The measured step runs from the start of the second call
+            # (after the first has allocated the workspace) to the start
+            # of the third: loss, the Adam update, the next batch.
+            if len(calls) == 1:
+                tracemalloc.reset_peak()
+                traced.append(tracemalloc.get_traced_memory()[0])
+            elif len(calls) == 2:
+                traced.append(tracemalloc.get_traced_memory()[1])
+            calls.append((model, kwargs["ws"]))
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(netchron.ranker, "loss", measured)
+        tracemalloc.start()
+        try:
+            train(net, inputs, cfg)
+        finally:
+            tracemalloc.stop()
+        model, ws = calls[0]
+        assert ws.rows == 240 and len(calls) > 3
+        start, peak = traced
+        # The bound is the (rows, input_dim) scorer block. In mode state
+        # that block is 7 columns wide, smaller than a 256-pair batch's
+        # own pair arrays, so there it is the (rows, hidden) hidden
+        # layer. The step used to allocate both, and more, every time.
+        bound = ws.rows * max(model.input_dim, cfg.hidden) * 8
+        assert peak - start < bound
 
 
 class TestRepeatable:
