@@ -57,7 +57,6 @@ from .graph import (
     coreness,
     edge_betweenness,
     local_clustering,
-    node_struct_stats,
     pagerank,
     prefix_graph,
 )

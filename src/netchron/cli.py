@@ -12,7 +12,8 @@ the table gives the --flag-names, the keys a --config file may hold,
 the defaults, and the coercion of flag and file values alike.
 Configuration resolution: the defaults, then the flat-key JSON file
 given with --config, then explicit flags, later layers winning. Exit
-codes: 0 success, 2 usage, 3 data error, 4 numerical error.
+codes: 0 success, 2 usage, 3 data error or out of memory, 4 numerical
+error.
 """
 
 from __future__ import annotations
@@ -450,6 +451,9 @@ def main(argv=None):
         return 4
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("out of memory: %s" % (str(exc) or "an allocation failed"), file=sys.stderr)
         return 3
     print(run["summary"])
     return 0

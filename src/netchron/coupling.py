@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadDims, DimensionMismatch
-from .graph import neighbor_sum, node_struct_stats
+from .graph import neighbor_sum
 
 NODE_INPUT_COLUMNS = ("degree", "clustering", "coreness", "state")
 NODE_INPUT_DIM = len(NODE_INPUT_COLUMNS)
@@ -110,14 +110,12 @@ def glorot_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def node_input_matrix(net, state_values, stats=None, zero_state=False):
+def node_input_matrix(net, state_values, zero_state=False):
     """Raw (N, 4) node inputs: degree, clustering, coreness, state.
 
     zero_state blanks the state column (the structure-only ablation).
     Standardize with features.standardize_columns before propagating.
     """
-    if stats is None:
-        stats = node_struct_stats(net)
     state = np.asarray(state_values, dtype=np.float64)
     if state.shape != (net.node_count,):
         raise DimensionMismatch("state length != node count")
@@ -125,9 +123,9 @@ def node_input_matrix(net, state_values, stats=None, zero_state=False):
         state = np.zeros_like(state)
     return np.column_stack(
         [
-            stats.degree.astype(np.float64),
-            stats.clustering,
-            stats.coreness.astype(np.float64),
+            net.degrees.astype(np.float64),
+            net.clustering,
+            net.core_numbers.astype(np.float64),
             state,
         ]
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadSpec, EmptyInput, ParseError
 from .graph import build_network
-from .serialize import (coerce_fields, integer, kind_field, non_negative_integer,
+from .serialize import (INT64, coerce_fields, integer, kind_field, non_negative_integer,
                         read_table, write_table)
 
 
@@ -32,7 +32,8 @@ class SynthSpec:
 
     For the shuffled static graph, `edges_per_node * node_count` total
     edges are drawn. Building a spec coerces each field by its kind; a
-    malformed value or an impossible request raises BadSpec.
+    malformed value or an impossible request, such as a shuffled graph
+    with more node pairs than int64 holds, raises BadSpec.
     """
 
     kind: SynthKind = kind_field(SynthKind)
@@ -47,8 +48,12 @@ class SynthSpec:
             raise BadSpec(
                 "need node_count >= edges_per_node + 1 >= 2, got N=%d m=%d" % (n, m)
             )
-        if self.kind is SynthKind.ER_SHUFFLED and m * n > n * (n - 1) // 2:
-            raise BadSpec("cannot place %d distinct edges on %d nodes" % (m * n, n))
+        if self.kind is SynthKind.ER_SHUFFLED:
+            pairs = n * (n - 1) // 2
+            if pairs not in INT64:
+                raise BadSpec("%d nodes have more node pairs than int64 holds" % n)
+            if m * n > pairs:
+                raise BadSpec("cannot place %d distinct edges on %d nodes" % (m * n, n))
 
 
 def load_edge_list(path):

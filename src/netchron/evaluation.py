@@ -28,7 +28,7 @@ from .errors import (
     FlatTruthCurve,
     InvalidPermutation,
 )
-from .graph import _clustering, triangles
+from .graph import _clustering
 from .ordering import ground_truth_ordering
 
 TREND_BINS = 10
@@ -287,6 +287,13 @@ class BinRecord(NamedTuple):
     reference: float
 
 
+def _median(values):
+    """Median of a non-empty 1-D array by np.median's arithmetic, without
+    the numpy.ma import np.median makes on its first call."""
+    s = np.sort(values)
+    return float((s[(s.size - 1) // 2] + s[s.size // 2]) / 2)
+
+
 def binned_trend(pred, truth, bins=TREND_BINS):
     """Median predicted rank per true-rank decile, and the trend RMSE.
 
@@ -310,8 +317,8 @@ def binned_trend(pred, truth, bins=TREND_BINS):
     devs = np.empty(bins)
     for b in range(bins):
         sel = bin_idx == b
-        med = float(np.median(norm_pred[sel]))
-        ref = float(np.median(norm_true[sel]))
+        med = _median(norm_pred[sel])
+        ref = _median(norm_true[sel])
         records.append(
             BinRecord(
                 bin_index=b,
@@ -388,7 +395,7 @@ def _replay(net, rank, samples, with_triangles):
     deg = np.zeros(n, dtype=np.int64)
     tri = None
     if with_triangles:
-        found = triangles(net)
+        found = net.triangle_list
         birth = rank[found.edges].max(axis=1)
         by_birth = np.argsort(birth, kind="stable")
         corners = found.nodes[by_birth]

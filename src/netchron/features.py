@@ -15,13 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, FeatureSchemaMismatch, RowMismatch
-from .graph import (
-    edge_betweenness,
-    four_cycle_counts,
-    node_struct_stats,
-    pagerank,
-    triangles,
-)
+from .graph import edge_betweenness, four_cycle_counts, pagerank
 
 EPSILON = 1e-8
 LOCAL_PATH_WEIGHT = 0.01
@@ -136,16 +130,15 @@ def combine(*mats):
     )
 
 
-def structural_edge_features(net, stats=None, pagerank_values=None, betweenness=None):
+def structural_edge_features(net, pagerank_values=None, betweenness=None):
     """Eighteen structural descriptors per edge.
 
-    stats, pagerank_values, and betweenness may be precomputed and
-    passed in; they must describe the same network.
+    pagerank_values and betweenness may be precomputed and passed in;
+    they must describe the same network. Clustering, core numbers and
+    triangles are the network's cached ones.
     """
     if net.edge_count == 0:
         raise EmptyInput("network has no edges")
-    if stats is None:
-        stats = node_struct_stats(net)
     if pagerank_values is None:
         pagerank_values = pagerank(net).values
     if betweenness is None:
@@ -158,15 +151,15 @@ def structural_edge_features(net, stats=None, pagerank_values=None, betweenness=
     m = net.edge_count
     u = net.endpoints[:, 0]
     v = net.endpoints[:, 1]
-    deg = stats.degree.astype(np.float64)
-    clust = stats.clustering
-    core = stats.coreness.astype(np.float64)
+    deg = net.degrees.astype(np.float64)
+    clust = net.clustering
+    core = net.core_numbers.astype(np.float64)
 
     deg_u = deg[u]
     deg_v = deg[v]
     # The common neighbours of an edge are the third nodes of its
     # triangles.
-    tri = triangles(net)
+    tri = net.triangle_list
     shared = tri.edges.ravel()
     third = deg[tri.nodes.ravel()]
     cn = np.bincount(shared, minlength=m).astype(np.float64)

@@ -5,7 +5,9 @@ Edges are the rows of one (M, 2) array of (min id, max id) pairs in
 construction order, times are normalized to [0, 1] over the edges whose
 time is known, and the adjacency is prebuilt once, in CSR form. Every
 structural kernel here (neighbourhood sums, betweenness, triangles,
-4-cycles, coreness) is a pass over those CSR rows.
+4-cycles, coreness) is a pass over those CSR rows. The network caches
+what derives from it alone, its triangle listing, clustering and core
+numbers included, so each is computed once per snapshot.
 """
 
 from __future__ import annotations
@@ -81,6 +83,24 @@ class TemporalNetwork:
         scale[nz] = 1.0 / np.sqrt(deg[nz])
         return scale
 
+    # The snapshot's node structure, computed once by the module's
+    # kernels (looked up when first read, so wrapping them still sees
+    # the call) and shared read-only by every consumer.
+    @cached_property
+    def triangle_list(self):
+        """Every triangle once, as triangles(net) lists them."""
+        return Triangles(*(_frozen(a) for a in triangles(self)))
+
+    @cached_property
+    def clustering(self):
+        """Local clustering coefficient per node; 0 for degree < 2."""
+        return _frozen(local_clustering(self))
+
+    @cached_property
+    def core_numbers(self):
+        """Core number per node."""
+        return _frozen(coreness(self))
+
     @cached_property
     def _scatter_indices(self):
         return {}
@@ -100,6 +120,11 @@ class TemporalNetwork:
         return index
 
 
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
 def _assemble(node_count, ends, alpha):
     """Build the CSR adjacency and freeze the network.
 
@@ -108,7 +133,6 @@ def _assemble(node_count, ends, alpha):
     per endpoint row; sorting the entries by (row, column) sorts every
     row ascending.
     """
-    ends.flags.writeable = False
     rows = np.concatenate([ends[:, 0], ends[:, 1]])
     cols = np.concatenate([ends[:, 1], ends[:, 0]])
     order = np.argsort(rows * node_count + cols)
@@ -116,7 +140,7 @@ def _assemble(node_count, ends, alpha):
     np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
     return TemporalNetwork(
         node_count=node_count,
-        endpoints=ends,
+        endpoints=_frozen(ends),
         alpha=np.asarray(alpha, dtype=np.float64),
         adj_indptr=indptr,
         adj_indices=cols[order],
@@ -244,15 +268,6 @@ def neighbor_sum(net, x, gathered=None):
     return _csr_sum(net, np.asarray(x, dtype=np.float64), gathered)
 
 
-@dataclass(frozen=True)
-class NodeStructStats:
-    """Per-node structural summaries as aligned arrays."""
-
-    degree: np.ndarray
-    clustering: np.ndarray
-    coreness: np.ndarray
-
-
 def _degree_rank(net):
     """Position of each node when nodes are sorted by (degree, id)."""
     rank = np.empty(net.node_count, dtype=np.int64)
@@ -339,7 +354,7 @@ def triangles(net):
 
 def triangle_counts(net):
     """Number of triangles through each node."""
-    return np.bincount(triangles(net).nodes.ravel(), minlength=net.node_count)
+    return np.bincount(net.triangle_list.nodes.ravel(), minlength=net.node_count)
 
 
 def four_cycle_counts(net):
@@ -410,15 +425,6 @@ def coreness(net):
                 start[k] += 1
                 deg[other] = k - 1
     return np.asarray(deg, dtype=np.int64)
-
-
-def node_struct_stats(net):
-    """Degree, local clustering, and coreness for every node."""
-    return NodeStructStats(
-        degree=net.degrees.astype(np.int64),
-        clustering=local_clustering(net),
-        coreness=coreness(net),
-    )
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,8 @@ from .errors import (
     OutOfDomain,
     ParseError,
 )
-from .serialize import read_table, write_table
+from .serialize import INT64, read_table, write_table
 
-_INT64 = range(-2**63, 2**63)
 ORDERING_HEADER = "edge_index,u,v,borda_score,rank"
 
 
@@ -201,7 +200,7 @@ def load_ordering(path, net):
             score = float(fields[3])
         except ValueError as exc:
             raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
-        if not all(x in _INT64 for x in (k, u, v, rank)):
+        if not all(x in INT64 for x in (k, u, v, rank)):
             raise ParseError("%s:%d: integer field outside int64" % (path, lineno))
         if not math.isfinite(score):
             raise ParseError(

@@ -75,7 +75,6 @@ from .features import (
     steady_state_edge_features,
     structural_edge_features,
 )
-from .graph import node_struct_stats
 from .serialize import (coerce_fields, dump_json, finite_float, integer, kind_field,
                         load_json, non_negative_integer, tuple_of)
 
@@ -234,8 +233,7 @@ def prepare_inputs(net, state_values, mode=FeatureMode.BOTH):
     mode = FeatureMode(mode)
     blocks = []
     if mode is not FeatureMode.STATE_ONLY:
-        stats = node_struct_stats(net)
-        blocks.append(structural_edge_features(net, stats=stats))
+        blocks.append(structural_edge_features(net))
     if mode is not FeatureMode.STRUCT_ONLY:
         blocks.append(steady_state_edge_features(net, state_values))
     # Normalization is column-wise, so unused blocks need not be built.
@@ -244,8 +242,7 @@ def prepare_inputs(net, state_values, mode=FeatureMode.BOTH):
         node_inputs = None
     else:
         raw = node_input_matrix(
-            net, state_values, stats=stats,
-            zero_state=mode is FeatureMode.STRUCT_ONLY,
+            net, state_values, zero_state=mode is FeatureMode.STRUCT_ONLY
         )
         node_inputs, _ = standardize_columns(raw)
     return TrainInputs(static=static, node_inputs=node_inputs)
@@ -436,10 +433,14 @@ def loss(model, inputs, pairs, net=None, first_mix=None, ws=None):
     y = arr[:, 2].astype(np.float64)
     ce = float(np.sum(y * _softplus(-d) + (1.0 - y) * _softplus(d)))
 
+    # The scorer's arrays lead param_layout, so they are the leading
+    # slice of the weight vector and of the gradient: the L2 penalty
+    # reads and writes that one slice.
     eta = model.config.l2_coeff
     params = ws.params
-    scorer = [name for name in params if name.startswith("scorer.")]
-    value = ce + eta * sum(float(np.sum(params[name]**2)) for name in scorer)
+    size = sum(params[name].size for name in params if name.startswith("scorer."))
+    weights = ws.model.flat[:size]
+    value = ce + eta * float(np.dot(weights, weights))
 
     # d(ce)/dd = sigmoid(d) - y, then scatter onto the two score slots:
     # every a-slot term, then every b-slot term, in pair order.
@@ -457,8 +458,8 @@ def loss(model, inputs, pairs, net=None, first_mix=None, ws=None):
         cache["act"], dz, grads, grad_from=width if model.config.coupled else None,
         ws=ws,
     )
-    for name in scorer:
-        grads[name] += 2.0 * eta * params[name]
+    penalty = np.multiply(2.0 * eta, weights, out=ws.array("scorer.l2", size))
+    np.add(ws.grad[:size], penalty, out=ws.grad[:size])
     if model.config.coupled:
         d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl, ws)
         propagate_backward(net, params, model.config, cache["stages"], d_emb, grads,
@@ -498,6 +499,15 @@ class TrainResult:
     val_pairs: int
 
 
+def _scorer_columns(config, inputs):
+    """The scorer's input columns: the static ones, then, for a coupled
+    model, the coupled edge features of the last embedding."""
+    columns = inputs.static.columns
+    if config.coupled:
+        columns = columns + coupled_column_names(config.embedding_dims[-1])
+    return columns
+
+
 def _check_rows(net, inputs):
     if not np.array_equal(inputs.static.edges, net.endpoints):
         raise RowMismatch("static features describe a different edge list")
@@ -517,18 +527,15 @@ def train(net, inputs, config):
         net, config.label_fraction, config.pair_budget, config.seed,
         val_fraction=config.val_fraction,
     )
-    input_dim = inputs.static.values.shape[1]
-    columns = inputs.static.columns
     first_mix = None
     if config.coupled:
         if inputs.node_inputs is None:
             raise DimensionMismatch(
                 "mode %s trains a coupled model, which needs node inputs"
                 % config.mode.value)
-        input_dim += 4 * config.embedding_dims[-1]
-        columns = columns + coupled_column_names(config.embedding_dims[-1])
         first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)
-    model = init_cpnn(input_dim, config, feature_columns=columns)
+    columns = _scorer_columns(config, inputs)
+    model = init_cpnn(len(columns), config, feature_columns=columns)
     # A batch of batch_size pairs names at most twice as many edges.
     rows = min(2 * config.batch_size, _edge_slots(train_arr, net.edge_count)[0].size)
     ws = Workspace(rows, model)
@@ -614,9 +621,7 @@ def predict_scores(model, net, inputs):
     its recorded column schema (when it has one) and its input width.
     """
     _check_rows(net, inputs)
-    columns = inputs.static.columns
-    if model.config.coupled:
-        columns = columns + coupled_column_names(model.config.embedding_dims[-1])
+    columns = _scorer_columns(model.config, inputs)
     if model.feature_columns and columns != tuple(model.feature_columns):
         raise FeatureSchemaMismatch(
             "model was trained on a different feature schema "

@@ -114,16 +114,25 @@ def finite_float(value):
     return number
 
 
+# Every integer a flag or a file may give: the range of int64.
+INT64 = range(-2**63, 2**63)
+
+
 def integer(value):
-    """An int from an int, an integral float (12.0, 1e3) or a decimal
-    string; a bool or a fraction raises ValueError, never truncated."""
+    """An int64 from an int, an integral float (12.0, 1e3) or a decimal
+    string; a bool, a fraction or a value outside INT64 raises
+    ValueError, never truncated."""
     digits = value.strip().lstrip("+-") if isinstance(value, str) else ""
     if type(value) is int or digits.isdecimal():
-        return int(value)
-    number = finite_float(value)
-    if not number.is_integer():
-        raise ValueError("not an integer: %r" % (value,))
-    return int(number)
+        number = int(value)
+    else:
+        number = finite_float(value)
+        if not number.is_integer():
+            raise ValueError("not an integer: %r" % (value,))
+        number = int(number)
+    if number not in INT64:
+        raise ValueError("integer outside int64: %r" % (value,))
+    return number
 
 
 def non_negative_integer(value):

@@ -147,3 +147,40 @@ def test_propagation_that_disagrees_with_the_mode_is_refused(
     assert run("infer", graph, state, edited, "--out", out) == 3
     assert capsys.readouterr().err == "data error: %s\n" % message
     assert not out.exists()
+
+
+def _extra_layer(key):
+    def edit(payload):
+        layers = payload["propagation"][key]
+        layers.append(layers[-1])
+    return edit
+
+
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    (COUPLED, _extra_layer("w_self"), "propagation.w_self has 2 layers, dims give 1"),
+    (COUPLED, _extra_layer("w_neigh"), "propagation.w_neigh has 2 layers, dims give 1"),
+    (COUPLED, _set("feature_columns", "deg_u"), "feature_columns must be a list of names"),
+    (STATE, _set("feature_columns", ["state_u", 7]), "feature_columns must be a list of names"),
+    (COUPLED, _set("config", ["mode", "both"]), "config must be a JSON object"),
+    (STATE, _set("config", None), "config must be a JSON object"),
+])
+def test_malformed_section_is_refused(
+        tmp_path, capsys, graph_and_state, name, edit, message):
+    payload = load_json(os.path.join(DATA, name))
+    edit(payload)
+    edited = tmp_path / "model.json"
+    dump_json(payload, edited)
+    with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
+        load_model(edited)
+
+    graph, state = graph_and_state
+    out = tmp_path / "ordering.csv"
+    assert run("infer", graph, state, edited, "--out", out) == 3
+    assert capsys.readouterr().err == "data error: %s\n" % message
+    assert not out.exists()

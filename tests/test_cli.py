@@ -912,7 +912,7 @@ class TestNumpyOnlyRuntime:
             run("infer", "g.tsv", "s.csv", "m.json", "--out", "o.csv")
             run("evaluate", "o.csv", "g.tsv", "--steady-state", "s.csv",
                 "--samples", 5, "--out", "r.json")
-            loaded = sorted({"scipy", "networkx"} & set(sys.modules))
+            loaded = sorted({"scipy", "networkx", "numpy.ma"} & set(sys.modules))
             print("heavy modules:", loaded)
             assert not loaded, loaded
         """)
@@ -932,7 +932,8 @@ class TestNumpyOnlyRuntime:
 class TestOptionCoercers:
     @pytest.mark.parametrize("value, expected", [
         (12, 12), (12.0, 12), (1e3, 1000), ("12", 12), (" 7 ", 7),
-        ("12.0", 12), ("1e3", 1000), (-5, -5),
+        ("12.0", 12), ("1e3", 1000), (-5, -5), (2**63 - 1, 2**63 - 1),
+        (-2**63, -2**63), (str(2**63 - 1), 2**63 - 1),
     ])
     def test_integer_accepts_integral_values(self, value, expected):
         out = integer(value)
@@ -940,7 +941,7 @@ class TestOptionCoercers:
 
     @pytest.mark.parametrize("value", [
         True, False, 4.5, "4.5", float("nan"), float("inf"), "1e999", "x",
-        "", None, [1],
+        "", None, [1], 2**63, -2**63 - 1, str(2**63), 1e19, "1e19", 10**20,
     ])
     def test_integer_rejects_without_truncating(self, value):
         with pytest.raises((TypeError, ValueError)):
@@ -1023,6 +1024,62 @@ class TestStrictIntegers:
                 "--out", tmp_path / "m.json")
         assert exc.value.code == 2
         assert "--embedding-dims" in capsys.readouterr().err
+
+
+class TestOversizedRequests:
+    """A request too large to serve exits 2 or 3 with one message line,
+    never with a traceback. Every value here is refused before anything
+    is allocated."""
+
+    @pytest.mark.parametrize("argv", [
+        ("pathdep", "--n", 10**20),
+        ("simulate", "graph.tsv", "--max-steps", 10**20),
+        ("synth", "--n", 30, "--m", 2, "--seed", 10**20),
+        ("theory-check", "--m-grid", "100,%d" % 10**20),
+    ])
+    def test_integer_flag_outside_int64_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # argparse's usage block, then its one error line.
+        last = err.splitlines()[-1]
+        assert last.startswith("netchron %s: error: argument --" % argv[0])
+        assert last.endswith("%d'" % 10**20)
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_integer_config_value_outside_int64_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n": %d}\n' % 10**20)
+        out = tmp_path / "out"
+        assert run("pathdep", "--config", cfg, "--out", out) == 3
+        assert capsys.readouterr().err == "data error: invalid value for n: %d\n" % 10**20
+        assert not out.exists()
+
+    def test_er_graph_with_too_many_node_pairs_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "g.tsv"
+        assert run("synth", "--kind", "er", "--n", 10**13, "--m", 1, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            "data error: %d nodes have more node pairs than int64 holds\n" % 10**13)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 72.8 TiB"), "out of memory: Unable to allocate 72.8 TiB"),
+        (MemoryError(), "out of memory: an allocation failed"),
+    ])
+    def test_memory_error_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                error, line):
+        import netchron.cli
+
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(netchron.cli, "path_dependence_demo", exhausted)
+        assert run("pathdep", "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err == line + "\n"
+        assert os.listdir(tmp_path) == []
 
 
 SEEDED = [name for name, options in OPTIONS.items() if "seed" in options]

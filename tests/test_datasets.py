@@ -179,6 +179,13 @@ class TestGenerators:
             # 3 * 4 = 12 edges cannot fit on C(4,2) = 6 slots.
             generate_synthetic(SynthSpec(SynthKind.ER_SHUFFLED, 4, 3, 0))
 
+    def test_er_node_pairs_must_fit_int64(self):
+        # Specs only: nothing is generated, so nothing is allocated.
+        assert SynthSpec(SynthKind.ER_SHUFFLED, 2**32, 1).node_count == 2**32
+        for n in (2**32 + 1, 10**13):
+            with pytest.raises(BadSpec, match="more node pairs than int64 holds"):
+                SynthSpec(SynthKind.ER_SHUFFLED, n, 1)
+
     def test_kind_given_as_string_builds_the_same_graph(self):
         # "pa" == SynthKind.PREFERENTIAL_ATTACHMENT, but "pa" is not it.
         by_enum = generate_synthetic(

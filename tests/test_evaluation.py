@@ -21,6 +21,7 @@ from netchron.evaluation import (
     _cutoffs,
     _distinct_time_pairs,
     _hub_curve,
+    _median,
     _subsample,
     all_pairs_accuracy,
     binned_trend,
@@ -418,6 +419,20 @@ class TestBinnedTrend:
     def test_requires_enough_edges(self):
         with pytest.raises(EmptyInput):
             binned_trend(ranked(np.arange(1, 6)), ranked(np.arange(1, 6)))
+
+    @pytest.mark.parametrize("values", [
+        [0.3], [0.7, 0.1], [0.5, 0.1, 0.9], [0.4, 0.2, 0.2, 0.8],
+        [0.25, 0.25, 0.25], [0.1, 0.3, 0.3, 0.1], [1e-300, 1.7e308],
+    ])
+    def test_median_is_np_median_bit_for_bit(self, values):
+        values = np.asarray(values)
+        assert _median(values) == float(np.median(values))
+
+    def test_median_is_np_median_on_random_draws(self):
+        rng = np.random.default_rng(3)
+        for size in range(1, 40):
+            values = rng.random(size) if size % 3 else rng.integers(0, 4, size) / 7.0
+            assert _median(values) == float(np.median(values))
 
 
 class TestGini:

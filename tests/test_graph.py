@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import networkx as nx
@@ -17,18 +18,20 @@ from netchron.errors import (
 )
 from netchron import graph
 from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
-from netchron.features import structural_edge_features
+from netchron.evaluation import evaluation_report
+from netchron.features import FeatureMode, structural_edge_features
 from netchron.graph import (
     build_network,
     coreness,
     edge_betweenness,
     local_clustering,
     neighbor_sum,
-    node_struct_stats,
     pagerank,
     prefix_graph,
     triangle_counts,
 )
+from netchron.ordering import order_from_scores
+from netchron.ranker import prepare_inputs
 
 import oracles
 
@@ -261,24 +264,23 @@ class TestPrefixGraph:
 
 class TestNodeStats:
     def test_triangle_graph(self):
-        stats = node_struct_stats(triangle())
-        assert list(stats.degree) == [2, 2, 2]
-        assert np.allclose(stats.clustering, 1.0)
-        assert list(stats.coreness) == [2, 2, 2]
+        net = triangle()
+        assert list(net.degrees) == [2, 2, 2]
+        assert np.allclose(net.clustering, 1.0)
+        assert list(net.core_numbers) == [2, 2, 2]
 
     def test_star_graph(self):
-        stats = node_struct_stats(star4())
-        assert list(stats.degree) == [3, 1, 1, 1]
-        assert np.allclose(stats.clustering, 0.0)
-        assert list(stats.coreness) == [1, 1, 1, 1]
+        net = star4()
+        assert list(net.degrees) == [3, 1, 1, 1]
+        assert np.allclose(net.clustering, 0.0)
+        assert list(net.core_numbers) == [1, 1, 1, 1]
 
     def test_k4_with_pendant(self):
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
         net = build_network(5, edges)
-        stats = node_struct_stats(net)
-        assert list(stats.coreness) == [3, 3, 3, 3, 1]
-        assert np.isclose(stats.clustering[4], 0.0)
-        assert np.isclose(stats.clustering[3], 3 / 6)
+        assert list(net.core_numbers) == [3, 3, 3, 3, 1]
+        assert np.isclose(net.clustering[4], 0.0)
+        assert np.isclose(net.clustering[3], 3 / 6)
 
     def test_matches_definitions_on_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -297,6 +299,56 @@ class TestNodeStats:
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         net = build_network(4, edges)
         assert list(triangle_counts(net)) == [3, 3, 3, 3]
+
+
+class TestSnapshotStructure:
+    """The network computes its triangles, clustering and core numbers
+    once, and every consumer reads those."""
+
+    @staticmethod
+    def count_listings(monkeypatch):
+        """Wrap graph.triangles in every netchron module holding it, as
+        bench/tracing.py's Tracer.install does; returns the call log."""
+        calls = []
+        original = graph.triangles
+
+        def counted(net):
+            calls.append(net)
+            return original(net)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "netchron" and getattr(module, "triangles", None) is original:
+                monkeypatch.setattr(module, "triangles", counted)
+        return calls
+
+    @staticmethod
+    def fresh_network():
+        return generate_synthetic(SynthSpec(SynthKind.PREFERENTIAL_ATTACHMENT, 80, 3, seed=5))
+
+    def test_properties_match_the_kernels_and_are_read_only(self):
+        net = self.fresh_network()
+        found = graph.triangles(net)
+        assert np.array_equal(net.triangle_list.nodes, found.nodes)
+        assert np.array_equal(net.triangle_list.edges, found.edges)
+        assert np.array_equal(net.clustering, local_clustering(net))
+        assert np.array_equal(net.core_numbers, coreness(net))
+        for array in (*net.triangle_list, net.clustering, net.core_numbers):
+            assert not array.flags.writeable
+
+    def test_training_inputs_list_the_triangles_once(self, monkeypatch):
+        calls = self.count_listings(monkeypatch)
+        net = self.fresh_network()
+        state = np.random.default_rng(0).random(net.node_count)
+        prepare_inputs(net, state, FeatureMode.BOTH)
+        assert len(calls) == 1
+
+    def test_structural_block_and_report_list_the_triangles_once(self, monkeypatch):
+        calls = self.count_listings(monkeypatch)
+        net = self.fresh_network()
+        fm = structural_edge_features(net)
+        ordering = order_from_scores(np.random.default_rng(0).random(net.edge_count))
+        evaluation_report(net, ordering, feature_matrix=fm)
+        assert len(calls) == 1
 
 
 class TestPageRank:

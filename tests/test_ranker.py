@@ -710,7 +710,8 @@ class TestPrepareInputs:
             raise AssertionError("state mode built a structural feature")
 
         monkeypatch.setattr(netchron.ranker, "structural_edge_features", forbidden)
-        monkeypatch.setattr(netchron.graph, "node_struct_stats", forbidden)
+        for kernel in ("local_clustering", "coreness", "triangles"):
+            monkeypatch.setattr(netchron.graph, kernel, forbidden)
         inputs = prepare_inputs(self.net, self.state, FeatureMode.STATE_ONLY)
         assert inputs.static.values.shape == (self.net.edge_count, 7)
 
