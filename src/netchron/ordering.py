@@ -30,6 +30,8 @@ from .errors import (
 from .serialize import INT64, read_table, write_table
 
 ORDERING_HEADER = "edge_index,u,v,borda_score,rank"
+# Pairwise comparisons per block of monte_carlo_error's draws.
+MC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +139,8 @@ def monte_carlo_error(p, m, trials, seed=0):
     probability 1 - p, aggregates wins per edge, sorts by the win
     average with random tie-breaks, and measures the RMSE between
     recovered and true normalized positions. Returns the mean over
-    trials.
+    trials. The comparisons are drawn and counted block by block, so
+    memory is O(m + MC_CHUNK), not O(m^2).
     """
     if not 0.5 < p <= 1.0:
         raise OutOfDomain("pairwise accuracy must lie in (0.5, 1], got %r" % (p,))
@@ -146,17 +149,27 @@ def monte_carlo_error(p, m, trials, seed=0):
     if trials < 1:
         raise OutOfDomain("need at least one trial")
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(m, k=1)
     true_pos = np.arange(1, m + 1)
     total = 0.0
     for _ in range(trials):
         # True order is 0 < 1 < ... < m-1. Edge i beats j (i < j) with
-        # probability p; a win for the earlier edge is recorded as 1.
-        wins = np.zeros((m, m))
-        correct = rng.random(iu[0].size) < p
-        wins[iu] = np.where(correct, 1.0, 0.0)
-        wins.T[iu] = 1.0 - wins[iu]
-        avg = wins.sum(axis=1) / (m - 1.0)
+        # probability p, one draw per pair in upper-triangle order (row
+        # i, then column j > i), taken in blocks of about MC_CHUNK pairs.
+        wins = np.zeros(m, dtype=np.int64)
+        lo = 0
+        while lo < m - 1:
+            hi = min(m - 1, lo + max(1, MC_CHUNK // (m - 1 - lo)))
+            i = np.arange(lo, hi)
+            partners = m - 1 - i
+            rows = np.repeat(i, partners)
+            # Row i's k-th pair, at block offset start_i + k, is column i + 1 + k.
+            cols = np.arange(rows.size)
+            cols -= np.repeat(np.cumsum(partners) - partners - i - 1, partners)
+            correct = rng.random(rows.size) < p
+            wins += np.bincount(rows[correct], minlength=m)
+            wins += np.bincount(cols[~correct], minlength=m)
+            lo = hi
+        avg = wins / (m - 1.0)
         tie_break = rng.random(m)
         recovered = np.lexsort((tie_break, -avg))
         ranks = np.empty(m, dtype=np.int64)

@@ -24,11 +24,15 @@ the gathered neighbour rows, the gradient vector with its params()
 views, and the model's params() views. train builds one workspace per
 run, for min(2 batch_size, distinct supervised edges) rows, the most
 distinct edges a batch can name. Every batch writes into its leading
-rows, so after the first batch a step allocates none of these. The
-epoch metrics' forward passes reuse it too, growing its forward
-buffers once if they score more edges. Only train reuses a workspace:
-any other call, such as predict_scores or a loss call without ws,
-builds one for that call.
+rows, so after the first batch a step allocates none of these.
+
+Any number of rows is scored in blocks of 2 batch_size (_block_scores),
+every block written into the same buffers, so predict_scores and the
+epoch metrics hold one block of the scorer's arrays, not one row per
+edge. The epoch metrics reuse train's workspace, growing its forward
+buffers once if their last block, which takes the remainder, is
+longer. A call given no workspace, such as predict_scores or a loss
+call without ws, builds one for that call.
 """
 
 from __future__ import annotations
@@ -331,8 +335,9 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
     subset of the network's labeled edges (label_fraction=None keeps
     the whole labeled set). Distinct-time pairs among supervised edges
     are drawn with random orientation, all of them or a uniform
-    pair_budget of them without enumerating the rest, then split at
-    the pair level.
+    pair_budget of them without enumerating the rest, then shuffled
+    and split at the pair level: train and validation are two views of
+    the one shuffled array.
     """
     rng = np.random.default_rng(seed)
     known = np.flatnonzero(net.labeled_mask)
@@ -351,45 +356,89 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
     pairs = _distinct_time_pairs(lab, net.alpha, rng, pair_budget)
     if pairs.shape[0] == 0:
         raise InsufficientLabels("supervised edges share a single formation time")
-    perm = rng.permutation(pairs.shape[0])
+    # The same swaps as rng.permutation, applied to the rows in place.
+    # Shuffled as a 1-d array of one 24-byte record per row: numpy swaps
+    # the rows of a 2-d array one Python-level copy at a time, 40 times
+    # slower at 100 000 rows.
+    rng.shuffle(pairs.view(np.dtype((np.void, pairs.strides[0])))[:, 0])
     val_count = int(round(val_fraction * pairs.shape[0]))
     if val_count >= pairs.shape[0]:
         val_count = pairs.shape[0] - 1
-    val = pairs[perm[:val_count]]
-    train = pairs[perm[val_count:]]
-    return train, val
+    return pairs[val_count:], pairs[:val_count]
+
+
+def _propagated(model, inputs, net, first_mix, ws):
+    """The encoder's (embeddings, stages) for a coupled model, written
+    into ws; (None, None) for a state-only one. first_mix is as for
+    coupling.propagate."""
+    if not model.config.coupled:
+        return None, None
+    if inputs.node_inputs is None or net is None:
+        raise DimensionMismatch("a coupled model needs node inputs and their network")
+    return propagate(net, inputs.node_inputs, ws.params, model.config,
+                     first_mix=first_mix, ws=ws)
+
+
+def _score_block(model, inputs, edge_rows, embeddings, net, ws):
+    """Scores for one block of edge rows, and the arrays backprop needs.
+
+    The scorer's input is one (rows, input_dim) block of ws: the static
+    rows, then, given embeddings, the coupled features written in place.
+    This is the one scoring forward path: loss scores its batch as one
+    block, and _block_scores scores any number of rows block by block.
+    """
+    width = inputs.static.values.shape[1]
+    feats = ws.array("scorer.feats", edge_rows.size, model.input_dim, per_edge=1)
+    # The rows are in range: under mode "raise", take writes through a
+    # copy of out.
+    np.take(inputs.static.values, edge_rows, axis=0, out=feats[:, :width], mode="clip")
+    cache = {"feats": feats}
+    if embeddings is not None:
+        endpoints = net.endpoints[edge_rows]
+        coupled_edge_features(embeddings, endpoints, out=feats[:, width:])
+        cache["endpoints"] = endpoints
+    z, cache["pre"], cache["act"] = _scorer_forward(
+        ws.params, model.config.scorer_activation, feats, ws)
+    return z, cache
 
 
 def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None, ws=None):
-    """Scores for the given edge rows, plus the caches backprop needs.
+    """Scores for the given edge rows as one block, plus the caches
+    backprop needs: the block's (see _score_block) and the encoder's.
 
-    The scorer's input is one (rows, input_dim) block of ws: the static
-    rows, then, with coupling, the coupled features written in place.
     first_mix is layer 0's neighbor aggregate of inputs.node_inputs, if
     the caller has it (see coupling.propagate). Without ws, the call
     builds a workspace of its own.
     """
     ws = Workspace(edge_rows.size, model) if ws is None else ws
-    static = inputs.static.values
-    params = ws.params
-    cache = {}
-    width = static.shape[1]
-    feats = ws.array("scorer.feats", edge_rows.size, model.input_dim, per_edge=1)
-    # The rows are in range: under mode "raise", take writes through a
-    # copy of out.
-    np.take(static, edge_rows, axis=0, out=feats[:, :width], mode="clip")
-    if model.config.coupled:
-        if inputs.node_inputs is None or net is None:
-            raise DimensionMismatch(
-                "a coupled model needs node inputs and their network")
-        emb, stages = propagate(net, inputs.node_inputs, params, model.config,
-                                first_mix=first_mix, ws=ws)
-        endpoints = net.endpoints[edge_rows]
-        coupled_edge_features(emb, endpoints, out=feats[:, width:])
-        cache.update(embeddings=emb, stages=stages, endpoints=endpoints)
-    z, pre, act = _scorer_forward(params, model.config.scorer_activation, feats, ws)
-    cache.update(feats=feats, pre=pre, act=act)
+    embeddings, stages = _propagated(model, inputs, net, first_mix, ws)
+    z, cache = _score_block(model, inputs, edge_rows, embeddings, net, ws)
+    if embeddings is not None:
+        cache.update(embeddings=embeddings, stages=stages)
     return z, cache
+
+
+def _block_scores(model, inputs, edge_rows, net=None, first_mix=None, ws=None):
+    """Scores for the given edge rows, in a new array.
+
+    The encoder runs once; the rows are then scored in blocks of
+    size = 2 config.batch_size, every block written into the same ws
+    buffers, so the scorer holds one block's arrays, not one row per
+    edge. Block k starts at row k size and the last one runs to the end,
+    so it holds size to 2 size - 1 rows, or all of them when there are
+    fewer than 2 size. Starting at a multiple of size whatever the row
+    count, a row meets the same BLAS blocking as in a whole-matrix pass.
+    Without ws, the call builds one sized for its longest block.
+    """
+    n, size = edge_rows.size, 2 * model.config.batch_size
+    starts = list(range(0, max(n - size, 0) + 1, size))
+    ws = Workspace(n - starts[-1], model) if ws is None else ws
+    embeddings, _ = _propagated(model, inputs, net, first_mix, ws)
+    scores = np.empty(n)
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        scores[lo:hi] = _score_block(model, inputs, edge_rows[lo:hi], embeddings, net,
+                                     ws)[0]
+    return scores
 
 
 def _edge_slots(pairs, edge_count):
@@ -470,14 +519,13 @@ def loss(model, inputs, pairs, net=None, first_mix=None, ws=None):
 def _pair_metrics(model, inputs, pairs, net=None, first_mix=None, ws=None):
     """Mean cross-entropy and accuracy over a pair set (no gradients).
 
-    Each distinct edge is scored once, into ws as for _forward_scores;
-    the pairs are then walked in chunks of PAIR_CHUNK, so per-pair
-    temporaries stay bounded.
+    Each distinct edge is scored once, in blocks through ws (see
+    _block_scores); the pairs are then walked in chunks of PAIR_CHUNK,
+    so per-pair temporaries stay bounded.
     """
     arr = _check_pairs(pairs, inputs.static.edge_count)
     edge_rows, slot = _edge_slots(arr, inputs.static.edge_count)
-    z = _forward_scores(model, inputs, edge_rows, net=net,
-                        first_mix=first_mix, ws=ws)[0]
+    z = _block_scores(model, inputs, edge_rows, net=net, first_mix=first_mix, ws=ws)
     n = arr.shape[0]
     terms = np.empty(n)
     correct = 0
@@ -633,7 +681,7 @@ def predict_scores(model, net, inputs):
             "features have width %d, model expects %d"
             % (len(columns), model.input_dim)
         )
-    return _forward_scores(model, inputs, np.arange(net.edge_count), net=net)[0]
+    return _block_scores(model, inputs, np.arange(net.edge_count), net=net)
 
 
 def save_model(model, path):

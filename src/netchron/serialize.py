@@ -10,13 +10,22 @@ same rules, and coerce_fields applies them to a spec's fields.
 """
 
 import dataclasses
-import hashlib
 import json
 import math
 
 import numpy as np
 
 from .errors import NumericalError, ParseError
+
+# CPython's own SHA-256: hashlib would load OpenSSL's libcrypto, about
+# 3.5 MB of resident memory, into stages that need nothing else from it.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 def format_float(x):
@@ -98,7 +107,8 @@ def load_json(path):
 
 
 def sha256_file(path):
-    h = hashlib.sha256()
+    """Hex SHA-256 digest of the file's bytes."""
+    h = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)

@@ -412,6 +412,25 @@ def distinct_time_pairs_by_enumeration(edges, alpha, rng, budget=None):
     return pairs
 
 
+def make_pairs_by_permutation(net, label_fraction, pair_budget, seed,
+                              val_fraction=0.1):
+    """ranker.make_pairs with the split taken through rng.permutation:
+    validation is pairs[perm[:k]] and training pairs[perm[k:]], two copies."""
+    from netchron.ranker import _distinct_time_pairs
+
+    rng = np.random.default_rng(seed)
+    known = np.flatnonzero(net.labeled_mask)
+    if label_fraction is None:
+        lab = known
+    else:
+        lab = rng.choice(known, size=math.ceil(label_fraction * net.edge_count),
+                         replace=False)
+    pairs = _distinct_time_pairs(lab, net.alpha, rng, pair_budget)
+    perm = rng.permutation(pairs.shape[0])
+    val_count = min(int(round(val_fraction * pairs.shape[0])), pairs.shape[0] - 1)
+    return pairs[perm[val_count:]], pairs[perm[:val_count]]
+
+
 def midranks_by_loop(values):
     """Ranks 1..n, each run of equal sorted values sharing its mean position."""
     x = np.asarray(values, dtype=np.float64)
@@ -453,6 +472,30 @@ def borda_aggregate(pair_probs):
     ranks = np.empty(m, dtype=np.int64)
     ranks[order] = np.arange(1, m + 1)
     return GlobalOrdering(borda_scores=scores, ranks=ranks)
+
+
+def monte_carlo_error_dense(p, m, trials, seed=0):
+    """ordering.monte_carlo_error with a dense (m, m) win matrix per trial.
+
+    The comparisons are drawn in one call in np.triu_indices order, so
+    the random stream is the one the blocked version reads.
+    """
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(m, k=1)
+    true_pos = np.arange(1, m + 1)
+    total = 0.0
+    for _ in range(trials):
+        wins = np.zeros((m, m))
+        correct = rng.random(iu[0].size) < p
+        wins[iu] = np.where(correct, 1.0, 0.0)
+        wins.T[iu] = 1.0 - wins[iu]
+        avg = wins.sum(axis=1) / (m - 1.0)
+        tie_break = rng.random(m)
+        recovered = np.lexsort((tie_break, -avg))
+        ranks = np.empty(m, dtype=np.int64)
+        ranks[recovered] = true_pos
+        total += math.sqrt(np.mean((ranks - true_pos) ** 2)) / m
+    return total / trials
 
 
 def average_clustering(net):

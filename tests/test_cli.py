@@ -6,6 +6,7 @@ Commands run in-process through main(argv); files land in tmp_path.
 import argparse
 import dataclasses
 import enum
+import hashlib
 import json
 import os
 import subprocess
@@ -895,8 +896,50 @@ class TestManifests:
             assert run(command, *argv, "--out", directory / "out") == 3, command
             assert os.listdir(directory) == [], command
 
+    @pytest.mark.parametrize("size", [0, 11, 65536 * 3 + 17])
+    def test_sha256_file_matches_hashlib(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+        path = tmp_path / "blob"
+        path.write_bytes(data.tobytes())
+        assert sha256_file(path) == hashlib.sha256(data.tobytes()).hexdigest()
+
+
+def run_script(script, directory):
+    """Run a Python script in a fresh interpreter that imports this netchron."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(netchron.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=directory, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+
 
 class TestNumpyOnlyRuntime:
+    def test_infer_and_evaluate_load_no_openssl(self, workspace):
+        # hashlib loads OpenSSL through _hashlib; manifests hash with
+        # CPython's own SHA-256, and these stages draw no random numbers.
+        tmp_path, graph, state = workspace
+        assert run("train", graph, state, "--epochs", 1, "--hidden", 4,
+                   "--embedding-dims", "4,3", "--out", tmp_path / "m.json") == 0
+        script = textwrap.dedent("""
+            import sys
+            from netchron.cli import main
+
+            def run(*argv):
+                assert main([str(a) for a in argv]) == 0
+
+            run("infer", "graph.tsv", "state.csv", "m.json", "--out", "o.csv")
+            run("evaluate", "o.csv", "graph.tsv", "--steady-state", "state.csv",
+                "--samples", 5, "--out", "r.json")
+            print("openssl loaded:", "_hashlib" in sys.modules)
+        """)
+        done = run_script(script, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "openssl loaded: False" in done.stdout
+
     def test_pipeline_imports_neither_scipy_nor_networkx(self, tmp_path):
         script = textwrap.dedent("""
             import sys
@@ -916,15 +959,7 @@ class TestNumpyOnlyRuntime:
             print("heavy modules:", loaded)
             assert not loaded, loaded
         """)
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(netchron.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, env=env,
-            capture_output=True, text=True, timeout=300,
-        )
+        done = run_script(script, tmp_path)
         assert done.returncode == 0, done.stderr
         assert "heavy modules: []" in done.stdout
 

@@ -1,5 +1,7 @@
 """Score orderings against the Borda oracle, and the pairwise-error theory."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from netchron.ordering import (
     write_ordering,
 )
 
+import oracles
 from oracles import borda_aggregate
 
 
@@ -162,6 +165,25 @@ class TestMonteCarlo:
         a = monte_carlo_error(0.7, 40, trials=20, seed=9)
         b = monte_carlo_error(0.7, 40, trials=20, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("p, m, trials, seed", [
+        (0.8, 2, 50, 1), (0.7, 40, 20, 9), (0.9, 257, 3, 4), (0.6, 700, 2, 5),
+        (0.95, 1500, 1, 11),
+    ])
+    def test_equals_the_dense_win_matrix(self, p, m, trials, seed):
+        # Win counts are integers, so the blocked sums equal the dense ones.
+        assert monte_carlo_error(p, m, trials, seed) == oracles.monte_carlo_error_dense(
+            p, m, trials, seed)
+
+    def test_memory_is_linear_in_m(self):
+        # The dense (m, m) float64 win matrix alone would be 72 MB.
+        tracemalloc.start()
+        try:
+            monte_carlo_error(0.8, 3000, trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_domain(self):
         with pytest.raises(OutOfDomain):

@@ -404,6 +404,34 @@ class TestMakePairs:
         assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
         assert not np.array_equal(a1, b1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    @pytest.mark.parametrize("label_fraction, budget, val_fraction", [
+        (None, 10**6, 0.1), (0.5, 300, 0.1), (0.3, 10**6, 0.25), (None, 40, 0.0),
+    ])
+    def test_in_place_shuffle_splits_like_the_permutation(
+        self, seed, label_fraction, budget, val_fraction
+    ):
+        # Generator.shuffle applies the swaps of Generator.permutation,
+        # and leaves the stream where permutation leaves it.
+        net, _ = pa_instance(node_count=30)
+        train_arr, val_arr = make_pairs(net, label_fraction, budget, seed,
+                                        val_fraction=val_fraction)
+        want_train, want_val = oracles.make_pairs_by_permutation(
+            net, label_fraction, budget, seed, val_fraction=val_fraction)
+        assert np.array_equal(train_arr, want_train)
+        assert np.array_equal(val_arr, want_val)
+        assert train_arr.base is val_arr.base
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 90000, 100000])
+    def test_record_shuffle_draws_like_permutation(self, n):
+        # make_pairs shuffles its (n, 3) rows as n 24-byte records.
+        rows = np.arange(3 * n).reshape(n, 3)
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        shuffled = rows.copy()
+        a.shuffle(shuffled.view(np.dtype((np.void, shuffled.strides[0])))[:, 0])
+        assert np.array_equal(shuffled, rows[b.permutation(n)])
+        assert a.random() == b.random()
+
     def test_insufficient_labels_raises(self):
         net = build_network(3, [(0, 1), (1, 2)], times=[0, None])
         with pytest.raises(InsufficientLabels):

@@ -21,7 +21,7 @@ from netchron.dynamics import DynamicsKind, DynamicsSpec, simulate
 from netchron.features import FeatureMode
 from netchron.graph import build_network
 from netchron.ranker import (TrainConfig, _edge_slots, init_cpnn, loss, make_pairs,
-                             prepare_inputs, train)
+                             predict_scores, prepare_inputs, train)
 
 import oracles
 
@@ -353,6 +353,95 @@ class TestStepAllocation:
         # layer. The step used to allocate both, and more, every time.
         bound = ws.rows * max(model.input_dim, cfg.hidden) * 8
         assert peak - start < bound
+
+
+def first_edges(net, count):
+    """The graph cut to its first count edges, and a steady state on it."""
+    net = build_network(net.node_count, net.endpoints[:count],
+                        times=list(net.alpha[:count]))
+    return net, simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=5).values
+
+
+class TestBlockScoring:
+    """predict_scores and the epoch metrics score rows in blocks of
+    B = 2 batch_size, the last block taking the remainder; every row
+    count gives the scores of one whole-matrix forward pass."""
+
+    BATCH = 8
+    B = 2 * BATCH
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        sizes = []
+        real = netchron.ranker._score_block
+
+        def recording(model, inputs, edge_rows, *args):
+            sizes.append(edge_rows.size)
+            return real(model, inputs, edge_rows, *args)
+
+        monkeypatch.setattr(netchron.ranker, "_score_block", recording)
+        return sizes
+
+    def expected_blocks(self, rows):
+        count = max(rows // self.B, 1)
+        return [self.B] * (count - 1) + [rows - (count - 1) * self.B]
+
+    def model_for(self, mode, inputs):
+        cfg = config(mode, batch_size=self.BATCH)
+        width = inputs.static.values.shape[1]
+        if cfg.coupled:
+            width += 4 * cfg.embedding_dims[-1]
+        model = init_cpnn(width, cfg)
+        model.params()["scorer.b_hidden"][...] = np.linspace(-0.5, 0.5, cfg.hidden)
+        return model
+
+    @pytest.mark.parametrize("rows", [B - 1, B, B + 1, 2 * B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STATE_ONLY])
+    def test_predict_scores_equals_one_block(self, blocks, rows, mode):
+        net, state = first_edges(instance("pa", mode)[0], rows)
+        inputs = prepare_inputs(net, state, mode)
+        model = self.model_for(mode, inputs)
+        got = predict_scores(model, net, inputs)
+        assert blocks == self.expected_blocks(rows)
+        want = netchron.ranker._forward_scores(model, inputs, np.arange(rows), net=net)[0]
+        assert oracles.max_relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [B - 1, B, B + 1, 2 * B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STATE_ONLY])
+    def test_pair_metrics_equal_one_block(self, blocks, rows, mode):
+        net, inputs = instance("pa", mode)
+        model = self.model_for(mode, inputs)
+        # A chain of pairs over edges 0 .. rows - 1 names exactly rows edges.
+        a = np.arange(rows - 1)
+        pairs = np.column_stack([a, a + 1, (net.alpha[a] < net.alpha[a + 1])])
+        pairs = pairs.astype(np.int64)
+        got = netchron.ranker._pair_metrics(model, inputs, pairs, net=net)
+        assert blocks == self.expected_blocks(rows)
+        want = oracles._pair_metrics_by_unique(model, inputs, pairs, net)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+        assert got[1] == want[1]
+
+    def test_predict_scores_memory_is_one_block(self):
+        # State-only inputs on PA N = 3000 (M = 5997), the default
+        # config: one block is at most 1023 rows of the 64-wide hidden
+        # layer, where the whole-matrix pass held 5997.
+        net = generate_synthetic(SynthSpec(
+            kind=SynthKind.PREFERENTIAL_ATTACHMENT, node_count=3000,
+            edges_per_node=2, seed=1,
+        ))
+        state = simulate(net, DynamicsSpec(kind=DynamicsKind.EPIDEMIC), seed=1).values
+        inputs = prepare_inputs(net, state, FeatureMode.STATE_ONLY)
+        model = init_cpnn(inputs.static.values.shape[1],
+                          TrainConfig(mode=FeatureMode.STATE_ONLY))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            predict_scores(model, net, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.edge_count == 5997
+        assert peak - start < 2e6
 
 
 class TestRepeatable:
