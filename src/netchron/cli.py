@@ -84,7 +84,7 @@ def _resolve(args):
                 "unknown config keys for this command: %s" % ", ".join(unknown)
             )
     for name, (_, default, _) in options.items():
-        if getattr(args, name) is not None:
+        if name in vars(args):
             values[name] = getattr(args, name)
         if default is REQUIRED and values.get(name) is None:
             raise ParseError("--%s is required (flag or config file)"
@@ -429,8 +429,10 @@ def _build_parser():
                 text += " (default %s)" % ",".join(map(str, default))
             elif default is not None:
                 text += " (default %s)" % getattr(default, "value", default)
+            # Absent flags stay absent, so a flag may give null (None).
             p.add_argument("--" + name.replace("_", "-"), help=text,
-                           type=None if choices else kind, choices=choices)
+                           type=None if choices else kind, choices=choices,
+                           default=argparse.SUPPRESS)
         p.set_defaults(func=func)
     return parser
 

@@ -17,7 +17,9 @@ too.
 
 Every pass writes its outputs into a Workspace: named buffers
 allocated on first use and reused by later calls (see the ranker
-module). A call given none builds its own, used for that call only.
+module). A public pass given none builds its own, used for that call
+only. Layer 0's neighbor aggregate is a constant of the node inputs,
+so the workspace keeps it and a run mixes its inputs once.
 
 The backward pass is written by hand; gradient correctness is locked
 down by finite-difference tests.
@@ -44,29 +46,43 @@ class Workspace:
     """Buffers the passes write into, kept from one call to the next.
 
     array(name, n, *tail) hands out the leading n rows of the buffer
-    called name. The buffer is allocated on first use, and again only
-    when a call needs more rows or another row shape, with
+    kept for name and the row shape tail. The buffer is allocated on
+    first use, and again only when a call needs more rows, with
     max(n, per_edge * rows) rows: per_edge is its rows per distinct
     edge a call scores (0 for buffers sized by the graph), so that a
     workspace built for rows edges serves every call that scores at
     most that many. For model (a ranker.CpnnModel), params is
     model.params(), grad a vector laid out like model.flat and grads
     its params() views, each built on first use. Each call overwrites
-    what the previous one left in these buffers.
+    what the previous one left in these buffers, except layer 0's
+    aggregate (first_layer_mix). A workspace serves one model on one
+    network.
     """
 
     def __init__(self, rows=0, model=None):
         self.rows = rows
         self.model = model
         self._arrays = {}
+        self._mixed_inputs = None
 
     def array(self, name, n, *tail, dtype=np.float64, per_edge=0):
-        """The leading n rows of the buffer called name: (n, *tail)."""
-        buf = self._arrays.get(name)
-        if buf is None or buf.shape[0] < n or buf.shape[1:] != tail:
+        """The leading n rows of the buffer for name and tail: (n, *tail)."""
+        buf = self._arrays.get((name, tail))
+        if buf is None or buf.shape[0] < n:
             rows = max(n, per_edge * self.rows)
-            buf = self._arrays[name] = np.empty((rows,) + tail, dtype)
+            buf = self._arrays[name, tail] = np.empty((rows,) + tail, dtype)
         return buf[:n]
+
+    def first_layer_mix(self, net, node_inputs, norm):
+        """Layer 0's neighbor aggregate of node_inputs, in prop.mixed.0:
+        computed when node_inputs first comes in, reused while that same
+        array (by identity) does. ranker.prepare_inputs' arrays are
+        read-only, so the kept aggregate cannot go stale."""
+        mixed = self.array("prop.mixed.0", *node_inputs.shape)
+        if node_inputs is not self._mixed_inputs:
+            _neighbor_mix(net, node_inputs, norm, self, mixed)
+            self._mixed_inputs = node_inputs
+        return mixed
 
     @cached_property
     def params(self):
@@ -149,57 +165,51 @@ def _activation_grad(name, pre, post, out=None):
     return np.greater(pre, 0.0, out=out)
 
 
-def _scale_rows(op, x, per_node, ws, out=None):
-    """op(x, per_node[:, None]), written into out (a new array when None).
+def _scale_rows(op, x, per_node, ws, out):
+    """op(x, per_node[:, None]), written into out.
 
     per_node is first copied across an (N, d) buffer of ws: a
     broadcasting ufunc allocates numpy's iteration buffers, up to 64 kB
     per operand.
     """
-    column = ws.array("mix.per_node.%d" % x.shape[1], *x.shape)
+    column = ws.array("mix.per_node", *x.shape)
     np.copyto(column, per_node[:, None])
     return op(x, column, out=out)
 
 
-def _neighbor_mix(net, h, norm, ws=None, out=None):
-    """Normalized neighbor aggregate of the (N, d) h, written into out
-    (a new array when None); isolated nodes get zero rows. The scaled
-    input and the gathered neighbour rows are buffers of ws."""
-    ws = Workspace() if ws is None else ws
-    d = h.shape[1]
-    gathered = ws.array("mix.gathered.%d" % d, net.adj_indices.size, d)
+def _neighbor_mix(net, h, norm, ws, out):
+    """Normalized neighbor aggregate of the (N, d) h, written into out;
+    isolated nodes get zero rows. The scaled input and the gathered
+    neighbour rows are buffers of ws."""
+    gathered = ws.array("mix.gathered", net.adj_indices.size, h.shape[1])
     if norm == "mean":
         return _scale_rows(np.divide, neighbor_sum(net, h, gathered=gathered),
                            net.safe_degrees, ws, out)
     scale = net.inv_sqrt_degrees
-    scaled = _scale_rows(np.multiply, h, scale, ws,
-                         out=ws.array("mix.scaled.%d" % d, *h.shape))
+    scaled = _scale_rows(np.multiply, h, scale, ws, ws.array("mix.scaled", *h.shape))
     return _scale_rows(np.multiply, neighbor_sum(net, scaled, gathered=gathered),
                        scale, ws, out)
 
 
-def _neighbor_mix_transpose(net, g, norm, ws=None):
+def _neighbor_mix_transpose(net, g, norm, ws):
     """Transpose of the aggregate operator, for backpropagation. It
     writes into g (the symmetric operator is its own transpose)."""
-    ws = Workspace() if ws is None else ws
     if norm == "mean":
-        d = g.shape[1]
-        _scale_rows(np.divide, g, net.safe_degrees, ws, out=g)
-        gathered = ws.array("mix.gathered.%d" % d, net.adj_indices.size, d)
+        _scale_rows(np.divide, g, net.safe_degrees, ws, g)
+        gathered = ws.array("mix.gathered", net.adj_indices.size, g.shape[1])
         return neighbor_sum(net, g, gathered=gathered)
-    return _neighbor_mix(net, g, norm, ws, out=g)
+    return _neighbor_mix(net, g, norm, ws, g)
 
 
-def propagate(net, node_inputs, params, config, first_mix=None, ws=None):
+def propagate(net, node_inputs, params, config, ws=None):
     """Forward pass: the (N, d_L) embeddings and the per-layer stages
     that propagate_backward needs.
 
     params holds the encoder_layout arrays by name (a model's params()
     does); config gives embedding_dims, activation and neighbor_norm.
-    first_mix, when given, is layer 0's neighbor aggregate of
-    node_inputs (it depends on neither weights nor the layer), so a
-    caller that propagates the same inputs many times computes it once.
-    Each layer's pre-activation and output are buffers of ws.
+    Layer 0's aggregate is ws's first_layer_mix of node_inputs; each
+    later layer's aggregate, and every layer's pre-activation and
+    output, are buffers of ws.
     """
     ws = Workspace() if ws is None else ws
     dims = config.embedding_dims
@@ -211,11 +221,11 @@ def propagate(net, node_inputs, params, config, first_mix=None, ws=None):
         )
     stages = []
     for l in range(len(dims) - 1):
-        if first_mix is not None and l == 0:
-            mixed = first_mix
+        if l == 0:
+            mixed = ws.first_layer_mix(net, h, config.neighbor_norm)
         else:
             mixed = _neighbor_mix(net, h, config.neighbor_norm, ws,
-                                  out=ws.array("prop.mixed.%d" % l, *h.shape))
+                                  ws.array("prop.mixed.%d" % l, *h.shape))
         shape = (net.node_count, dims[l + 1])
         pre = np.matmul(h, params["prop.self.%d" % l],
                         out=ws.array("prop.pre.%d" % l, *shape))
@@ -244,8 +254,7 @@ def propagate_backward(net, params, config, stages, grad_out, grads, ws=None):
         h_prev, mixed, pre, post = stages[l]
         # One buffer per width: layer l's is spent before layer l - 1's.
         dpre = _activation_grad(config.activation, pre, post,
-                                out=ws.array("prop.d_pre.%d" % pre.shape[1],
-                                             *pre.shape))
+                                out=ws.array("prop.d_pre", *pre.shape))
         dpre *= dh
         np.matmul(h_prev.T, dpre, out=grads["prop.self.%d" % l])
         np.matmul(mixed.T, dpre, out=grads["prop.neigh.%d" % l])

@@ -24,15 +24,16 @@ the gathered neighbour rows, the gradient vector with its params()
 views, and the model's params() views. train builds one workspace per
 run, for min(2 batch_size, distinct supervised edges) rows, the most
 distinct edges a batch can name. Every batch writes into its leading
-rows, so after the first batch a step allocates none of these.
+rows, so after the first batch a step allocates none of these, and
+the workspace mixes the run's node inputs for layer 0 once.
 
 Any number of rows is scored in blocks of 2 batch_size (_block_scores),
 every block written into the same buffers, so predict_scores and the
 epoch metrics hold one block of the scorer's arrays, not one row per
 edge. The epoch metrics reuse train's workspace, growing its forward
 buffers once if their last block, which takes the remainder, is
-longer. A call given no workspace, such as predict_scores or a loss
-call without ws, builds one for that call.
+longer. predict_scores, and a loss call without ws, build a
+workspace for that call.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .coupling import (
     _activate,
     _activation_grad,
     _check_dims,
-    _neighbor_mix,
     coupled_backward,
     coupled_column_names,
     coupled_edge_features,
@@ -65,6 +65,7 @@ from .errors import (
     DimensionMismatch,
     FeatureSchemaMismatch,
     InsufficientLabels,
+    NumericalError,
     ParseError,
     RowMismatch,
 )
@@ -87,7 +88,9 @@ PAIR_CHUNK = 8192
 
 
 def float_or_none(value):
-    return None if value is None else finite_float(value)
+    """None for None or the string "null" (a flag's spelling of JSON
+    null), else a finite float."""
+    return None if value is None or value == "null" else finite_float(value)
 
 
 @dataclass(frozen=True)
@@ -232,7 +235,9 @@ def prepare_inputs(net, state_values, mode=FeatureMode.BOTH):
     Only the handcrafted blocks the mode uses are built; they are
     normalized then filtered to the mode. Node inputs are standardized
     column-wise, with the state column zeroed for the structure-only
-    ablation and the whole branch dropped for the state-only one.
+    ablation and the whole branch dropped for the state-only one. They
+    are read-only, as the network's cached arrays are: a workspace
+    keeps their layer-0 aggregate while the same array comes in.
     """
     mode = FeatureMode(mode)
     blocks = []
@@ -249,6 +254,7 @@ def prepare_inputs(net, state_values, mode=FeatureMode.BOTH):
             net, state_values, zero_state=mode is FeatureMode.STRUCT_ONLY
         )
         node_inputs, _ = standardize_columns(raw)
+        node_inputs.flags.writeable = False
     return TrainInputs(static=static, node_inputs=node_inputs)
 
 
@@ -271,10 +277,9 @@ def init_cpnn(input_dim, config, feature_columns=()):
     return model
 
 
-def _scorer_forward(params, activation, feats, ws=None):
+def _scorer_forward(params, activation, feats, ws):
     """z = w_out . act(feats W_hidden + b_hidden) + b_out, with pre and
     act, each a buffer of ws."""
-    ws = Workspace() if ws is None else ws
     n, hidden = feats.shape[0], params["scorer.b_hidden"].size
     pre = np.matmul(feats, params["scorer.w_hidden"],
                     out=ws.array("scorer.pre", n, hidden, per_edge=1))
@@ -289,14 +294,13 @@ def _scorer_forward(params, activation, feats, ws=None):
     return z, pre, act
 
 
-def _scorer_backward(params, activation, feats, pre, act, dz, grads, grad_from=None,
-                     ws=None):
+def _scorer_backward(params, activation, feats, pre, act, dz, grads, ws,
+                     grad_from=None):
     """Scorer weight gradients, written into grads' scorer.* arrays, and
     dLoss/dfeats[:, grad_from:], returned (None when grad_from is None).
     The hidden layer's gradient and slope, and the returned block, are
     buffers of ws.
     """
-    ws = Workspace() if ws is None else ws
     np.matmul(act.T, dz, out=grads["scorer.w_out"])
     grads["scorer.b_out"][...] = dz.sum()
     d_pre = ws.array("scorer.d_pre", *pre.shape, per_edge=1)
@@ -367,16 +371,14 @@ def make_pairs(net, label_fraction, pair_budget, seed, val_fraction=0.1):
     return pairs[val_count:], pairs[:val_count]
 
 
-def _propagated(model, inputs, net, first_mix, ws):
+def _propagated(model, inputs, net, ws):
     """The encoder's (embeddings, stages) for a coupled model, written
-    into ws; (None, None) for a state-only one. first_mix is as for
-    coupling.propagate."""
+    into ws; (None, None) for a state-only one."""
     if not model.config.coupled:
         return None, None
     if inputs.node_inputs is None or net is None:
         raise DimensionMismatch("a coupled model needs node inputs and their network")
-    return propagate(net, inputs.node_inputs, ws.params, model.config,
-                     first_mix=first_mix, ws=ws)
+    return propagate(net, inputs.node_inputs, ws.params, model.config, ws=ws)
 
 
 def _score_block(model, inputs, edge_rows, embeddings, net, ws):
@@ -402,23 +404,7 @@ def _score_block(model, inputs, edge_rows, embeddings, net, ws):
     return z, cache
 
 
-def _forward_scores(model, inputs, edge_rows, net=None, first_mix=None, ws=None):
-    """Scores for the given edge rows as one block, plus the caches
-    backprop needs: the block's (see _score_block) and the encoder's.
-
-    first_mix is layer 0's neighbor aggregate of inputs.node_inputs, if
-    the caller has it (see coupling.propagate). Without ws, the call
-    builds a workspace of its own.
-    """
-    ws = Workspace(edge_rows.size, model) if ws is None else ws
-    embeddings, stages = _propagated(model, inputs, net, first_mix, ws)
-    z, cache = _score_block(model, inputs, edge_rows, embeddings, net, ws)
-    if embeddings is not None:
-        cache.update(embeddings=embeddings, stages=stages)
-    return z, cache
-
-
-def _block_scores(model, inputs, edge_rows, net=None, first_mix=None, ws=None):
+def _block_scores(model, inputs, edge_rows, net=None, ws=None):
     """Scores for the given edge rows, in a new array.
 
     The encoder runs once; the rows are then scored in blocks of
@@ -433,7 +419,7 @@ def _block_scores(model, inputs, edge_rows, net=None, first_mix=None, ws=None):
     n, size = edge_rows.size, 2 * model.config.batch_size
     starts = list(range(0, max(n - size, 0) + 1, size))
     ws = Workspace(n - starts[-1], model) if ws is None else ws
-    embeddings, _ = _propagated(model, inputs, net, first_mix, ws)
+    embeddings, _ = _propagated(model, inputs, net, ws)
     scores = np.empty(n)
     for lo, hi in zip(starts, starts[1:] + [n]):
         scores[lo:hi] = _score_block(model, inputs, edge_rows[lo:hi], embeddings, net,
@@ -454,14 +440,14 @@ def _edge_slots(pairs, edge_count):
     return np.flatnonzero(seen), np.cumsum(seen) - 1
 
 
-def loss(model, inputs, pairs, net=None, first_mix=None, ws=None):
+def loss(model, inputs, pairs, net=None, ws=None):
     """Total pairwise cross-entropy plus scorer L2, and its gradient.
 
     Returns (value, grad): grad is one float64 vector laid out like
     model.flat (model.params(grad) names its blocks), accumulated by
     reverse mode through the scorer and, when present, the propagation
-    stack, each block written into its own view. first_mix is as for
-    _forward_scores.
+    stack, each block written into its own view. The batch is scored
+    as one block (see _score_block).
 
     The scorer's and the encoder's intermediate arrays, and grad
     itself, are buffers of ws, a coupling.Workspace for this model
@@ -474,8 +460,8 @@ def loss(model, inputs, pairs, net=None, first_mix=None, ws=None):
     arr = _check_pairs(pairs, inputs.static.edge_count)
     edge_rows, slot = _edge_slots(arr, inputs.static.edge_count)
     ws = Workspace(edge_rows.size, model) if ws is None else ws
-    z, cache = _forward_scores(model, inputs, edge_rows, net=net,
-                               first_mix=first_mix, ws=ws)
+    embeddings, stages = _propagated(model, inputs, net, ws)
+    z, cache = _score_block(model, inputs, edge_rows, embeddings, net, ws)
     a_pos = slot[arr[:, 0]]
     b_pos = slot[arr[:, 1]]
     d = z[a_pos] - z[b_pos]
@@ -504,19 +490,17 @@ def loss(model, inputs, pairs, net=None, first_mix=None, ws=None):
     width = inputs.static.values.shape[1]
     d_cpl = _scorer_backward(
         params, model.config.scorer_activation, cache["feats"], cache["pre"],
-        cache["act"], dz, grads, grad_from=width if model.config.coupled else None,
-        ws=ws,
+        cache["act"], dz, grads, ws, grad_from=width if model.config.coupled else None,
     )
     penalty = np.multiply(2.0 * eta, weights, out=ws.array("scorer.l2", size))
     np.add(ws.grad[:size], penalty, out=ws.grad[:size])
     if model.config.coupled:
-        d_emb = coupled_backward(cache["embeddings"], cache["endpoints"], d_cpl, ws)
-        propagate_backward(net, params, model.config, cache["stages"], d_emb, grads,
-                           ws=ws)
+        d_emb = coupled_backward(embeddings, cache["endpoints"], d_cpl, ws)
+        propagate_backward(net, params, model.config, stages, d_emb, grads, ws=ws)
     return value, ws.grad
 
 
-def _pair_metrics(model, inputs, pairs, net=None, first_mix=None, ws=None):
+def _pair_metrics(model, inputs, pairs, net=None, ws=None):
     """Mean cross-entropy and accuracy over a pair set (no gradients).
 
     Each distinct edge is scored once, in blocks through ws (see
@@ -525,7 +509,7 @@ def _pair_metrics(model, inputs, pairs, net=None, first_mix=None, ws=None):
     """
     arr = _check_pairs(pairs, inputs.static.edge_count)
     edge_rows, slot = _edge_slots(arr, inputs.static.edge_count)
-    z = _block_scores(model, inputs, edge_rows, net=net, first_mix=first_mix, ws=ws)
+    z = _block_scores(model, inputs, edge_rows, net=net, ws=ws)
     n = arr.shape[0]
     terms = np.empty(n)
     correct = 0
@@ -561,6 +545,7 @@ def _check_rows(net, inputs):
         raise RowMismatch("static features describe a different edge list")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(net, inputs, config):
     """Mini-batch moment-estimate training; returns the best-validation model.
 
@@ -568,20 +553,16 @@ def train(net, inputs, config):
     initialization, and batch order all derive from it. The returned
     model is the snapshot with the highest validation pair accuracy
     (earliest epoch wins ties); without a validation set, the final
-    epoch wins.
+    epoch wins. An epoch whose gradient norm, train loss or validation
+    loss is not finite raises NumericalError naming it; numpy's
+    overflow and invalid-value warnings, which that error reports, stay
+    silent.
     """
     _check_rows(net, inputs)
     train_arr, val_arr = make_pairs(
         net, config.label_fraction, config.pair_budget, config.seed,
         val_fraction=config.val_fraction,
     )
-    first_mix = None
-    if config.coupled:
-        if inputs.node_inputs is None:
-            raise DimensionMismatch(
-                "mode %s trains a coupled model, which needs node inputs"
-                % config.mode.value)
-        first_mix = _neighbor_mix(net, inputs.node_inputs, config.neighbor_norm)
     columns = _scorer_columns(config, inputs)
     model = init_cpnn(len(columns), config, feature_columns=columns)
     # A batch of batch_size pairs names at most twice as many edges.
@@ -610,7 +591,7 @@ def train(net, inputs, config):
         grad_sq = 0.0
         for lo in range(0, order.size, config.batch_size):
             batch = train_arr[order[lo:lo + config.batch_size]]
-            _, grad = loss(model, inputs, batch, net=net, first_mix=first_mix, ws=ws)
+            _, grad = loss(model, inputs, batch, net=net, ws=ws)
             grad_sq += float(np.dot(grad, grad))
             step += 1
             # Adam, operation for operation as m = beta1 m + (1 - beta1) g,
@@ -629,9 +610,7 @@ def train(net, inputs, config):
             v_hat += eps
             m_hat /= v_hat
             flat -= m_hat
-        train_ce, train_acc = _pair_metrics(
-            model, inputs, train_arr, net=net, first_mix=first_mix, ws=ws
-        )
+        train_ce, train_acc = _pair_metrics(model, inputs, train_arr, net=net, ws=ws)
         batches = math.ceil(order.size / config.batch_size)
         entry = {
             "epoch": epoch,
@@ -640,15 +619,18 @@ def train(net, inputs, config):
             "grad_norm": math.sqrt(grad_sq / batches),
         }
         if val_arr.shape[0]:
-            val_ce, val_acc = _pair_metrics(
-                model, inputs, val_arr, net=net, first_mix=first_mix, ws=ws
-            )
+            val_ce, val_acc = _pair_metrics(model, inputs, val_arr, net=net, ws=ws)
             entry["val_loss"] = val_ce
             entry["val_accuracy"] = val_acc
             if val_acc > best_acc:
                 best_acc = val_acc
                 best[...] = flat
                 best_epoch = epoch
+        diverged = [key for key in ("grad_norm", "train_loss", "val_loss")
+                    if not math.isfinite(entry.get(key, 0.0))]
+        if diverged:
+            raise NumericalError("training diverged in epoch %d: %s not finite"
+                                 % (epoch, ", ".join(diverged)))
         log.append(entry)
     if not val_arr.shape[0]:
         best[...] = flat

@@ -592,15 +592,31 @@ def scores_by_definition(model, net, inputs):
     return hidden @ params["scorer.w_out"] + float(params["scorer.b_out"])
 
 
+def forward_scores(model, inputs, edge_rows, net=None):
+    """Scores for the given edge rows as one block, through a workspace
+    of their own, plus the caches backprop needs: the block's (see
+    ranker._score_block) and, for a coupled model, the embeddings and
+    the encoder's stages."""
+    from netchron.coupling import Workspace
+    from netchron.ranker import _propagated, _score_block
+
+    ws = Workspace(edge_rows.size, model)
+    embeddings, stages = _propagated(model, inputs, net, ws)
+    z, cache = _score_block(model, inputs, edge_rows, embeddings, net, ws)
+    if embeddings is not None:
+        cache.update(embeddings=embeddings, stages=stages)
+    return z, cache
+
+
 def _loss_by_add_at(model, inputs, pairs, net):
     """ranker.loss's gradients as a dict of separate arrays, scored through
     np.unique and scattered by np.add.at."""
-    from netchron.coupling import propagate_backward
-    from netchron.ranker import _forward_scores, _scorer_backward, _stable_sigmoid
+    from netchron.coupling import Workspace, propagate_backward
+    from netchron.ranker import _scorer_backward, _stable_sigmoid
 
     arr = np.asarray(pairs, dtype=np.int64)
     edge_rows, inverse = np.unique(arr[:, :2].ravel(), return_inverse=True)
-    z, cache = _forward_scores(model, inputs, edge_rows, net=net)
+    z, cache = forward_scores(model, inputs, edge_rows, net)
     a_pos, b_pos = inverse[0::2], inverse[1::2]
     dd = _stable_sigmoid(z[a_pos] - z[b_pos]) - arr[:, 2].astype(np.float64)
     dz = np.zeros(edge_rows.size)
@@ -612,7 +628,7 @@ def _loss_by_add_at(model, inputs, pairs, net):
     grads = {key: np.empty_like(value) for key, value in params.items()}
     d_cpl = _scorer_backward(
         params, model.config.scorer_activation, cache["feats"], cache["pre"],
-        cache["act"], dz, grads, grad_from=width,
+        cache["act"], dz, grads, Workspace(), grad_from=width,
     )
     for key in ("scorer.w_hidden", "scorer.b_hidden", "scorer.w_out", "scorer.b_out"):
         grads[key] = grads[key] + 2.0 * eta * params[key]
@@ -625,10 +641,10 @@ def _loss_by_add_at(model, inputs, pairs, net):
 
 
 def _pair_metrics_by_unique(model, inputs, pairs, net):
-    from netchron.ranker import _forward_scores, _softplus
+    from netchron.ranker import _softplus
 
     edge_rows, inverse = np.unique(pairs[:, :2].ravel(), return_inverse=True)
-    z, _ = _forward_scores(model, inputs, edge_rows, net=net)
+    z, _ = forward_scores(model, inputs, edge_rows, net)
     d = z[inverse[0::2]] - z[inverse[1::2]]
     y = pairs[:, 2].astype(np.float64)
     ce = float(np.mean(y * _softplus(-d) + (1.0 - y) * _softplus(d)))

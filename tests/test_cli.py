@@ -263,6 +263,63 @@ class TestTrain:
         assert "invalid training config" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("mode, flags", [
+        ("state", ("--scorer-activation", "relu", "--learning-rate", "1e200")),
+        ("both", ("--learning-rate", "1e300")),
+    ])
+    def test_diverging_run_exits_4_and_writes_nothing(self, tmp_path, capsys, mode,
+                                                      flags):
+        graph, state = tmp_path / "g.tsv", tmp_path / "s.csv"
+        assert run("synth", "--kind", "pa", "--n", 30, "--m", 2, "--seed", 0,
+                   "--out", graph) == 0
+        assert run("simulate", graph, "--dynamics", "sis", "--seed", 0,
+                   "--out", state) == 0
+        capsys.readouterr()
+        model = tmp_path / "m.json"
+        assert run("train", graph, state, "--mode", mode, *flags, "--epochs", 3,
+                   "--out", model) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: training diverged in epoch ")
+        assert err.count("\n") == 1
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("m.json")]
+
+    def test_label_fraction_null_flag_equals_the_config_file(self, workspace):
+        tmp_path, graph, state = workspace
+        common = ("--epochs", 2, "--hidden", 4, "--embedding-dims", "4,3")
+        by_flag = tmp_path / "flag.json"
+        assert run("train", graph, state, *common, "--label-fraction", "null",
+                   "--out", by_flag) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"label_fraction": null}\n')
+        by_file = tmp_path / "file.json"
+        assert run("train", graph, state, *common, "--config", cfg,
+                   "--out", by_file) == 0
+        for suffix in ("", ".log.json"):
+            assert open(str(by_flag) + suffix, "rb").read() \
+                == open(str(by_file) + suffix, "rb").read()
+        configs = [load_json(str(out) + ".manifest.json")["config"]
+                   for out in (by_flag, by_file)]
+        assert configs[0]["label_fraction"] is None
+        assert dict(configs[0], out=None) == dict(configs[1], out=None)
+
+    def test_label_fraction_null_flag_overrides_the_config_file(self, workspace):
+        tmp_path, graph, state = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"label_fraction": 0.5, "epochs": 1, "hidden": 4}\n')
+        model = tmp_path / "m.json"
+        assert run("train", graph, state, "--config", cfg, "--label-fraction", "null",
+                   "--out", model) == 0
+        assert load_json(str(model) + ".manifest.json")["config"]["label_fraction"] \
+            is None
+        assert load_json(str(model) + ".log.json")["label_fraction"] is None
+
+    def test_misspelt_null_is_a_usage_error(self, workspace):
+        tmp_path, graph, state = workspace
+        with pytest.raises(SystemExit) as exc:
+            run("train", graph, state, "--label-fraction", "nul",
+                "--out", tmp_path / "m.json")
+        assert exc.value.code == 2
+
     def test_invalid_config_file_mode_exits_3(self, workspace, capsys):
         tmp_path, graph, state = workspace
         cfg = tmp_path / "cfg.json"

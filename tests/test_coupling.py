@@ -7,6 +7,7 @@ import dataclasses
 
 from netchron.coupling import (
     NODE_INPUT_DIM,
+    Workspace,
     coupled_backward,
     coupled_column_names,
     coupled_edge_features,
@@ -204,22 +205,66 @@ class TestBackward:
             else:  # the scorer's blocks are left alone
                 assert np.all(view == 7.0), name
 
-    @pytest.mark.parametrize("norm", ["mean", "symmetric"])
-    def test_precomputed_first_mix_changes_nothing(self, norm):
-        from netchron.coupling import _neighbor_mix
 
+class TestFirstLayerCache:
+    """A workspace mixes layer 0's node inputs once per inputs array."""
+
+    @pytest.fixture
+    def mixes_of(self, monkeypatch):
+        """Counts _neighbor_mix calls by the identity of the array mixed."""
+        import netchron.coupling
+
+        seen = []
+        real = netchron.coupling._neighbor_mix
+
+        def counting(net, h, *args):
+            seen.append(h)
+            return real(net, h, *args)
+
+        monkeypatch.setattr(netchron.coupling, "_neighbor_mix", counting)
+        return lambda h: sum(x is h for x in seen)
+
+    def case(self, norm):
         rng = np.random.default_rng(31)
         net = build_network(6, [(0, 1), (1, 2), (2, 0), (3, 4)])  # node 5 isolated
-        weights, config = init_propagation((4, 3, 2), seed=5, neighbor_norm=norm)
-        h = rng.normal(size=(6, 4))
-        mix = _neighbor_mix(net, h, norm)
-        out, stages = propagate(net, h, weights, config)
-        out_mix, stages_mix = propagate(net, h, weights, config, first_mix=mix)
-        assert np.array_equal(out, out_mix)
-        assert stages_mix[0][1] is mix
-        for a, b in zip(stages, stages_mix):
-            for x, y in zip(a, b):
+        # Layer 1 mixes rows as wide as the inputs, through the same
+        # scratch buffers as layer 0.
+        weights, config = init_propagation((4, 4, 2), seed=5, neighbor_norm=norm)
+        return rng, net, weights, config, rng.normal(size=(6, 4))
+
+    def assert_equal_to_fresh(self, net, h, weights, config, ws):
+        out, stages = propagate(net, h, weights, config, ws=ws)
+        want, want_stages = propagate(net, h, weights, config)
+        assert np.array_equal(out, want)
+        for got_stage, want_stage in zip(stages, want_stages):
+            for x, y in zip(got_stage, want_stage):
                 assert np.array_equal(x, y)
+        return stages
+
+    @pytest.mark.parametrize("norm", ["mean", "symmetric"])
+    def test_each_call_equals_a_fresh_one_and_mixes_once(self, mixes_of, norm):
+        rng, net, weights, config, h = self.case(norm)
+        ws = Workspace()
+        for _ in range(3):
+            stages = self.assert_equal_to_fresh(net, h, weights, config, ws)
+            # A backward pass between the calls reuses the mixing buffers.
+            propagate_backward(net, weights, config, stages,
+                               rng.normal(size=(6, 2)), zero_grads((4, 4, 2)), ws)
+            for w in weights.values():
+                w += 0.1 * rng.normal(size=w.shape)
+        # Once through ws, and once per fresh call.
+        assert mixes_of(h) == 1 + 3
+
+    @pytest.mark.parametrize("norm", ["mean", "symmetric"])
+    def test_another_inputs_array_is_mixed_again(self, mixes_of, norm):
+        _, net, weights, config, h = self.case(norm)
+        ws = Workspace()
+        self.assert_equal_to_fresh(net, h, weights, config, ws)
+        other = h[::-1].copy()
+        self.assert_equal_to_fresh(net, other, weights, config, ws)
+        self.assert_equal_to_fresh(net, h, weights, config, ws)
+        assert mixes_of(other) == 2
+        assert mixes_of(h) == 4
 
 
 class TestCoupledFeatures:

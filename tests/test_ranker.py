@@ -18,6 +18,7 @@ from netchron.errors import (
     DimensionMismatch,
     FeatureSchemaMismatch,
     InsufficientLabels,
+    NumericalError,
     ParseError,
     RowMismatch,
 )
@@ -26,7 +27,7 @@ from netchron.graph import build_network
 from netchron.ranker import (
     TrainConfig,
     TrainInputs,
-    _forward_scores,
+    _block_scores,
     _pair_metrics,
     _stable_sigmoid,
     config_from_dict,
@@ -167,7 +168,7 @@ class TestScore:
         with pytest.raises(DimensionMismatch, match="needs node inputs"):
             _pair_metrics(model, inputs, pairs)
         with pytest.raises(DimensionMismatch, match="needs node inputs"):
-            _forward_scores(model, inputs, np.arange(net.edge_count))
+            _block_scores(model, inputs, np.arange(net.edge_count))
 
     @pytest.mark.parametrize("b_out", [0.0, 0.5])
     def test_each_edge_scored_independently(self, b_out):
@@ -537,6 +538,17 @@ class TestTrain:
         acc = float(np.mean((d > 0) == (val_arr[:, 2] == 1)))
         assert acc == pytest.approx(max(accs))
 
+    @pytest.mark.parametrize("mode, fields", [
+        (FeatureMode.STATE_ONLY, dict(scorer_activation="relu", learning_rate=1e200)),
+        (FeatureMode.BOTH, dict(learning_rate=1e300)),
+    ])
+    def test_diverging_run_raises_numerical_error(self, mode, fields):
+        # Silently too: numpy's overflow warnings fail the suite.
+        net, inputs = pa_instance(node_count=30, mode=mode)
+        cfg = TrainConfig(mode=mode, epochs=3, **fields)
+        with pytest.raises(NumericalError, match=r"diverged in epoch \d: .*not finite"):
+            train(net, inputs, cfg)
+
     @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STRUCT_ONLY])
     def test_coupled_mode_without_node_inputs_raises(self, mode):
         net, inputs = pa_instance(node_count=20, mode=mode)
@@ -742,6 +754,14 @@ class TestPrepareInputs:
             monkeypatch.setattr(netchron.graph, kernel, forbidden)
         inputs = prepare_inputs(self.net, self.state, FeatureMode.STATE_ONLY)
         assert inputs.static.values.shape == (self.net.edge_count, 7)
+
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STRUCT_ONLY])
+    def test_node_inputs_are_read_only(self, mode):
+        # A workspace keeps their layer-0 aggregate by the array's identity.
+        inputs = prepare_inputs(self.net, self.state, mode)
+        assert not inputs.node_inputs.flags.writeable
+        with pytest.raises(ValueError):
+            inputs.node_inputs[0, 0] = 1.0
 
     def test_state_mode_disables_coupling(self):
         inputs = prepare_inputs(self.net, self.state, FeatureMode.STATE_ONLY)

@@ -15,7 +15,7 @@ import pytest
 
 import netchron.coupling
 import netchron.ranker
-from netchron.coupling import Workspace, _neighbor_mix
+from netchron.coupling import Workspace
 from netchron.datasets import SynthKind, SynthSpec, generate_synthetic
 from netchron.dynamics import DynamicsKind, DynamicsSpec, simulate
 from netchron.features import FeatureMode
@@ -138,14 +138,16 @@ class TestScorerBackwardOracle:
             "scorer.b_out": np.asarray(0.5),
         }
         feats = rng.normal(size=(50, 30))
-        _, pre, act = netchron.ranker._scorer_forward(params, activation, feats)
+        _, pre, act = netchron.ranker._scorer_forward(params, activation, feats,
+                                                      Workspace())
         dz = rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, size=50)
         want = oracles.scorer_backward_by_outer(params, activation, feats, pre,
                                                 act, dz)
         for grad_from in (None, 0, 22):
             grads = {key: np.full_like(value, np.nan) for key, value in params.items()}
             d_feats = netchron.ranker._scorer_backward(
-                params, activation, feats, pre, act, dz, grads, grad_from=grad_from
+                params, activation, feats, pre, act, dz, grads, Workspace(),
+                grad_from=grad_from,
             )
             for key, b in zip(("scorer.w_hidden", "scorer.b_hidden", "scorer.w_out",
                                "scorer.b_out"), want[:4]):
@@ -232,6 +234,21 @@ class TestWorkCounts:
         assert len(calls) == expected
         assert calls.count((net.node_count, 4)) == 1
 
+    @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STRUCT_ONLY])
+    def test_a_run_mixes_its_node_inputs_once(self, monkeypatch, mode):
+        net, inputs = instance("pa", mode)
+        mixed = []
+        real = netchron.coupling._neighbor_mix
+
+        def counting(net, h, *args):
+            mixed.append(h is inputs.node_inputs)
+            return real(net, h, *args)
+
+        monkeypatch.setattr(netchron.coupling, "_neighbor_mix", counting)
+        train(net, inputs, config(mode))
+        assert mixed.count(True) == 1
+        assert len(mixed) > 1
+
     @pytest.mark.parametrize("mode", [FeatureMode.BOTH, FeatureMode.STATE_ONLY])
     @pytest.mark.parametrize("val_fraction", [0.0, 0.1])
     def test_loss_runs_once_per_batch(self, monkeypatch, mode, val_fraction):
@@ -279,16 +296,14 @@ class TestWorkspaceReuse:
         if cfg.coupled:
             width += 4 * cfg.embedding_dims[-1]
         model = init_cpnn(width, cfg)
-        first_mix = _neighbor_mix(net, inputs.node_inputs, norm) if cfg.coupled else None
         ws = Workspace(min(2 * batch_size, supervised), model)
         batches = [pairs[lo:lo + batch_size] for lo in range(0, len(pairs), batch_size)]
         assert len(batches[-1]) < batch_size
         edge_counts = set()
         for batch in batches:
             edge_counts.add(_edge_slots(batch, net.edge_count)[0].size)
-            value, grad = loss(model, inputs, batch, net=net, first_mix=first_mix, ws=ws)
-            want_value, want_grad = loss(model, inputs, batch, net=net,
-                                         first_mix=first_mix)
+            value, grad = loss(model, inputs, batch, net=net, ws=ws)
+            want_value, want_grad = loss(model, inputs, batch, net=net)
             assert value == want_value
             assert np.array_equal(grad, want_grad)
             # The next call reads the moved weights through ws's views.
@@ -403,7 +418,7 @@ class TestBlockScoring:
         model = self.model_for(mode, inputs)
         got = predict_scores(model, net, inputs)
         assert blocks == self.expected_blocks(rows)
-        want = netchron.ranker._forward_scores(model, inputs, np.arange(rows), net=net)[0]
+        want = oracles.forward_scores(model, inputs, np.arange(rows), net)[0]
         assert oracles.max_relative_error(got, want) <= 1e-12
 
     @pytest.mark.parametrize("rows", [B - 1, B, B + 1, 2 * B + 1, 3 * B + 7])
